@@ -220,40 +220,6 @@ fn main() {
             println!("{name}/{point:<12} {:>9.2} simulated Mcycles/s", cps / 1e6);
             results.push((format!("{name}/{point}"), cps));
         }
-
-        // Period-hinted drain: seed the livelock detector with the period
-        // the previous identical window proved — what run_system's
-        // relaxation loop does per stage. Healthy fabrics never livelock
-        // (the detected period is None, see tests/steady_hint.rs), so this
-        // row doubles as a zero-overhead regression guard on the hint
-        // plumbing rather than a speedup demonstration.
-        sim.set_steady_period_hint(sim.detected_steady_period());
-        let tm = TrafficMatrix::uniform(n, saturation_rate);
-        let cps_h = cycles_per_sec(&mut sim, &tm);
-        println!(
-            "{name}/sat_hinted   {:>9.2} simulated Mcycles/s",
-            cps_h / 1e6
-        );
-        results.push((format!("{name}/saturation_hinted"), cps_h));
-        sim.set_steady_period_hint(None);
-
-        // Parallel-sweep scaling: the same saturation window at 4 worker
-        // threads. Observables are digest-pinned to the serial path
-        // (tests/golden.rs); this reports pure wall-clock scaling, which
-        // collapses to ~1x or below on a single-core host.
-        sim.set_threads(4);
-        let tm = TrafficMatrix::uniform(n, saturation_rate);
-        let cps4 = cycles_per_sec(&mut sim, &tm);
-        let serial = results
-            .iter()
-            .find(|(k, _)| k == &format!("{name}/saturation"))
-            .map_or(cps4, |&(_, v)| v);
-        println!(
-            "{name}/threads4     {:>9.2} simulated Mcycles/s ({:.2}x vs 1 thread)",
-            cps4 / 1e6,
-            cps4 / serial
-        );
-        results.push((format!("{name}/threads4"), cps4));
     }
 
     if let Ok(path) = std::env::var("MAPWAVE_BENCH_JSON") {

@@ -82,10 +82,12 @@ pub struct PlatformConfig {
     /// Duato-style minimal adaptive routing on the upper VCs (an extension
     /// beyond the paper's router; requires `noc_vcs >= 2`).
     pub noc_adaptive: bool,
-    /// Worker threads for the NoC simulations inside [`run_system`]
-    /// (1 = fully serial). A wall-clock knob only: every thread count
-    /// produces bit-identical results, so this field is deliberately
-    /// excluded from the configuration's stable hash and cache keys.
+    /// Relaxation-window lanes of [`run_system`]: any value > 1 runs a
+    /// round's (up to three) live stage windows concurrently, one
+    /// simulator lane per stage; 1 runs them one after another. A
+    /// wall-clock knob only: every value produces bit-identical results,
+    /// so this field is deliberately excluded from the configuration's
+    /// stable hash and cache keys.
     ///
     /// [`run_system`]: crate::system::run_system
     pub sim_threads: usize,
@@ -219,8 +221,9 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the NoC simulation worker-thread count (results are
-    /// bit-identical for every value).
+    /// Sets [`PlatformConfig::sim_threads`]: any value > 1 runs each
+    /// relaxation round's live stage windows concurrently, one lane per
+    /// stage (results are bit-identical for every value).
     pub fn with_sim_threads(mut self, threads: usize) -> Self {
         self.sim_threads = threads;
         self

@@ -24,7 +24,7 @@ use mapwave_manycore::platform::Platform;
 use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::sim::{NetworkSim, SimConfig};
 use mapwave_noc::topology::wireless::WirelessOverlay;
-use mapwave_noc::{EnergyModel, NetworkStats, NodeId, Topology};
+use mapwave_noc::{EnergyModel, NetworkStats, NocFaultCounts, NodeId, Topology, TrafficMatrix};
 use mapwave_phoenix::runtime::{ExecScratch, Executor, PhoenixFaults, RuntimeConfig};
 use mapwave_phoenix::stealing::StealPolicy;
 use mapwave_phoenix::task::PhaseKind;
@@ -109,6 +109,58 @@ fn latencies_bits(l: &PhaseLatencies) -> [u64; 4] {
         l.reduce.to_bits(),
         l.merge.to_bits(),
     ]
+}
+
+/// What one relaxation round does with a stage's NoC window.
+enum Window {
+    /// The stage offers no traffic.
+    Idle,
+    /// An earlier round simulated these exact inputs: replay this entry of
+    /// the window memo.
+    Memoized(usize),
+    /// Simulate this physical traffic, memoizing the result under the key
+    /// when memoization is on.
+    Simulate(TrafficMatrix, Option<CacheKey>),
+}
+
+impl Window {
+    /// The physical traffic of a window that must be simulated.
+    fn traffic(&self) -> Option<&TrafficMatrix> {
+        match self {
+            Window::Simulate(traffic, _) => Some(traffic),
+            Window::Idle | Window::Memoized(_) => None,
+        }
+    }
+}
+
+/// A simulated window's statistics and the wireless faults it observed.
+type WindowRun = (NetworkStats, NocFaultCounts);
+
+/// Runs one stage window on `sim` (which `NetworkSim::run` fully resets, so
+/// the result depends only on the window's own traffic).
+fn simulate_window(
+    sim: &mut NetworkSim<'_>,
+    traffic: &TrafficMatrix,
+    cfg: &PlatformConfig,
+) -> WindowRun {
+    let stats = sim
+        .run(
+            traffic,
+            cfg.noc_warmup,
+            cfg.noc_measure,
+            cfg.noc_measure * 10,
+        )
+        .clone();
+    (stats, sim.fault_counts())
+}
+
+/// Overwrites a stage's statistics slot in place (`clone_from` reuses the
+/// slot's histogram and link-load allocations).
+fn store_stats(slot: &mut Option<NetworkStats>, stats: &NetworkStats) {
+    match slot {
+        Some(s) => s.clone_from(stats),
+        None => *slot = Some(stats.clone()),
+    }
 }
 
 /// Runs `workload` on `spec` and reports times, energies and EDP.
@@ -276,7 +328,6 @@ pub(crate) fn run_system_inner(
     let sim_cfg = SimConfig {
         vcs: cfg.noc_vcs,
         adaptive: cfg.noc_adaptive,
-        threads: cfg.sim_threads,
         ..SimConfig::default()
     };
     // One simulator serves all 9 stage windows, borrowing the spec's
@@ -285,14 +336,8 @@ pub(crate) fn run_system_inner(
     // simulator per stage instead: every `NetworkSim::run` fully resets
     // its simulator, so a window's statistics depend only on its own
     // traffic and per-stage simulators are observably identical to the
-    // shared one. Each lane then sweeps serially — the window fan-out
-    // already occupies the extra cores, and nested per-lane pools would
-    // oversubscribe them.
+    // shared one.
     let window_lanes = if cfg.sim_threads > 1 { 3 } else { 1 };
-    let lane_cfg = SimConfig {
-        threads: 1,
-        ..sim_cfg.clone()
-    };
     let mut lane_sims: Vec<NetworkSim> = (0..window_lanes)
         .map(|_| {
             let mut sim = NetworkSim::with_clocks_borrowed(
@@ -300,11 +345,7 @@ pub(crate) fn run_system_inner(
                 &spec.overlay,
                 &spec.routing,
                 EnergyModel::default_65nm(),
-                if window_lanes > 1 {
-                    lane_cfg.clone()
-                } else {
-                    sim_cfg.clone()
-                },
+                sim_cfg.clone(),
                 tile_speed.clone(),
                 tile_domain.clone(),
             )
@@ -315,7 +356,7 @@ pub(crate) fn run_system_inner(
             sim
         })
         .collect();
-    let mut noc_fault_counts = mapwave_noc::NocFaultCounts::default();
+    let mut noc_fault_counts = NocFaultCounts::default();
 
     // Cross-round window memoization (fault-free runs only). The relaxation
     // loop re-simulates each stage window every round, but once the blended
@@ -329,7 +370,7 @@ pub(crate) fn run_system_inner(
     let memo_enabled = faults.is_none();
     let mut window_memo: Vec<(CacheKey, NetworkStats)> = Vec::new();
     let mut windows_memoized = 0u64;
-    let window_key = |stage: usize, physical: &mapwave_noc::TrafficMatrix| -> CacheKey {
+    let window_key = |stage: usize, physical: &TrafficMatrix| -> CacheKey {
         let mut h = StableHasher::new();
         h.write_u64(stage as u64);
         physical.stable_hash(&mut h);
@@ -344,13 +385,6 @@ pub(crate) fn run_system_inner(
         h.write_u64(cfg.noc_measure);
         h.finish()
     };
-    // Period-hinted steady-state replay: each stage's drain livelock orbit
-    // is a property of its traffic pattern, which changes only slowly
-    // across rounds, so the period verified in a stage's previous window
-    // seeds the next window's detector (exact verification happens inside
-    // the simulator — a wrong hint is rejected, never trusted).
-    let mut stage_period: [Option<u64>; 3] = [None; 3];
-
     // Phase-resolved NoC simulation: each stage's traffic pattern loads the
     // network differently (Map's memory streaming vs Reduce's key shuffle
     // vs Merge's partition movement), so each gets its own window. The
@@ -372,153 +406,72 @@ pub(crate) fn run_system_inner(
             &exec.phase_traffic.reduce,
             &exec.phase_traffic.merge,
         ];
-        let slots = [&mut map_net, &mut reduce_net, &mut merge_net];
-        if window_lanes > 1 {
-            // Parallel windows: one simulator per live stage, results
-            // committed in stage order below so statistics accumulation
-            // and fault accounting match the serial path exactly.
-            let physical: Vec<Option<mapwave_noc::TrafficMatrix>> = stage_traffic
+        // Probe: whether each stage carries traffic, and whether the memo
+        // already holds its window. Keys include the stage index, so no
+        // stage can hit an entry an earlier stage of this round is about to
+        // commit: probing all three up front sees exactly the memo a lazy
+        // per-stage probe would, and cached windows never occupy a lane.
+        let windows: Vec<Window> = stage_traffic
+            .iter()
+            .enumerate()
+            .map(|(si, traffic)| {
+                if traffic.total_rate() <= 1e-9 {
+                    return Window::Idle;
+                }
+                let physical = spec.mapping.traffic_to_tiles(traffic);
+                let key = memo_enabled.then(|| window_key(si, &physical));
+                match key.and_then(|k| window_memo.iter().position(|(k2, _)| *k2 == k)) {
+                    Some(hit) => Window::Memoized(hit),
+                    None => Window::Simulate(physical, key),
+                }
+            })
+            .collect();
+        // Run the live windows: one after another on the shared simulator,
+        // or concurrently with one lane per stage.
+        let runs: Vec<Option<WindowRun>> = if window_lanes == 1 {
+            let sim = &mut lane_sims[0];
+            windows
                 .iter()
-                .map(|t| (t.total_rate() > 1e-9).then(|| spec.mapping.traffic_to_tiles(t)))
-                .collect();
-            // Memo lookups happen before the fan-out so cached windows never
-            // occupy a lane; hits are cloned out here because the commit
-            // loop below also appends fresh entries to the memo.
-            let keys: Vec<Option<CacheKey>> = physical
-                .iter()
-                .enumerate()
-                .map(|(si, p)| {
-                    p.as_ref()
-                        .and_then(|p| memo_enabled.then(|| window_key(si, p)))
-                })
-                .collect();
-            let cached: Vec<Option<NetworkStats>> = keys
-                .iter()
-                .map(|k| {
-                    k.as_ref().and_then(|k| {
-                        window_memo
-                            .iter()
-                            .find(|(k2, _)| k2 == k)
-                            .map(|(_, s)| s.clone())
-                    })
-                })
-                .collect();
-            let hints: [Option<u64>; 3] = if memo_enabled {
-                stage_period
-            } else {
-                [None; 3]
-            };
-            let live = physical
-                .iter()
-                .zip(&cached)
-                .filter(|(p, c)| p.is_some() && c.is_none())
-                .count() as u64;
-            type LaneOut = (NetworkStats, mapwave_noc::NocFaultCounts, Option<u64>);
-            let mut outs: Vec<Option<LaneOut>> = std::thread::scope(|scope| {
+                .map(|w| w.traffic().map(|t| simulate_window(sim, t, cfg)))
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = lane_sims
                     .iter_mut()
-                    .zip(&physical)
-                    .zip(&cached)
-                    .zip(hints)
-                    .map(|(((sim, traffic), cached), hint)| {
-                        match (traffic.as_ref(), cached.is_none()) {
-                            (Some(traffic), true) => Some(scope.spawn(move || {
-                                sim.set_steady_period_hint(hint);
-                                let stats = sim
-                                    .run(
-                                        traffic,
-                                        cfg.noc_warmup,
-                                        cfg.noc_measure,
-                                        cfg.noc_measure * 10,
-                                    )
-                                    .clone();
-                                (stats, sim.fault_counts(), sim.detected_steady_period())
-                            })),
-                            _ => None,
-                        }
+                    .zip(&windows)
+                    .map(|(sim, w)| {
+                        w.traffic()
+                            .map(|t| scope.spawn(move || simulate_window(sim, t, cfg)))
                     })
                     .collect();
+                mapwave_harness::telemetry::count(
+                    "core.windows_parallel",
+                    handles.iter().flatten().count() as u64,
+                );
                 handles
                     .into_iter()
                     .map(|h| h.map(|h| h.join().expect("window simulation panicked")))
                     .collect()
-            });
-            mapwave_harness::telemetry::count("core.windows_parallel", live);
-            for (si, ((slot, out), cached)) in slots
-                .into_iter()
-                .zip(outs.iter_mut())
-                .zip(cached)
-                .enumerate()
-            {
-                if let Some(stats) = cached {
-                    match slot {
-                        Some(s) => s.clone_from(&stats),
-                        None => *slot = Some(stats),
-                    }
+            })
+        };
+        // Commit in stage order, so statistics, memo entries and fault
+        // accounting are the same for every lane count.
+        let slots = [&mut map_net, &mut reduce_net, &mut merge_net];
+        for ((slot, window), run) in slots.into_iter().zip(windows).zip(runs) {
+            match window {
+                Window::Idle => *slot = None,
+                Window::Memoized(hit) => {
+                    store_stats(slot, &window_memo[hit].1);
                     windows_memoized += 1;
-                    continue;
                 }
-                match out.take() {
-                    None => *slot = None,
-                    Some((stats, counts, period)) => {
-                        if memo_enabled {
-                            stage_period[si] = period;
-                            if let Some(k) = keys[si] {
-                                window_memo.push((k, stats.clone()));
-                            }
-                        }
-                        match slot {
-                            Some(s) => s.clone_from(&stats),
-                            None => *slot = Some(stats),
-                        }
-                        noc_fault_counts.flit_corruptions += counts.flit_corruptions;
-                        noc_fault_counts.wi_fallbacks += counts.wi_fallbacks;
-                    }
-                }
-            }
-        } else {
-            let sim = &mut lane_sims[0];
-            for (si, (slot, traffic)) in slots.into_iter().zip(stage_traffic).enumerate() {
-                if traffic.total_rate() <= 1e-9 {
-                    *slot = None;
-                    continue;
-                }
-                let physical = spec.mapping.traffic_to_tiles(traffic);
-                let key = memo_enabled.then(|| window_key(si, &physical));
-                if let Some(hit) = key
-                    .as_ref()
-                    .and_then(|k| window_memo.iter().find(|(k2, _)| k2 == k))
-                {
-                    match slot {
-                        Some(s) => s.clone_from(&hit.1),
-                        None => *slot = Some(hit.1.clone()),
-                    }
-                    windows_memoized += 1;
-                    continue;
-                }
-                if memo_enabled {
-                    sim.set_steady_period_hint(stage_period[si]);
-                }
-                let stats = sim.run(
-                    &physical,
-                    cfg.noc_warmup,
-                    cfg.noc_measure,
-                    cfg.noc_measure * 10,
-                );
-                let memo_entry = key.map(|k| (k, stats.clone()));
-                match slot {
-                    Some(s) => s.clone_from(stats),
-                    None => *slot = Some(stats.clone()),
-                }
-                if memo_enabled {
-                    stage_period[si] = sim.detected_steady_period();
-                    if let Some(entry) = memo_entry {
-                        window_memo.push(entry);
-                    }
-                } else {
-                    let counts = sim.fault_counts();
+                Window::Simulate(_, key) => {
+                    let (stats, counts) = run.expect("every live window ran");
+                    store_stats(slot, &stats);
                     noc_fault_counts.flit_corruptions += counts.flit_corruptions;
                     noc_fault_counts.wi_fallbacks += counts.wi_fallbacks;
+                    if let Some(k) = key {
+                        window_memo.push((k, stats));
+                    }
                 }
             }
         }

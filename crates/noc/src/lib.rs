@@ -50,7 +50,6 @@ pub mod energy;
 pub mod flit;
 pub mod mac;
 pub mod node;
-pub(crate) mod par;
 pub mod routing;
 pub mod sim;
 pub mod stats;

@@ -41,7 +41,6 @@ use crate::energy::EnergyModel;
 use crate::flit::{flit_sequence, Flit, PacketId};
 use crate::mac::{macs_for, ChannelMac};
 use crate::node::NodeId;
-use crate::par::StatOp;
 use crate::routing::{Hop, Phase, RoutingTable};
 use crate::stats::NetworkStats;
 use crate::switch::{FabricState, OutRoute, Owner, PortMap, PORT_LOCAL};
@@ -54,11 +53,6 @@ use mapwave_harness::rng::StdRng;
 use mapwave_harness::telemetry;
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Due-worklist size below which a parallel sweep falls back to inline
-/// serial processing (a wave dispatch costs more than the work).
-const PAR_MIN_DUE: usize = 4;
 
 /// A routing-table entry (out-port, wireless target, next up\*/down\*
 /// phase) packed into 4 bytes. Table routes always use down-VC 0, so the
@@ -113,58 +107,6 @@ impl PackedRoute {
     }
 }
 
-/// Where a switch-processing pass sends its order-sensitive effects:
-/// straight into the simulator (serial sweep), or into a per-switch buffer
-/// replayed in ascending switch order after a parallel wave (see
-/// [`crate::par`]).
-pub(crate) enum Sink<'e> {
-    Direct,
-    Buffer(&'e mut crate::par::EffectBuf),
-}
-
-/// Drains chunks of one parallel wave: claims `(switch, due index)` pairs
-/// from the shared cursor and processes each switch with its effects
-/// buffered. Called by every wave participant (workers and coordinator).
-///
-/// # Safety contract (upheld by `NetworkSim::sweep_parallel`)
-///
-/// The erased pointers in `job` stay valid for the wave: `sim` is the
-/// coordinating simulator, `pairs`/`effects` point into the wave scratch
-/// (moved out of the simulator for the call), `holders`/`used` at the
-/// cycle's MAC snapshot. Participants reconstitute `&mut` references
-/// concurrently; disjointness is structural — same-wave switches are at
-/// interaction distance ≥ 3, so every direct mutation lands on
-/// switch-disjoint state, each due index owns its effect buffer, and
-/// `used` is only written by a channel's current token holder.
-pub(crate) fn par_drain_chunks(job: &crate::par::Job, cursor: &AtomicUsize, out_used: &mut [bool]) {
-    let sim = unsafe { &mut *(job.sim as *mut NetworkSim<'_>) };
-    let pairs =
-        unsafe { std::slice::from_raw_parts(job.pairs as *const (u32, u32), job.pairs_len) };
-    let holders = unsafe {
-        std::slice::from_raw_parts(job.holders as *const Option<NodeId>, job.holders_len)
-    };
-    loop {
-        let start = cursor.fetch_add(job.chunk, Ordering::Relaxed);
-        if start >= pairs.len() {
-            return;
-        }
-        let end = (start + job.chunk).min(pairs.len());
-        for &(v, due_idx) in &pairs[start..end] {
-            let used =
-                unsafe { std::slice::from_raw_parts_mut(job.used as *mut bool, job.used_len) };
-            let buf =
-                unsafe { &mut *(job.effects as *mut crate::par::EffectBuf).add(due_idx as usize) };
-            sim.process_switch(
-                NodeId(v as usize),
-                holders,
-                used,
-                out_used,
-                &mut Sink::Buffer(buf),
-            );
-        }
-    }
-}
-
 /// Tunable microarchitecture parameters of the simulated network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -196,16 +138,6 @@ pub struct SimConfig {
     pub adaptive: bool,
     /// RNG seed for the injection process.
     pub seed: u64,
-    /// Worker threads for the per-cycle switch sweep. `1` (the default)
-    /// keeps the exact serial code path; `> 1` processes the due-switch
-    /// worklist in interaction-free wavefronts on a worker pool, with all
-    /// order-sensitive effects (stat/energy accumulation, worklist
-    /// enrollment) buffered per switch and replayed in ascending switch
-    /// order — every observable is bit-identical to `threads = 1` (see
-    /// `crates/noc/src/par.rs`). Parallel sweeps are skipped automatically
-    /// while a wireless fault plan is attached (the fault hazard counters
-    /// are serial state).
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -219,7 +151,6 @@ impl Default for SimConfig {
             vcs: 1,
             adaptive: false,
             seed: 0,
-            threads: 1,
         }
     }
 }
@@ -444,12 +375,6 @@ pub struct NetworkSim<'a> {
     /// Reusable per-switch output-port-used scratch (max port count).
     out_used: Vec<bool>,
 
-    /// Whether blocked switches may park (serial fault-free runs only).
-    /// A parked switch skips its proven-no-op retry cycles; the pop sites
-    /// in `try_advance` rearm it mid-sweep, which the fixed wavefront
-    /// schedule of a parallel run cannot reproduce — parallel runs keep
-    /// the per-cycle retry semantics instead (same outcomes either way).
-    park: bool,
     /// Switches currently parked *with a ready front* (blocked): the only
     /// ones a full-slot pop needs to rearm. Switches whose fronts are all
     /// in flight keep their pipeline-exit wake and must not be woken by
@@ -468,34 +393,11 @@ pub struct NetworkSim<'a> {
     /// rotation happened — plus drain cycles skipped after a periodic
     /// fixpoint was proven (telemetry).
     steady_cycles: u64,
-    /// Shard tasks dispatched to the parallel sweep pool in the last run
-    /// (telemetry).
-    par_shards: u64,
     /// Flit moves (switch and source) performed by the last step.
     moves_last_step: u64,
-    /// Interaction-distance-2 adjacency for the parallel wavefront
-    /// schedule; built on first use (see `crate::par`).
-    par_plan: Option<crate::par::WavePlan>,
-    /// Reusable scratch of the parallel sweep (due list, wave numbers,
-    /// per-switch effect buffers).
-    par_scratch: crate::par::Scratch,
     /// Reusable buffer for the precomputed injection schedule of one run
     /// (see [`Injector::schedule_into`]).
     sched: Vec<InjectEvent>,
-
-    /// Caller-provided drain-period hint for the next runs (typically the
-    /// period the *previous* run of a similar window detected); see
-    /// [`NetworkSim::set_steady_period_hint`]. Ignored while a fault plan
-    /// is attached — an active fault stream advances hazard counters, so
-    /// a hinted early confirmation must not even be attempted.
-    steady_hint: Option<u64>,
-    /// Livelock period proven by the last run's drain detector (in
-    /// cycles), `None` when the drain completed or never stalled.
-    detected_period: Option<u64>,
-    /// Drain stalls of the last run confirmed via the hint ring.
-    hint_hits: u64,
-    /// Drain stalls of the last run whose hint did not hold.
-    hint_rejected: u64,
 }
 
 impl<'a> NetworkSim<'a> {
@@ -603,7 +505,6 @@ impl<'a> NetworkSim<'a> {
             || cfg.wi_buffer_depth == 0
             || cfg.packet_len == 0
             || cfg.vcs == 0
-            || cfg.threads == 0
             || (cfg.adaptive && cfg.vcs < 2)
         {
             return Err(SimError::InvalidConfig);
@@ -736,21 +637,13 @@ impl<'a> NetworkSim<'a> {
             mac_holders: Vec::with_capacity(macs.len()),
             mac_used: Vec::with_capacity(macs.len()),
             out_used: vec![false; max_ports],
-            park: false,
             parked: vec![false; n],
             faults: None,
             stepped_cycles: 0,
             ff_cycles: 0,
             steady_cycles: 0,
-            par_shards: 0,
             moves_last_step: 0,
-            par_plan: None,
-            par_scratch: crate::par::Scratch::default(),
             sched: Vec::new(),
-            steady_hint: None,
-            detected_period: None,
-            hint_hits: 0,
-            hint_rejected: 0,
             src_q: vec![VecDeque::new(); n],
             fabric,
             macs,
@@ -792,35 +685,6 @@ impl<'a> NetworkSim<'a> {
     /// path rather than stepped individually.
     pub fn fast_forwarded_cycles(&self) -> u64 {
         self.ff_cycles
-    }
-
-    /// Sets the worker-thread count of subsequent runs
-    /// ([`SimConfig::threads`]; clamped to ≥ 1). A wall-clock knob only —
-    /// every thread count produces bit-identical statistics.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads.max(1);
-    }
-
-    /// Seeds the drain-phase livelock detector of subsequent runs with an
-    /// expected period (clamped to 1..=64 ring slots), typically the
-    /// period [`NetworkSim::detected_steady_period`] reported for a
-    /// previous run of a similar traffic window.
-    ///
-    /// A wall-clock knob only: the hint merely lets the detector confirm
-    /// recurrence after `hint + 1` stalled cycles instead of the Brent
-    /// search's O(period) re-pin rounds, and it is verified by exact
-    /// comparison against the live state snapshots before any closed-form
-    /// replay — a wrong hint costs nothing and changes nothing. Ignored
-    /// while a fault plan is attached.
-    pub fn set_steady_period_hint(&mut self, hint: Option<u64>) {
-        self.steady_hint = hint.map(|p| p.clamp(1, crate::steady::MAX_STEADY_HINT));
-    }
-
-    /// The livelock period (in cycles) the last run's drain detector
-    /// proved before replaying the remaining budget in closed form;
-    /// `None` when the drain completed without a proven fixpoint.
-    pub fn detected_steady_period(&self) -> Option<u64> {
-        self.detected_period
     }
 
     /// Attaches (or detaches) a fault plan.
@@ -911,11 +775,7 @@ impl<'a> NetworkSim<'a> {
         self.stepped_cycles = 0;
         self.ff_cycles = 0;
         self.steady_cycles = 0;
-        self.par_shards = 0;
         self.moves_last_step = 0;
-        self.detected_period = None;
-        self.hint_hits = 0;
-        self.hint_rejected = 0;
         if let Some(fl) = &mut self.faults {
             // The plan (and fallback table) survives; the per-run hazard
             // counters restart so every run replays the same schedule.
@@ -954,33 +814,7 @@ impl<'a> NetworkSim<'a> {
         let mut sched = std::mem::take(&mut self.sched);
         injector.schedule_into(&mut rng, warmup + measure, &mut sched);
 
-        // A wireless fault plan pins the sweep to the serial path: the
-        // per-channel hazard counters are consumed in sweep order, which a
-        // buffered replay cannot reproduce (attempts are burned by *failed*
-        // transfers too).
-        let workers = if self.faults.is_none() {
-            self.cfg.threads.saturating_sub(1)
-        } else {
-            if self.cfg.threads > 1 {
-                // Surface the silent serial fallback: a sweep configured for
-                // N threads that also injects faults gets no parallelism.
-                telemetry::count("noc.parallel_disabled_faults", 1);
-            }
-            0
-        };
-        self.park = workers == 0 && self.faults.is_none();
-        if workers > 0 {
-            let board = crate::par::Board::new(workers);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| board.worker());
-                }
-                self.cycle_loop(&sched, warmup, measure, drain_limit, Some(&board));
-                board.shutdown();
-            });
-        } else {
-            self.cycle_loop(&sched, warmup, measure, drain_limit, None);
-        }
+        self.cycle_loop(&sched, warmup, measure, drain_limit);
         self.sched = sched;
         self.stats.cycles = measure;
         self.stats.packets_injected = self.injected_measured;
@@ -1012,22 +846,11 @@ impl<'a> NetworkSim<'a> {
         telemetry::count("noc.cycles_simulated", self.stepped_cycles);
         telemetry::count("noc.cycles_fast_forwarded", self.ff_cycles);
         telemetry::count("noc.cycles_steady_replayed", self.steady_cycles);
-        telemetry::count("noc.parallel_shards", self.par_shards);
-        telemetry::count("noc.steady_hint_hits", self.hint_hits);
-        telemetry::count("noc.steady_hint_rejected", self.hint_rejected);
         &self.stats
     }
 
-    /// The warmup/measure/drain cycle loop of one [`NetworkSim::run`],
-    /// optionally backed by a parallel-sweep worker board.
-    fn cycle_loop(
-        &mut self,
-        sched: &[InjectEvent],
-        warmup: u64,
-        measure: u64,
-        drain_limit: u64,
-        board: Option<&crate::par::Board>,
-    ) {
+    /// The warmup/measure/drain cycle loop of one [`NetworkSim::run`].
+    fn cycle_loop(&mut self, sched: &[InjectEvent], warmup: u64, measure: u64, drain_limit: u64) {
         let _loop_span = telemetry::span("noc.sim.cycle_loop");
         let end = warmup + measure;
         let mut pos = 0usize;
@@ -1044,18 +867,9 @@ impl<'a> NetworkSim<'a> {
                     continue;
                 }
             }
-            self.step(Some((sched, &mut pos)), board);
+            self.step(Some((sched, &mut pos)));
         }
-        // Hints are suppressed under an active fault plan: hazard counters
-        // keep the snapshot advancing, so an early hint confirmation must
-        // not even be attempted (mirroring the Brent path's implicit
-        // disable while the stream is live).
-        let hint = if self.faults.is_some() {
-            None
-        } else {
-            self.steady_hint
-        };
-        let mut detector = crate::steady::PeriodDetector::with_hint(hint);
+        let mut detector = crate::steady::PeriodDetector::default();
         let mut drained = 0u64;
         while drained < drain_limit && self.delivered_measured < self.injected_measured {
             // Only look for a jump after a cycle in which nothing
@@ -1080,19 +894,14 @@ impl<'a> NetworkSim<'a> {
                     let rest = drain_limit - drained;
                     self.now += rest;
                     self.steady_cycles += rest;
-                    self.detected_period = detector.period();
-                    if detector.fired_via_hint() {
-                        self.hint_hits += 1;
-                    }
                     break;
                 }
             } else {
                 detector.reset();
             }
-            self.step(None, board);
+            self.step(None);
             drained += 1;
         }
-        self.hint_rejected += detector.hint_rejections();
     }
 
     /// The compact drain-phase state consumed by the livelock detector.
@@ -1142,12 +951,6 @@ impl<'a> NetworkSim<'a> {
     /// closed form (steady-state fast path + livelocked drain cycles).
     pub fn steady_replayed_cycles(&self) -> u64 {
         self.steady_cycles
-    }
-
-    /// Shard tasks the last run dispatched to the parallel sweep pool
-    /// (zero on the serial path).
-    pub fn parallel_shards(&self) -> u64 {
-        self.par_shards
     }
 
     /// Cycles until the next possible flit move during drain, or 0 when
@@ -1245,11 +1048,7 @@ impl<'a> NetworkSim<'a> {
     }
 
     /// One global clock cycle.
-    fn step(
-        &mut self,
-        inject: Option<(&[InjectEvent], &mut usize)>,
-        board: Option<&crate::par::Board>,
-    ) {
+    fn step(&mut self, inject: Option<(&[InjectEvent], &mut usize)>) {
         self.stepped_cycles += 1;
         self.moves_last_step = 0;
 
@@ -1366,19 +1165,7 @@ impl<'a> NetworkSim<'a> {
         //    switch whose `wake` lies in the future is skipped outright
         //    (clocking it is a proven no-op). Switches that end the sweep
         //    empty are dropped and re-enroll on arrival.
-        match board {
-            Some(b) => {
-                self.sweep_parallel(b, &holders, &mut channel_used);
-                // The wavefront schedule decouples wake writes from the
-                // compaction order, so the parallel path recomputes
-                // `next_due` in a separate pass.
-                self.refresh_next_due();
-            }
-            // The serial sweep folds the `next_due` recomputation into its
-            // compaction scan (plus the wake-lowering sites that touch
-            // already-compacted switches).
-            None => self.sweep_serial(&holders, &mut channel_used),
-        }
+        self.sweep(&holders, &mut channel_used);
 
         // 6. MAC bookkeeping.
         for (c, mac) in self.macs.iter_mut().enumerate() {
@@ -1391,9 +1178,8 @@ impl<'a> NetworkSim<'a> {
         self.now += 1;
     }
 
-    /// The serial switch sweep: ascending over the active list, due
-    /// switches processed with effects applied directly, drained switches
-    /// dropped in place.
+    /// The switch sweep: ascending over the active list, due switches
+    /// processed, drained switches dropped in place.
     ///
     /// `next_due` is rebuilt inline: the compaction scan folds in each
     /// kept switch's wake right after it is processed, and the wake
@@ -1402,9 +1188,9 @@ impl<'a> NetworkSim<'a> {
     /// peer — both in `try_advance`) fold their lowered value in at the
     /// write. The result may sit below the true minimum when a push
     /// lowers a due switch that is later processed and re-armed higher —
-    /// i.e. `next_due` stays stale-low-never-stale-high, exactly the
-    /// contract the separate `refresh_next_due` pass provided.
-    fn sweep_serial(&mut self, holders: &[Option<NodeId>], channel_used: &mut [bool]) {
+    /// i.e. `next_due` stays stale-low-never-stale-high: a wasted sweep
+    /// recomputes it, and no switch with work is ever skipped.
+    fn sweep(&mut self, holders: &[Option<NodeId>], channel_used: &mut [bool]) {
         let mut list = std::mem::take(&mut self.active_list);
         let mut out_used = std::mem::take(&mut self.out_used);
         let mut keep = 0;
@@ -1427,13 +1213,7 @@ impl<'a> NetworkSim<'a> {
                     self.clock_fires(v)
                 };
                 if fires {
-                    self.process_switch(
-                        NodeId(v),
-                        holders,
-                        channel_used,
-                        &mut out_used,
-                        &mut Sink::Direct,
-                    );
+                    self.process_switch(NodeId(v), holders, channel_used, &mut out_used);
                 } else {
                     // The clock sat out this cycle: retry on the next one,
                     // exactly as a per-cycle sweep would.
@@ -1451,177 +1231,6 @@ impl<'a> NetworkSim<'a> {
         list.truncate(keep);
         self.active_list = list;
         self.out_used = out_used;
-    }
-
-    /// The parallel switch sweep: collect the due worklist serially, run
-    /// it in interaction-free wavefronts on the board, replay buffered
-    /// effects in ascending switch order, then compact the active list.
-    ///
-    /// Deferring the drained-switch compaction to after the waves is
-    /// equivalent to the serial interleaved keep-check: the only divergent
-    /// case — `v` drains, then a later `u` pushes into it — leaves `v`
-    /// enrolled either way (serial re-enrolls it via `pending`, the late
-    /// check simply keeps it), and the next cycle's sorted worklist is
-    /// identical.
-    fn sweep_parallel(
-        &mut self,
-        board: &crate::par::Board,
-        holders: &[Option<NodeId>],
-        channel_used: &mut [bool],
-    ) {
-        let mut scratch = std::mem::take(&mut self.par_scratch);
-        scratch.due.clear();
-        let list = std::mem::take(&mut self.active_list);
-        let uniform = self.uniform_full_speed;
-        for &v32 in &list {
-            let v = v32 as usize;
-            debug_assert!(self.buffered[v] > 0, "enrolled switches hold flits");
-            if self.wake[v] <= self.now {
-                // Same uniform-full-speed shortcut as the serial sweep.
-                let fires = if uniform {
-                    if self.class_next[0] <= self.now {
-                        self.class_next[0] = self.now + 1;
-                        self.class_fires[0] = true;
-                    }
-                    true
-                } else {
-                    self.clock_fires(v)
-                };
-                if fires {
-                    scratch.due.push(v32);
-                } else {
-                    self.wake[v] = self.now + 1;
-                }
-            }
-        }
-        self.active_list = list;
-
-        if scratch.due.len() < PAR_MIN_DUE {
-            // Too little work to amortise a wave dispatch: take the exact
-            // serial path over the due switches.
-            let mut out_used = std::mem::take(&mut self.out_used);
-            for i in 0..scratch.due.len() {
-                let v = scratch.due[i] as usize;
-                self.process_switch(
-                    NodeId(v),
-                    holders,
-                    channel_used,
-                    &mut out_used,
-                    &mut Sink::Direct,
-                );
-            }
-            self.out_used = out_used;
-        } else {
-            if self.par_plan.is_none() {
-                self.par_plan = Some(crate::par::WavePlan::build(&self.topo, &self.overlay));
-            }
-            let plan = self.par_plan.take().expect("built above");
-            let waves = scratch.assign_waves(&plan, self.topo.len());
-            if scratch.effects.len() < scratch.due.len() {
-                scratch
-                    .effects
-                    .resize_with(scratch.due.len(), Default::default);
-            }
-            for b in &mut scratch.effects[..scratch.due.len()] {
-                b.ops.clear();
-                b.moves = 0;
-            }
-            let max_ports = self.out_used.len();
-            let chunk_div = (board.workers() + 1) * 2;
-            let mut out_used = std::mem::take(&mut self.out_used);
-            for w in 0..waves {
-                let lo = scratch.wave_bounds[w] as usize;
-                let hi = scratch.wave_bounds[w + 1] as usize;
-                let pairs = &scratch.order[lo..hi];
-                let chunk = pairs.len().div_ceil(chunk_div).max(1);
-                self.par_shards += pairs.len().div_ceil(chunk) as u64;
-                let job = crate::par::Job {
-                    sim: self as *mut NetworkSim<'a> as usize,
-                    pairs: pairs.as_ptr() as usize,
-                    pairs_len: pairs.len(),
-                    effects: scratch.effects.as_mut_ptr() as usize,
-                    holders: holders.as_ptr() as usize,
-                    holders_len: holders.len(),
-                    used: channel_used.as_mut_ptr() as usize,
-                    used_len: channel_used.len(),
-                    max_ports,
-                    chunk,
-                };
-                board.run_wave(job, &mut out_used);
-            }
-            self.out_used = out_used;
-            self.apply_effects(&mut scratch);
-            self.par_plan = Some(plan);
-        }
-
-        // Late compaction (see above).
-        let mut list = std::mem::take(&mut self.active_list);
-        let mut keep = 0;
-        for r in 0..list.len() {
-            let v = list[r] as usize;
-            if self.buffered[v] > 0 {
-                list[keep] = v as u32;
-                keep += 1;
-            } else {
-                self.active[v] = false;
-            }
-        }
-        list.truncate(keep);
-        self.active_list = list;
-        self.par_scratch = scratch;
-    }
-
-    /// Replays the order-sensitive effects of a parallel sweep in
-    /// ascending switch order — the bit-for-bit identical sequence of
-    /// additions and enrollments the serial sweep performs.
-    fn apply_effects(&mut self, scratch: &mut crate::par::Scratch) {
-        use crate::par::StatOp;
-        for i in 0..scratch.due.len() {
-            let buf = &scratch.effects[i];
-            self.moves_last_step += buf.moves;
-            for op in &buf.ops {
-                match *op {
-                    StatOp::SwitchPj(pj) => self.stats.energy.switch_pj += pj,
-                    StatOp::EjectFlit => self.stats.flits_delivered += 1,
-                    StatOp::EjectTail { latency } => {
-                        self.stats.flits_delivered += 1;
-                        self.stats.packets_delivered += 1;
-                        self.stats.latency_sum += latency;
-                        self.stats.max_latency = self.stats.max_latency.max(latency);
-                        self.stats.record_latency(latency);
-                        self.delivered_measured += 1;
-                    }
-                    StatOp::WireHop { pj, adaptive, link } => {
-                        self.stats.energy.wire_pj += pj;
-                        self.stats.wire_flit_hops += 1;
-                        if adaptive {
-                            self.stats.adaptive_flit_hops += 1;
-                        }
-                        self.link_flits[link as usize] += 1;
-                    }
-                    StatOp::WirelessHop { pj } => {
-                        self.stats.energy.wireless_pj += pj;
-                        self.stats.wireless_flit_hops += 1;
-                    }
-                    StatOp::Enroll(w) => {
-                        let w = w as usize;
-                        if !self.active[w] {
-                            self.active[w] = true;
-                            self.pending.push(w as u32);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recomputes `next_due` as the minimum wake over enrolled switches.
-    fn refresh_next_due(&mut self) {
-        let mut nd = u64::MAX;
-        for &v in self.active_list.iter().chain(&self.pending) {
-            nd = nd.min(self.wake[v as usize]);
-        }
-        self.next_due = nd;
     }
 
     /// Catches switch `v`'s fractional clock up to the current cycle and
@@ -1808,7 +1417,6 @@ impl<'a> NetworkSim<'a> {
         holders: &[Option<NodeId>],
         channel_used: &mut [bool],
         out_used: &mut [bool],
-        sink: &mut Sink<'_>,
     ) {
         let ports = self.ports.port_count(v);
         let vcs = self.cfg.vcs;
@@ -1829,20 +1437,12 @@ impl<'a> NetworkSim<'a> {
             while m != 0 {
                 let local = m.trailing_zeros() as usize;
                 m &= m - 1;
-                any_moved |= self.continue_wormhole(
-                    v,
-                    sb,
-                    sb + local,
-                    holders,
-                    channel_used,
-                    out_used,
-                    sink,
-                );
+                any_moved |=
+                    self.continue_wormhole(v, sb, sb + local, holders, channel_used, out_used);
             }
         } else {
             for slot in sb..sb + ports * vcs {
-                any_moved |=
-                    self.continue_wormhole(v, sb, slot, holders, channel_used, out_used, sink);
+                any_moved |= self.continue_wormhole(v, sb, slot, holders, channel_used, out_used);
             }
         }
 
@@ -1871,7 +1471,7 @@ impl<'a> NetworkSim<'a> {
                     local -= w;
                 }
                 let (p, vc) = (local / vcs, local % vcs);
-                if self.route_new_head(v, sb, p, vc, holders, channel_used, out_used, sink) {
+                if self.route_new_head(v, sb, p, vc, holders, channel_used, out_used) {
                     any_moved = true;
                     self.fabric.rr_next[v.index()] = ((p + 1) % ports) as u32;
                 }
@@ -1880,7 +1480,7 @@ impl<'a> NetworkSim<'a> {
             let mut p = rr;
             for _ in 0..ports {
                 for vc in 0..vcs {
-                    if self.route_new_head(v, sb, p, vc, holders, channel_used, out_used, sink) {
+                    if self.route_new_head(v, sb, p, vc, holders, channel_used, out_used) {
                         any_moved = true;
                         self.fabric.rr_next[v.index()] = ((p + 1) % ports) as u32;
                     }
@@ -1930,7 +1530,8 @@ impl<'a> NetworkSim<'a> {
                 }
             }
         }
-        let parkable = self.park && !any_moved && self.wi_channel[v.index()] == u32::MAX;
+        let parkable =
+            self.faults.is_none() && !any_moved && self.wi_channel[v.index()] == u32::MAX;
         self.parked[v.index()] = ready_now && parkable;
         self.wake[v.index()] = if ready_now && !parkable {
             self.now + 1
@@ -1952,7 +1553,6 @@ impl<'a> NetworkSim<'a> {
         holders: &[Option<NodeId>],
         channel_used: &mut [bool],
         out_used: &mut [bool],
-        sink: &mut Sink<'_>,
     ) -> bool {
         let Some(route) = self.fabric.in_route(slot) else {
             return false;
@@ -1978,7 +1578,6 @@ impl<'a> NetworkSim<'a> {
             channel_used,
             false,
             false,
-            sink,
         )
     }
 
@@ -1996,7 +1595,6 @@ impl<'a> NetworkSim<'a> {
         holders: &[Option<NodeId>],
         channel_used: &mut [bool],
         out_used: &mut [bool],
-        sink: &mut Sink<'_>,
     ) -> bool {
         let vcs = self.cfg.vcs;
         let slot = sb + p * vcs + vc;
@@ -2027,7 +1625,6 @@ impl<'a> NetworkSim<'a> {
             channel_used,
             true,
             divert,
-            sink,
         )
     }
 
@@ -2051,7 +1648,6 @@ impl<'a> NetworkSim<'a> {
         channel_used: &mut [bool],
         is_new_packet: bool,
         divert: bool,
-        sink: &mut Sink<'_>,
     ) -> bool {
         let o = route.out_port;
         debug_assert!(!out_used[o], "caller reserves the output port");
@@ -2082,10 +1678,6 @@ impl<'a> NetworkSim<'a> {
                 return false;
             }
             if let Some(fl) = self.faults.as_mut() {
-                debug_assert!(
-                    matches!(sink, Sink::Direct),
-                    "fault plans pin the sweep to the serial path"
-                );
                 // Fault model: the transfer attempt may be corrupted by a
                 // wireless bit error. The token slot is burned either way;
                 // a corrupted flit stays put and retransmits on a later
@@ -2132,10 +1724,7 @@ impl<'a> NetworkSim<'a> {
             Dest::Into(w, wp, self.port_penalty[i], self.wire_energy[i], false)
         };
 
-        // Commit the move. In `Sink::Buffer` mode every order-sensitive
-        // effect (float accumulation, delivery counters, enrollment) is
-        // recorded instead of applied; switch-disjoint state (FIFOs,
-        // `buffered`, `wake`, wormhole bookkeeping) mutates directly.
+        // Commit the move.
         let measured = self.measured(&f);
         let mut f = f;
         let was_full = self.fabric.space(slot) == 0;
@@ -2143,7 +1732,10 @@ impl<'a> NetworkSim<'a> {
         self.buffered[v.index()] -= 1;
         if p == PORT_LOCAL && vc == self.inject_vc {
             self.src_blocked[v.index()] = false;
-        } else if self.park && was_full && p != PORT_LOCAL && Some(p) != self.ports.wireless_port(v)
+        } else if self.faults.is_none()
+            && was_full
+            && p != PORT_LOCAL
+            && Some(p) != self.ports.wireless_port(v)
         {
             // Popping a full wired slot is the only event that can unblock
             // the wire peer behind it (the peer is also the only switch
@@ -2160,19 +1752,15 @@ impl<'a> NetworkSim<'a> {
                 if self.wake[u.index()] > t {
                     self.wake[u.index()] = t;
                     if u.index() < v.index() {
-                        // `u` was already compacted this sweep (parking is
-                        // serial-only); fold its lowered wake into
-                        // `next_due`. A higher peer is folded when its own
-                        // compaction slot comes around.
+                        // `u` was already compacted this sweep; fold its
+                        // lowered wake into `next_due`. A higher peer is
+                        // folded when its own compaction slot comes around.
                         self.next_due = self.next_due.min(t);
                     }
                 }
             }
         }
-        match sink {
-            Sink::Direct => self.moves_last_step += 1,
-            Sink::Buffer(b) => b.moves += 1,
-        }
+        self.moves_last_step += 1;
         if let Some(ph) = next_phase {
             f.phase = ph;
         }
@@ -2180,32 +1768,19 @@ impl<'a> NetworkSim<'a> {
             f.wired_fallback = true;
         }
         if measured {
-            match sink {
-                Sink::Direct => self.stats.energy.switch_pj += self.switch_pj[v.index()],
-                Sink::Buffer(b) => b.ops.push(StatOp::SwitchPj(self.switch_pj[v.index()])),
-            }
+            self.stats.energy.switch_pj += self.switch_pj[v.index()];
         }
         match dest {
             Dest::Eject => {
                 if measured {
+                    self.stats.flits_delivered += 1;
                     if f.kind.is_tail() {
                         let latency = self.now + 1 - f.created;
-                        match sink {
-                            Sink::Direct => {
-                                self.stats.flits_delivered += 1;
-                                self.stats.packets_delivered += 1;
-                                self.stats.latency_sum += latency;
-                                self.stats.max_latency = self.stats.max_latency.max(latency);
-                                self.stats.record_latency(latency);
-                                self.delivered_measured += 1;
-                            }
-                            Sink::Buffer(b) => b.ops.push(StatOp::EjectTail { latency }),
-                        }
-                    } else {
-                        match sink {
-                            Sink::Direct => self.stats.flits_delivered += 1,
-                            Sink::Buffer(b) => b.ops.push(StatOp::EjectFlit),
-                        }
+                        self.stats.packets_delivered += 1;
+                        self.stats.latency_sum += latency;
+                        self.stats.max_latency = self.stats.max_latency.max(latency);
+                        self.stats.record_latency(latency);
+                        self.delivered_measured += 1;
                     }
                 }
             }
@@ -2214,30 +1789,15 @@ impl<'a> NetworkSim<'a> {
                 let ready = f.ready_at;
                 if measured {
                     if wireless {
-                        match sink {
-                            Sink::Direct => {
-                                self.stats.energy.wireless_pj += link_pj;
-                                self.stats.wireless_flit_hops += 1;
-                            }
-                            Sink::Buffer(b) => b.ops.push(StatOp::WirelessHop { pj: link_pj }),
-                        }
+                        self.stats.energy.wireless_pj += link_pj;
+                        self.stats.wireless_flit_hops += 1;
                     } else {
-                        let link = self.ports.flat_index(v, o) as u32;
-                        match sink {
-                            Sink::Direct => {
-                                self.stats.energy.wire_pj += link_pj;
-                                self.stats.wire_flit_hops += 1;
-                                if route.down_vc > 0 {
-                                    self.stats.adaptive_flit_hops += 1;
-                                }
-                                self.link_flits[link as usize] += 1;
-                            }
-                            Sink::Buffer(b) => b.ops.push(StatOp::WireHop {
-                                pj: link_pj,
-                                adaptive: route.down_vc > 0,
-                                link,
-                            }),
+                        self.stats.energy.wire_pj += link_pj;
+                        self.stats.wire_flit_hops += 1;
+                        if route.down_vc > 0 {
+                            self.stats.adaptive_flit_hops += 1;
                         }
+                        self.link_flits[self.ports.flat_index(v, o)] += 1;
                     }
                 }
                 if wireless {
@@ -2249,23 +1809,15 @@ impl<'a> NetworkSim<'a> {
                 if self.wake[w.index()] > ready {
                     self.wake[w.index()] = ready;
                 }
-                match sink {
-                    Sink::Direct => {
-                        // Fold the receiver's (possibly just-lowered) wake
-                        // into `next_due`: `w` may already be compacted or
-                        // sitting in `pending`, where the compaction scan
-                        // cannot see it. For a receiver processed later
-                        // this sweep the fold is merely conservative
-                        // (stale-low), matching the old refresh contract.
-                        self.next_due = self.next_due.min(self.wake[w.index()]);
-                        if !self.active[w.index()] {
-                            self.active[w.index()] = true;
-                            self.pending.push(w.index() as u32);
-                        }
-                    }
-                    // Enrollment replays after the wave with the `active`
-                    // check done then, so each switch enrolls at most once.
-                    Sink::Buffer(b) => b.ops.push(StatOp::Enroll(w.index() as u32)),
+                // Fold the receiver's (possibly just-lowered) wake into
+                // `next_due`: `w` may already be compacted or sitting in
+                // `pending`, where the compaction scan cannot see it. For a
+                // receiver processed later this sweep the fold is merely
+                // conservative (stale-low).
+                self.next_due = self.next_due.min(self.wake[w.index()]);
+                if !self.active[w.index()] {
+                    self.active[w.index()] = true;
+                    self.pending.push(w.index() as u32);
                 }
             }
         }

@@ -18,11 +18,6 @@
 //! equal, so detection is implicitly disabled until the stream is
 //! cycle-stable.
 
-/// Largest usable period hint: a hint costs a ring of that many retained
-/// snapshots, and drain livelock orbits in practice are tiny (token-MAC
-/// rotations), so anything larger is treated as "no hint".
-pub(crate) const MAX_STEADY_HINT: u64 = 64;
-
 /// Exact-recurrence detector over `Vec<u64>` state vectors.
 #[derive(Debug, Default)]
 pub(crate) struct PeriodDetector {
@@ -33,59 +28,13 @@ pub(crate) struct PeriodDetector {
     /// Observations since the last pin.
     since: u64,
     armed: bool,
-    /// Optional period hint (0 = none): a ring of the last `hint`
-    /// observations is kept and every new observation is compared against
-    /// the one exactly `hint` observations earlier. An exact match is the
-    /// same proof of recurrence the Brent pin gives — the hint only
-    /// shortens the search from O(period) re-pin rounds to `hint + 1`
-    /// observations, it never replaces the verification.
-    hint: usize,
-    ring: Vec<Vec<u64>>,
-    /// Observations stored in the ring since arming.
-    ring_stored: usize,
-    /// Ring slot holding the oldest retained observation (the next write).
-    ring_pos: usize,
-    /// Verified period of the firing observation, in observations.
-    fired_period: Option<u64>,
-    fired_via_hint: bool,
-    /// Armed episodes whose first full-ring hint comparison failed.
-    hint_rejections: u64,
-    episode_checked: bool,
 }
 
 impl PeriodDetector {
-    /// A detector that additionally watches for recurrence at exactly
-    /// `hint` observations (clamped to [`MAX_STEADY_HINT`]); `None` is a
-    /// plain Brent-only detector.
-    pub fn with_hint(hint: Option<u64>) -> Self {
-        PeriodDetector {
-            hint: hint.map_or(0, |p| p.clamp(1, MAX_STEADY_HINT)) as usize,
-            ..Self::default()
-        }
-    }
-
     /// Forgets any pinned state; call whenever the watched system made
     /// observable progress (a flit moved or time jumped).
     pub fn reset(&mut self) {
         self.armed = false;
-    }
-
-    /// The verified period (in observations) of the firing recurrence;
-    /// `None` until [`PeriodDetector::observe`] has returned `true`.
-    pub fn period(&self) -> Option<u64> {
-        self.fired_period
-    }
-
-    /// Whether the firing recurrence was found by the hint ring (rather
-    /// than the Brent pin).
-    pub fn fired_via_hint(&self) -> bool {
-        self.fired_via_hint
-    }
-
-    /// Armed episodes in which the hinted period was checked and did not
-    /// hold at the first opportunity.
-    pub fn hint_rejections(&self) -> u64 {
-        self.hint_rejections
     }
 
     /// Feeds one observation (`fill` writes the state vector) and returns
@@ -98,40 +47,10 @@ impl PeriodDetector {
             self.window = 4;
             self.since = 0;
             self.pinned.clone_from(&self.current);
-            if self.hint > 0 {
-                if self.ring.len() < self.hint {
-                    self.ring.resize_with(self.hint, Vec::new);
-                }
-                self.ring[0].clone_from(&self.current);
-                self.ring_pos = 1 % self.hint;
-                self.ring_stored = 1;
-                self.episode_checked = false;
-            }
             return false;
         }
         self.since += 1;
-        if self.hint > 0 {
-            // `ring_pos` holds the observation exactly `hint` ago once the
-            // ring has filled; equality there is an exact recurrence proof
-            // for period `hint`.
-            if self.ring_stored >= self.hint {
-                if self.current == self.ring[self.ring_pos] {
-                    self.fired_period = Some(self.hint as u64);
-                    self.fired_via_hint = true;
-                    return true;
-                }
-                if !self.episode_checked {
-                    self.episode_checked = true;
-                    self.hint_rejections += 1;
-                }
-            }
-            self.ring[self.ring_pos].clone_from(&self.current);
-            self.ring_pos = (self.ring_pos + 1) % self.hint;
-            self.ring_stored += 1;
-        }
         if self.current == self.pinned {
-            self.fired_period = Some(self.since);
-            self.fired_via_hint = false;
             return true;
         }
         if self.since >= self.window {
@@ -196,64 +115,6 @@ mod tests {
             }
         }
         assert!(fired_at.is_some_and(|t| t > 50));
-    }
-
-    #[test]
-    fn hinted_orbit_fires_after_one_period() {
-        let orbit = [vec![1, 0], vec![2, 0], vec![3, 0]];
-        let mut d = PeriodDetector::with_hint(Some(3));
-        let mut fired = None;
-        for i in 0..16 {
-            if d.observe(|out| out.extend_from_slice(&orbit[i % 3])) {
-                fired = Some(i);
-                break;
-            }
-        }
-        // Observation 3 is the first with a full ring: it equals
-        // observation 0 and proves the period immediately.
-        assert_eq!(fired, Some(3));
-        assert!(d.fired_via_hint());
-        assert_eq!(d.period(), Some(3));
-        assert_eq!(d.hint_rejections(), 0);
-    }
-
-    #[test]
-    fn wrong_hint_is_rejected_and_brent_still_fires() {
-        let orbit = [vec![1], vec![2], vec![3]];
-        let mut d = PeriodDetector::with_hint(Some(2));
-        let mut fired = None;
-        for i in 0..64 {
-            if d.observe(|out| out.extend_from_slice(&orbit[i % 3])) {
-                fired = Some(i);
-                break;
-            }
-        }
-        let fired = fired.expect("Brent fallback must still find the orbit");
-        assert!(!d.fired_via_hint(), "period 2 cannot match a 3-orbit");
-        assert!(d.hint_rejections() >= 1);
-        assert_eq!(
-            d.period().map(|p| p % 3),
-            Some(0),
-            "verified gap is a true period"
-        );
-        assert!(fired >= 3);
-    }
-
-    #[test]
-    fn hint_multiple_of_true_period_verifies() {
-        // Period-2 orbit with hint 4: whichever path fires first, the
-        // reported period must be a true (possibly non-minimal) period.
-        let orbit = [vec![5], vec![9]];
-        let mut d = PeriodDetector::with_hint(Some(4));
-        let mut fired = None;
-        for i in 0..16 {
-            if d.observe(|out| out.extend_from_slice(&orbit[i % 2])) {
-                fired = Some(i);
-                break;
-            }
-        }
-        assert!(fired.is_some());
-        assert!(d.period().is_some_and(|p| p % 2 == 0));
     }
 
     #[test]

@@ -54,11 +54,12 @@ pub struct EngineOptions {
     /// Stop after committing this many cells (simulates a kill for resume
     /// tests and the CI smoke job). `None` runs to completion.
     pub commit_limit: Option<usize>,
-    /// NoC worker threads *inside* each cell's system simulation
-    /// (`PlatformConfig::sim_threads`). A wall-clock knob only — results
-    /// and cell keys are identical for every value — so prefer raising
-    /// [`EngineOptions::jobs`] first; this helps when a sweep has fewer
-    /// pending cells than cores.
+    /// Relaxation-window lanes *inside* each cell's system simulation
+    /// (`PlatformConfig::sim_threads`: any value > 1 runs a round's up to
+    /// three live stage windows concurrently). A wall-clock knob only —
+    /// results and cell keys are identical for every value — so prefer
+    /// raising [`EngineOptions::jobs`] first; this helps when a sweep has
+    /// fewer pending cells than cores.
     pub sim_threads: usize,
 }
 

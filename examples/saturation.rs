@@ -19,8 +19,10 @@ use mapwave_repro::cli;
 const USAGE: &str = "cargo run --release --example saturation [--sim-threads N]";
 
 fn main() -> Result<(), String> {
+    // Accepted for interface uniformity; this example runs bare NoC
+    // windows, not the relaxation loop whose stage windows it fans out.
     cli::forbid_governor_flags(USAGE)?;
-    let threads = cli::sim_threads(USAGE)?;
+    cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(0, USAGE)?;
     let clusters: Vec<usize> = (0..64).map(|i| (i % 8) / 4 + 2 * ((i / 8) / 4)).collect();
     let topo = SmallWorldBuilder::new(grid_positions(8, 8, 2.5), clusters)
@@ -51,10 +53,7 @@ fn main() -> Result<(), String> {
     let overlay = WirelessOverlay::new(wis, 3).unwrap();
     let wtable = RoutingTable::up_down_weighted(&topo, &overlay, 1).unwrap();
 
-    let base_cfg = SimConfig {
-        threads,
-        ..SimConfig::default()
-    };
+    let base_cfg = SimConfig::default();
     let adaptive_cfg = SimConfig {
         vcs: 2,
         adaptive: true,

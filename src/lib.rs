@@ -43,9 +43,11 @@ pub mod cli {
     //! each of which may appear anywhere on the command line (they are
     //! stripped before positional indexing):
     //!
-    //! * `--sim-threads N` (or `--sim-threads=N`), the NoC worker-thread
-    //!   count. Defaults to 1 and is a wall-clock knob only: results are
-    //!   bit-identical for every value.
+    //! * `--sim-threads N` (or `--sim-threads=N`), the relaxation-window
+    //!   lane count (`PlatformConfig::sim_threads`): any value > 1 runs a
+    //!   round's (up to three) live stage windows concurrently. Defaults
+    //!   to 1 and is a wall-clock knob only: results are bit-identical for
+    //!   every value.
     //! * `--cores N` (or `--cores=N`), the die size. Must be a perfect
     //!   square with an even side (16, 64, 256, 1024, …) so the die can
     //!   be quartered into VFI quadrants; the examples default to the
@@ -118,8 +120,9 @@ pub mod cli {
         }
     }
 
-    /// The `--sim-threads` worker-thread count: 1 when the flag is
-    /// absent, otherwise its value.
+    /// The `--sim-threads` lane count (`PlatformConfig::sim_threads`: any
+    /// value > 1 runs a round's live stage windows concurrently): 1 when
+    /// the flag is absent, otherwise its value.
     ///
     /// # Errors
     ///
