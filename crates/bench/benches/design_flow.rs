@@ -230,21 +230,6 @@ fn main() {
         }),
     ));
 
-    // Cross-round window memoization in action: PCA's relaxation rounds
-    // re-offer one stage's physical traffic bit-for-bit before the latency
-    // fixpoint, so a later-round window replays cached statistics instead
-    // of re-simulating. (WordCount's rounds keep every window's traffic
-    // moving, so the paper row above gains nothing from the cache — the
-    // two rows bracket the memo's best and worst case on this platform.)
-    let d_m = flow.design(App::Pca);
-    let spec_m = flow.winoc_spec(&d_m, PlacementStrategy::MinHopCount);
-    results.push((
-        "run_system_memoized/report",
-        median_secs(|| {
-            std::hint::black_box(run_system(&spec_m, &d_m.workload, &cfg, flow.power()));
-        }),
-    ));
-
     // The governed variant of the paper row: the same static run plus the
     // epoch-replay pass under a cap at 80% of the measured static peak.
     // The delta over `run_system_paper/report` is the governor's overhead

@@ -16,7 +16,6 @@
 use crate::config::PlatformConfig;
 use crate::placement::quadrant_of;
 use mapwave_faults::{FaultPlan, FaultStats};
-use mapwave_harness::hash::{CacheKey, StableHash, StableHasher};
 use mapwave_manycore::dram::DramModel;
 use mapwave_manycore::mapping::ThreadMapping;
 use mapwave_manycore::memory::{ControllerLayout, MemorySystem};
@@ -98,39 +97,6 @@ pub struct FaultRunReport {
     /// the final relaxed execution plus NoC corruption/fallback counts
     /// accumulated over every simulated stage window.
     pub faults: FaultStats,
-}
-
-/// The bit patterns of the four per-stage latencies — the relaxation
-/// loop's fixpoint test compares exact representations, not tolerances.
-fn latencies_bits(l: &PhaseLatencies) -> [u64; 4] {
-    [
-        l.lib_init.to_bits(),
-        l.map.to_bits(),
-        l.reduce.to_bits(),
-        l.merge.to_bits(),
-    ]
-}
-
-/// What one relaxation round does with a stage's NoC window.
-enum Window {
-    /// The stage offers no traffic.
-    Idle,
-    /// An earlier round simulated these exact inputs: replay this entry of
-    /// the window memo.
-    Memoized(usize),
-    /// Simulate this physical traffic, memoizing the result under the key
-    /// when memoization is on.
-    Simulate(TrafficMatrix, Option<CacheKey>),
-}
-
-impl Window {
-    /// The physical traffic of a window that must be simulated.
-    fn traffic(&self) -> Option<&TrafficMatrix> {
-        match self {
-            Window::Simulate(traffic, _) => Some(traffic),
-            Window::Idle | Window::Memoized(_) => None,
-        }
-    }
 }
 
 /// A simulated window's statistics and the wireless faults it observed.
@@ -287,8 +253,7 @@ pub(crate) fn run_system_inner(
         let rates = vec![0.0f64; memory.controllers().len()];
         (platform, memory, model, map_mpi, reduce_mpi, hop_rt, rates)
     });
-    let default_mem_bits = executor.config().cache.mem_latency_cycles.to_bits();
-    let mut prev_mem_bits = default_mem_bits;
+    let default_mem = executor.config().cache.mem_latency_cycles;
     // Measures one DRAM window for the current execution and returns the
     // effective off-chip latency, or None when the workload misses nothing
     // (zero-miss streams bypass the controller model entirely).
@@ -358,33 +323,6 @@ pub(crate) fn run_system_inner(
         .collect();
     let mut noc_fault_counts = NocFaultCounts::default();
 
-    // Cross-round window memoization (fault-free runs only). The relaxation
-    // loop re-simulates each stage window every round, but once the blended
-    // latencies stop moving a stage's offered traffic, the window's inputs
-    // are bit-for-bit the ones already simulated — and `NetworkSim::run`
-    // fully resets its simulator, so the statistics are a pure function of
-    // (physical traffic, tile clocks, simulator config, window budget).
-    // Such windows replay the cached statistics instead of burning another
-    // full simulation. Fault runs are exempt: their windows consume the
-    // deterministic hazard stream, so a replay would skip fault events.
-    let memo_enabled = faults.is_none();
-    let mut window_memo: Vec<(CacheKey, NetworkStats)> = Vec::new();
-    let mut windows_memoized = 0u64;
-    let window_key = |stage: usize, physical: &TrafficMatrix| -> CacheKey {
-        let mut h = StableHasher::new();
-        h.write_u64(stage as u64);
-        physical.stable_hash(&mut h);
-        h.write_len(tile_speed.len());
-        for s in &tile_speed {
-            h.write_u64(s.to_bits());
-        }
-        h.write_u64(cfg.noc_vcs as u64);
-        h.write_u64(u64::from(cfg.noc_adaptive));
-        h.write_u64(sim_cfg.seed);
-        h.write_u64(cfg.noc_warmup);
-        h.write_u64(cfg.noc_measure);
-        h.finish()
-    };
     // Phase-resolved NoC simulation: each stage's traffic pattern loads the
     // network differently (Map's memory streaming vs Reduce's key shuffle
     // vs Merge's partition movement), so each gets its own window. The
@@ -395,10 +333,8 @@ pub(crate) fn run_system_inner(
     let mut reduce_net: Option<NetworkStats> = None;
     let mut merge_net: Option<NetworkStats> = None;
     let mut prev = PhaseLatencies::uniform(default_rt);
-    let rounds = 3u32;
-    for round in 0..rounds {
-        // Any round can turn out to be the last (see the early exit below),
-        // so each window's statistics overwrite a persistent slot in place
+    for round in 0..3 {
+        // Each window's statistics overwrite a persistent slot in place
         // (`clone_from` reuses the histogram/link-load allocations) rather
         // than cloning a fresh copy per round.
         let stage_traffic = [
@@ -406,24 +342,11 @@ pub(crate) fn run_system_inner(
             &exec.phase_traffic.reduce,
             &exec.phase_traffic.merge,
         ];
-        // Probe: whether each stage carries traffic, and whether the memo
-        // already holds its window. Keys include the stage index, so no
-        // stage can hit an entry an earlier stage of this round is about to
-        // commit: probing all three up front sees exactly the memo a lazy
-        // per-stage probe would, and cached windows never occupy a lane.
-        let windows: Vec<Window> = stage_traffic
+        // Probe: the physical traffic of each stage that carries any.
+        let windows: Vec<Option<TrafficMatrix>> = stage_traffic
             .iter()
-            .enumerate()
-            .map(|(si, traffic)| {
-                if traffic.total_rate() <= 1e-9 {
-                    return Window::Idle;
-                }
-                let physical = spec.mapping.traffic_to_tiles(traffic);
-                let key = memo_enabled.then(|| window_key(si, &physical));
-                match key.and_then(|k| window_memo.iter().position(|(k2, _)| *k2 == k)) {
-                    Some(hit) => Window::Memoized(hit),
-                    None => Window::Simulate(physical, key),
-                }
+            .map(|traffic| {
+                (traffic.total_rate() > 1e-9).then(|| spec.mapping.traffic_to_tiles(traffic))
             })
             .collect();
         // Run the live windows: one after another on the shared simulator,
@@ -432,7 +355,7 @@ pub(crate) fn run_system_inner(
             let sim = &mut lane_sims[0];
             windows
                 .iter()
-                .map(|w| w.traffic().map(|t| simulate_window(sim, t, cfg)))
+                .map(|w| w.as_ref().map(|t| simulate_window(sim, t, cfg)))
                 .collect()
         } else {
             std::thread::scope(|scope| {
@@ -440,8 +363,16 @@ pub(crate) fn run_system_inner(
                     .iter_mut()
                     .zip(&windows)
                     .map(|(sim, w)| {
-                        w.traffic()
-                            .map(|t| scope.spawn(move || simulate_window(sim, t, cfg)))
+                        w.as_ref().map(|t| {
+                            scope.spawn(move || {
+                                let run = simulate_window(sim, t, cfg);
+                                // Hand the lane's spans and counters to the
+                                // store now, not via the thread-local
+                                // destructor at thread exit.
+                                mapwave_harness::telemetry::flush();
+                                run
+                            })
+                        })
                     })
                     .collect();
                 mapwave_harness::telemetry::count(
@@ -454,24 +385,16 @@ pub(crate) fn run_system_inner(
                     .collect()
             })
         };
-        // Commit in stage order, so statistics, memo entries and fault
-        // accounting are the same for every lane count.
+        // Commit in stage order, so statistics and fault accounting are the
+        // same for every lane count.
         let slots = [&mut map_net, &mut reduce_net, &mut merge_net];
-        for ((slot, window), run) in slots.into_iter().zip(windows).zip(runs) {
-            match window {
-                Window::Idle => *slot = None,
-                Window::Memoized(hit) => {
-                    store_stats(slot, &window_memo[hit].1);
-                    windows_memoized += 1;
-                }
-                Window::Simulate(_, key) => {
-                    let (stats, counts) = run.expect("every live window ran");
+        for (slot, run) in slots.into_iter().zip(runs) {
+            match run {
+                None => *slot = None,
+                Some((stats, counts)) => {
                     store_stats(slot, &stats);
                     noc_fault_counts.flit_corruptions += counts.flit_corruptions;
                     noc_fault_counts.wi_fallbacks += counts.wi_fallbacks;
-                    if let Some(k) = key {
-                        window_memo.push((k, stats));
-                    }
                 }
             }
         }
@@ -499,43 +422,17 @@ pub(crate) fn run_system_inner(
             reduce: blend(prev.reduce, rt(&reduce_net, map_rt)),
             merge: blend(prev.merge, rt(&merge_net, map_rt)),
         };
+        executor.set_phase_latencies(latencies);
         // Banked DRAM joins the relaxation: the effective off-chip latency
         // is re-measured from this round's execution (None = the workload
         // misses nothing and keeps the calibrated default).
-        let mem_bits = if dram_enabled {
-            dram_latency(&exec, &executor.config().core_speeds)
-                .map(f64::to_bits)
-                .unwrap_or(default_mem_bits)
-        } else {
-            prev_mem_bits
-        };
-        // Early exit at a bit-exact fixpoint: this round's blended
-        // latencies equal the previous round's, so the executor rerun would
-        // reproduce `exec` exactly, the next round's windows would see the
-        // same traffic and measure the same statistics, and every later
-        // round would repeat both — the retained stats and `exec` already
-        // ARE the final ones. (Only valid from round 1 on: the pass-1
-        // executor ran with the config's own per-phase defaults, not with
-        // `prev`.)
-        if round > 0
-            && latencies_bits(&latencies) == latencies_bits(&prev)
-            && mem_bits == prev_mem_bits
-        {
-            mapwave_harness::telemetry::count(
-                "core.relaxation_rounds_saved",
-                u64::from(rounds - 1 - round),
-            );
-            break;
-        }
-        executor.set_phase_latencies(latencies);
-        if mem_bits != prev_mem_bits {
-            executor.set_mem_latency_cycles(f64::from_bits(mem_bits));
+        if dram_enabled {
+            let mem = dram_latency(&exec, &executor.config().core_speeds).unwrap_or(default_mem);
+            executor.set_mem_latency_cycles(mem);
         }
         exec = run_exec(&executor, &mut scratch, &mut last_phx);
         prev = latencies;
-        prev_mem_bits = mem_bits;
     }
-    mapwave_harness::telemetry::count("core.windows_memoized", windows_memoized);
 
     let ref_ghz = table.max().freq_ghz;
     let exec_seconds = exec.exec_seconds(ref_ghz);

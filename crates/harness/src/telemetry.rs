@@ -339,8 +339,13 @@ mod tests {
         }
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _s = span("t.stage");
-                count("t.events", 10);
+                // Close the span before flushing: `thread::scope` does not
+                // wait for thread-local destructors, so a span still open
+                // at `flush` could miss the snapshot below.
+                {
+                    let _s = span("t.stage");
+                    count("t.events", 10);
+                }
                 flush();
             });
         });

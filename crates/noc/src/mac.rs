@@ -69,8 +69,7 @@ impl ChannelMac {
 
     /// Advances the token over `cycles` consecutive idle cycles at once —
     /// equivalent to that many `end_cycle(false, false)` calls. Used by the
-    /// simulator's fast-forward path when no flit can move for a stretch of
-    /// cycles.
+    /// simulator's idle jump when no flit can move for a stretch of cycles.
     pub fn advance_idle(&mut self, cycles: u64) {
         if self.members.len() > 1 {
             let step = (cycles % self.members.len() as u64) as usize;

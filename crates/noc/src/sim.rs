@@ -20,13 +20,12 @@
 //! accumulators of dormant switches are replayed on wake (see
 //! `NetworkSim::clock_fires`), preserving bit-identical firing sequences.
 //!
-//! During the drain phase (no injection), whenever every buffered flit is
-//! still in its router pipeline (`ready_at` in the future) and no source
-//! queue can inject, the simulator **fast-forwards** the clock to the next
-//! ready time instead of idling cycle by cycle; token-MAC rotation over the
-//! jumped cycles is applied in closed form. Fast-forwarded cycles are
-//! observably identical to stepped idle cycles and count against the drain
-//! budget.
+//! When no source is backlogged and every buffered flit is still in its
+//! router pipeline, the cycle loop **jumps** to the next switch wake,
+//! scheduled injection or phase end in one step, applying the idle
+//! token-MAC rotation in closed form. This one rule serves warmup, measure
+//! and drain alike; jumped cycles are observably identical to stepped idle
+//! cycles and count against the drain budget.
 //!
 //! ## Clocking and VFI
 //!
@@ -386,12 +385,9 @@ pub struct NetworkSim<'a> {
 
     /// Cycles advanced by stepping in the last run (telemetry).
     stepped_cycles: u64,
-    /// Cycles advanced by fast-forward in the last run (telemetry).
-    ff_cycles: u64,
-    /// Stepped cycles whose switch work was replayed in closed form —
-    /// steady-state cycles where only injection sampling and token-MAC
-    /// rotation happened — plus drain cycles skipped after a periodic
-    /// fixpoint was proven (telemetry).
+    /// Cycles replayed in closed form in the last run — idle stretches
+    /// where only token-MAC rotation happened, plus drain cycles skipped
+    /// after a periodic fixpoint was proven (telemetry).
     steady_cycles: u64,
     /// Flit moves (switch and source) performed by the last step.
     moves_last_step: u64,
@@ -640,7 +636,6 @@ impl<'a> NetworkSim<'a> {
             parked: vec![false; n],
             faults: None,
             stepped_cycles: 0,
-            ff_cycles: 0,
             steady_cycles: 0,
             moves_last_step: 0,
             sched: Vec::new(),
@@ -675,16 +670,10 @@ impl<'a> NetworkSim<'a> {
     }
 
     /// Total cycles simulated since the last reset (warmup + measurement +
-    /// drain, fast-forwarded cycles included); the denominator of
+    /// drain, jumped idle cycles included); the denominator of
     /// simulated-cycles/sec throughput figures.
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Cycles of the last run that were advanced by the drain fast-forward
-    /// path rather than stepped individually.
-    pub fn fast_forwarded_cycles(&self) -> u64 {
-        self.ff_cycles
     }
 
     /// Attaches (or detaches) a fault plan.
@@ -773,7 +762,6 @@ impl<'a> NetworkSim<'a> {
         self.wake.fill(u64::MAX);
         self.next_due = u64::MAX;
         self.stepped_cycles = 0;
-        self.ff_cycles = 0;
         self.steady_cycles = 0;
         self.moves_last_step = 0;
         if let Some(fl) = &mut self.faults {
@@ -844,63 +832,57 @@ impl<'a> NetworkSim<'a> {
         telemetry::count("noc.packets_delivered", self.stats.packets_delivered);
         telemetry::count("noc.flits_delivered", self.stats.flits_delivered);
         telemetry::count("noc.cycles_simulated", self.stepped_cycles);
-        telemetry::count("noc.cycles_fast_forwarded", self.ff_cycles);
         telemetry::count("noc.cycles_steady_replayed", self.steady_cycles);
         &self.stats
     }
 
-    /// The warmup/measure/drain cycle loop of one [`NetworkSim::run`].
+    /// The warmup/measure/drain cycle loop of one [`NetworkSim::run`]:
+    /// runs until the measure window has closed and every measured packet
+    /// is delivered or the drain budget is spent.
     fn cycle_loop(&mut self, sched: &[InjectEvent], warmup: u64, measure: u64, drain_limit: u64) {
         let _loop_span = telemetry::span("noc.sim.cycle_loop");
         let end = warmup + measure;
+        let drain_end = end + drain_limit;
         let mut pos = 0usize;
-        while self.now < end {
-            // Idle-gap jump: under exactly the in-step steady fast-path
-            // conditions, and with no scheduled injection before the next
-            // switch wake, every intervening cycle is idle token-MAC
-            // bookkeeping — consume the stretch in closed form.
+        let mut detector = crate::steady::PeriodDetector::default();
+        while self.now < end
+            || (self.now < drain_end && self.delivered_measured < self.injected_measured)
+        {
+            // Idle jump: no source is backlogged, no switch gained its
+            // first flit, and every enrolled switch waits on a front still
+            // in its router pipeline (`next_due` is never stale-high). Up
+            // to the next wake, scheduled injection or phase end, every
+            // cycle is idle token-MAC bookkeeping — consume the stretch in
+            // closed form.
             if self.src_list.is_empty() && self.pending.is_empty() && self.next_due > self.now {
                 let next_event = sched.get(pos).map_or(u64::MAX, |e| e.cycle);
-                let horizon = self.next_due.min(next_event).min(end);
-                if horizon > self.now + 1 {
-                    self.steady_jump(horizon - self.now);
+                let phase_end = if self.now < end { end } else { drain_end };
+                let target = self.next_due.min(next_event).min(phase_end);
+                if target > self.now {
+                    self.steady_jump(target - self.now);
                     continue;
                 }
             }
-            self.step(Some((sched, &mut pos)));
-        }
-        let mut detector = crate::steady::PeriodDetector::default();
-        let mut drained = 0u64;
-        while drained < drain_limit && self.delivered_measured < self.injected_measured {
-            // Only look for a jump after a cycle in which nothing
-            // moved; while flits are flowing, stepping is the fast path.
-            if self.moves_last_step == 0 {
-                let gap = self.drain_gap();
-                if gap > 1 {
-                    let jump = gap.min(drain_limit - drained);
-                    self.fast_forward(jump);
-                    drained += jump;
+            if self.now >= end {
+                // A drain cycle the idle jump cannot skip, after one in
+                // which nothing moved: something is due but blocked.
+                // Injection is over, so the remaining dynamics are a
+                // deterministic function of a small compact state; if that
+                // state exactly recurs with every observable counter
+                // unchanged, the drain is livelocked and every remaining
+                // cycle is a verbatim repeat — consume the rest of the
+                // budget in closed form.
+                if self.moves_last_step == 0 {
+                    if detector.observe(|out| self.steady_snapshot(out)) {
+                        self.steady_cycles += drain_end - self.now;
+                        self.now = drain_end;
+                        break;
+                    }
+                } else {
                     detector.reset();
-                    continue;
                 }
-                // Stalled and not fast-forwardable (a front is ready but
-                // blocked). Injection is over, so the remaining dynamics
-                // are a deterministic function of a small compact state;
-                // if that state exactly recurs with every observable
-                // counter unchanged, the drain is livelocked and every
-                // remaining cycle is a verbatim repeat — consume the rest
-                // of the budget in closed form.
-                if detector.observe(|out| self.steady_snapshot(out)) {
-                    let rest = drain_limit - drained;
-                    self.now += rest;
-                    self.steady_cycles += rest;
-                    break;
-                }
-            } else {
-                detector.reset();
             }
-            self.step(None);
-            drained += 1;
+            self.step(sched, &mut pos);
         }
     }
 
@@ -947,52 +929,10 @@ impl<'a> NetworkSim<'a> {
         }
     }
 
-    /// Stepped cycles of the last run whose switch work was replayed in
-    /// closed form (steady-state fast path + livelocked drain cycles).
+    /// Cycles of the last run replayed in closed form (idle jumps plus
+    /// livelocked drain cycles).
     pub fn steady_replayed_cycles(&self) -> u64 {
         self.steady_cycles
-    }
-
-    /// Cycles until the next possible flit move during drain, or 0 when
-    /// something can (or might) happen this cycle.
-    ///
-    /// A jump of `k` cycles is sound when no source queue can inject (its
-    /// local port is full) and every FIFO-front flit is still in a router
-    /// pipeline: those cycles are observably idle except for token-MAC
-    /// rotation and clock accumulation, both of which [`Self::fast_forward`]
-    /// replays in closed form.
-    fn drain_gap(&self) -> u64 {
-        for &s in &self.src_list {
-            let slot = self
-                .fabric
-                .slot(NodeId(s as usize), PORT_LOCAL, self.inject_vc);
-            if self.fabric.space(slot) > 0 {
-                return 0;
-            }
-        }
-        let mut min_ready = u64::MAX;
-        let masks = self.fabric.occ_masks_enabled();
-        for &v in self.active_list.iter().chain(&self.pending) {
-            let v = NodeId(v as usize);
-            if masks {
-                let sb = self.fabric.switch_base(v);
-                let mut m = self.fabric.occ_mask(v);
-                while m != 0 {
-                    let local = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    min_ready = min_ready.min(self.fabric.front_ready(sb + local));
-                }
-            } else {
-                for slot in self.fabric.slots_of(v) {
-                    min_ready = min_ready.min(self.fabric.front_ready(slot));
-                }
-            }
-        }
-        if min_ready == u64::MAX || min_ready <= self.now {
-            0
-        } else {
-            min_ready - self.now
-        }
     }
 
     /// Advances the clock over `cycles` observably idle cycles at once.
@@ -1002,26 +942,7 @@ impl<'a> NetworkSim<'a> {
     /// token, and an idle token rotates until it reaches a member that is
     /// mid-wormhole on its wireless port — from then on that member would
     /// have kept the token every remaining cycle.
-    fn fast_forward(&mut self, cycles: u64) {
-        self.rotate_macs_idle(cycles);
-        self.now += cycles;
-        self.ff_cycles += cycles;
-    }
-
-    /// Closed-form replay of observably idle warmup/measure cycles: the
-    /// same cycles the in-step steady fast path would consume one at a
-    /// time, credited to the same `steady_cycles` counter, with the idle
-    /// token-MAC rotation applied in one pass.
     fn steady_jump(&mut self, cycles: u64) {
-        self.rotate_macs_idle(cycles);
-        self.now += cycles;
-        self.steady_cycles += cycles;
-        // What an idle step would have left behind.
-        self.moves_last_step = 0;
-    }
-
-    /// The idle token-MAC rotation shared by both closed-form advances.
-    fn rotate_macs_idle(&mut self, cycles: u64) {
         for c in 0..self.macs.len() {
             let len = self.macs[c].len() as u64;
             if len <= 1 {
@@ -1040,6 +961,10 @@ impl<'a> NetworkSim<'a> {
             }
             self.macs[c].advance_idle(jump);
         }
+        self.now += cycles;
+        self.steady_cycles += cycles;
+        // What an idle step would have left behind.
+        self.moves_last_step = 0;
     }
 
     /// Whether a flit (packet) is inside the measurement window.
@@ -1048,7 +973,7 @@ impl<'a> NetworkSim<'a> {
     }
 
     /// One global clock cycle.
-    fn step(&mut self, inject: Option<(&[InjectEvent], &mut usize)>) {
+    fn step(&mut self, sched: &[InjectEvent], pos: &mut usize) {
         self.stepped_cycles += 1;
         self.moves_last_step = 0;
 
@@ -1056,47 +981,28 @@ impl<'a> NetworkSim<'a> {
         //    slice of the precomputed schedule (events are sorted by cycle
         //    and, within a cycle, by ascending source — the order the old
         //    per-cycle sampling scan produced).
-        if let Some((sched, pos)) = inject {
-            while let Some(e) = sched.get(*pos) {
-                if e.cycle != self.now {
-                    break;
-                }
-                *pos += 1;
-                let s = e.src as usize;
-                let id = PacketId(self.next_packet);
-                self.next_packet += 1;
-                if self.now >= self.measure_start && self.now < self.measure_end {
-                    self.injected_measured += 1;
-                }
-                self.src_q[s].extend(flit_sequence(
-                    id,
-                    NodeId(s),
-                    NodeId(e.dest as usize),
-                    self.cfg.packet_len,
-                    self.now,
-                ));
-                if !self.src_listed[s] {
-                    self.src_listed[s] = true;
-                    self.src_list.push(s as u32);
-                }
+        while let Some(e) = sched.get(*pos) {
+            if e.cycle != self.now {
+                break;
             }
-        }
-
-        // Steady-state fast path: nothing is backlogged at a source, no
-        //    switch gained its first flit, and no enrolled switch has work
-        //    before `next_due` — every front is still in its router
-        //    pipeline. Sections 2–5 are then provably no-ops (the sweep
-        //    would process nothing and keep every switch), so the cycle
-        //    reduces to idle token-MAC bookkeeping; the skipped clock
-        //    ticks replay lazily on wake, bit-identically.
-        if self.src_list.is_empty() && self.pending.is_empty() && self.next_due > self.now {
-            for mac in &mut self.macs {
-                let holds = mac_holds_packet(&self.ports, &self.fabric, mac.holder());
-                mac.end_cycle(false, holds);
+            *pos += 1;
+            let s = e.src as usize;
+            let id = PacketId(self.next_packet);
+            self.next_packet += 1;
+            if self.now >= self.measure_start && self.now < self.measure_end {
+                self.injected_measured += 1;
             }
-            self.steady_cycles += 1;
-            self.now += 1;
-            return;
+            self.src_q[s].extend(flit_sequence(
+                id,
+                NodeId(s),
+                NodeId(e.dest as usize),
+                self.cfg.packet_len,
+                self.now,
+            ));
+            if !self.src_listed[s] {
+                self.src_listed[s] = true;
+                self.src_list.push(s as u32);
+            }
         }
 
         // 2. Move one flit per backlogged node from the source queue into
@@ -2269,35 +2175,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_engages_during_drain() {
-        // A deep router pipeline keeps drain-phase flits mid-pipeline most
-        // cycles, so the drain loop should jump rather than idle-step.
-        let cfg = SimConfig {
-            router_delay: 8,
-            ..SimConfig::default()
-        };
-        let mut sim = NetworkSim::new(
-            mesh(4, 4, 2.5),
-            WirelessOverlay::none(),
-            RoutingTable::xy(4, 4),
-            EnergyModel::default_65nm(),
-            cfg,
-        )
-        .unwrap();
-        let mut tm = TrafficMatrix::zeros(16);
-        tm.set(NodeId(0), NodeId(15), 0.05);
-        let in_flight = sim.run(&tm, 0, 400, 20_000).in_flight_at_end;
-        assert_eq!(in_flight, 0);
-        assert!(
-            sim.fast_forwarded_cycles() > 0,
-            "drain should fast-forward through pipeline stalls"
-        );
-    }
-
-    #[test]
-    fn fast_forward_matches_wireless_goldens_rerun() {
+    fn wireless_rerun_is_bit_identical() {
         // Re-running the same wireless configuration must be bit-identical
-        // even though drains interleave stepping and fast-forwarding.
+        // even though drains interleave stepping and idle jumps.
         let (topo, overlay) = line_with_wireless(12);
         let table = RoutingTable::up_down(&topo, &overlay).unwrap();
         let mut sim = NetworkSim::new(

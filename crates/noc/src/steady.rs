@@ -1,6 +1,6 @@
 //! Mid-run periodic-fixpoint detection for the drain phase.
 //!
-//! When the drain stalls (zero flit moves, no fast-forward gap), the
+//! When the drain stalls (zero flit moves, a ready front blocked), the
 //! remaining dynamics are a deterministic function of a compact state
 //! vector (see `NetworkSim::steady_snapshot`). [`PeriodDetector`] watches
 //! that vector with a Brent-style exponential-window search: it pins a
@@ -32,7 +32,7 @@ pub(crate) struct PeriodDetector {
 
 impl PeriodDetector {
     /// Forgets any pinned state; call whenever the watched system made
-    /// observable progress (a flit moved or time jumped).
+    /// observable progress (a flit moved).
     pub fn reset(&mut self) {
         self.armed = false;
     }

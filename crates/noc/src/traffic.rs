@@ -7,7 +7,6 @@
 //! expectation while keeping per-cycle work `O(n)`.
 
 use crate::node::NodeId;
-use mapwave_harness::hash::{StableHash, StableHasher};
 use mapwave_harness::rng::RngExt;
 use mapwave_harness::rng::StdRng;
 
@@ -312,18 +311,6 @@ impl TrafficMatrix {
             num / den
         } else {
             0.0
-        }
-    }
-}
-
-/// Hashes the node count and every rate's bit pattern, so two matrices
-/// collide only when they are bitwise-equal — the property the
-/// `run_system` window memoization relies on.
-impl StableHash for TrafficMatrix {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_len(self.n);
-        for r in &self.rates {
-            h.write_u64(r.to_bits());
         }
     }
 }

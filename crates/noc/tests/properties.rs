@@ -253,3 +253,40 @@ fn simulation_is_deterministic() {
         assert_eq!(run(), run());
     }
 }
+
+/// A switch with more than 64 input slots has no occupancy mask, so the
+/// simulator falls back to the positional slot scan. A 40-leaf star at two
+/// VCs gives the hub 82 slots; every measured packet must still drain, and
+/// the fallback must be as deterministic as the masked path.
+#[test]
+fn wide_hub_takes_the_positional_scan_and_drains() {
+    let leaves = 40;
+    let mut positions = vec![Position::new(0.0, 0.0)];
+    positions.extend((0..leaves).map(|i| {
+        let a = std::f64::consts::TAU * i as f64 / leaves as f64;
+        Position::new(2.5 * a.cos(), 2.5 * a.sin())
+    }));
+    let mut topo = Topology::new(positions, mapwave_noc::TopologyKind::Custom);
+    for leaf in 1..=leaves {
+        topo.add_link(NodeId(0), NodeId(leaf)).unwrap();
+    }
+    let table = RoutingTable::up_down(&topo, &WirelessOverlay::none()).unwrap();
+    let cfg = SimConfig {
+        vcs: 2,
+        ..SimConfig::default()
+    };
+    let mut sim = NetworkSim::new(
+        topo,
+        WirelessOverlay::none(),
+        table,
+        EnergyModel::default_65nm(),
+        cfg,
+    )
+    .unwrap();
+    let tm = TrafficMatrix::uniform(leaves + 1, 0.01);
+    let first = sim.run(&tm, 100, 2000, 50_000).clone();
+    assert!(first.packets_delivered > 0);
+    assert_eq!(first.in_flight_at_end, 0);
+    assert_eq!(first.packets_delivered, first.packets_injected);
+    assert_eq!(&first, sim.run(&tm, 100, 2000, 50_000));
+}

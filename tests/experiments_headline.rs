@@ -1,9 +1,9 @@
-//! Drift guard for the EXPERIMENTS.md headline table: the average and
-//! maximum EDP saving and the worst VFI-WiNoC execution-time penalty it
-//! quotes must be the numbers the code produces at the reference scale
-//! (0.1), rounded to one decimal place. After an intended model change,
-//! regenerate them with `cargo run --release --bin mapwave -- headline
-//! --scale 0.1` and update the table.
+//! Drift guard for EXPERIMENTS.md: the headline table's average and
+//! maximum EDP saving and worst VFI-WiNoC execution-time penalty (to one
+//! decimal place), the Fig. 7 mesh/WiNoC totals and the Fig. 8 rows (to
+//! three) must be the numbers the code produces at the reference scale
+//! (0.1). After an intended model change, regenerate them with `cargo run
+//! --release --bin mapwave -- report --scale 0.1` and update the document.
 
 use mapwave::prelude::*;
 
@@ -14,11 +14,15 @@ fn experiments_headline_matches_the_reference_run() {
     let h = ctx.headline();
 
     let doc = include_str!("../EXPERIMENTS.md");
-    let table: Vec<&str> = doc
-        .lines()
-        .skip_while(|l| !l.starts_with("## Headline"))
-        .skip(1)
-        .take_while(|l| !l.starts_with("## "))
+    let section = |heading: &str| -> Vec<&str> {
+        doc.lines()
+            .skip_while(|l| !l.starts_with(heading))
+            .skip(1)
+            .take_while(|l| !l.starts_with("## "))
+            .collect()
+    };
+    let table: Vec<&str> = section("## Headline")
+        .into_iter()
         .filter(|l| l.starts_with('|'))
         .collect();
     let row = |label: &str| -> &str {
@@ -45,6 +49,33 @@ fn experiments_headline_matches_the_reference_run() {
         assert!(
             line.contains(&want),
             "EXPERIMENTS.md drifted from the code: {label:?} row should quote {want}, found:\n{line}"
+        );
+    }
+    // Fig. 7 quotes its totals as running prose, which may wrap anywhere.
+    let fig7 = section("## Figure 7").join(" ");
+    for row in ctx.fig7() {
+        let want = format!(
+            "{} {:.3}/{:.3}",
+            row.app.name(),
+            row.mesh_total(),
+            row.winoc_total()
+        );
+        assert!(
+            fig7.contains(&want),
+            "EXPERIMENTS.md Figure 7 drifted from the code: should quote {want:?}"
+        );
+    }
+    let fig8 = section("## Figure 8");
+    for row in ctx.fig8() {
+        let want = format!(
+            "| {} | {:.3} | {:.3} |",
+            row.app.name(),
+            row.vfi_mesh_edp,
+            row.vfi_winoc_edp
+        );
+        assert!(
+            fig8.contains(&want.as_str()),
+            "EXPERIMENTS.md Figure 8 drifted from the code: should have the row {want:?}"
         );
     }
 }
