@@ -367,8 +367,10 @@ pub(crate) fn run_system_inner(
                             scope.spawn(move || {
                                 let run = simulate_window(sim, t, cfg);
                                 // Hand the lane's spans and counters to the
-                                // store now, not via the thread-local
-                                // destructor at thread exit.
+                                // store before the thread ends. The join
+                                // below also waits for the thread-local
+                                // destructor; this keeps the hand-off
+                                // independent of how the lane is joined.
                                 mapwave_harness::telemetry::flush();
                                 run
                             })

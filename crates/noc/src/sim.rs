@@ -848,6 +848,12 @@ impl<'a> NetworkSim<'a> {
         while self.now < end
             || (self.now < drain_end && self.delivered_measured < self.injected_measured)
         {
+            // A flit moved in the last step: the livelock detector's pinned
+            // state is stale. This must precede the idle jump, which
+            // overwrites `moves_last_step`.
+            if self.moves_last_step > 0 {
+                detector.reset();
+            }
             // Idle jump: no source is backlogged, no switch gained its
             // first flit, and every enrolled switch waits on a front still
             // in its router pipeline (`next_due` is never stale-high). Up
@@ -863,24 +869,20 @@ impl<'a> NetworkSim<'a> {
                     continue;
                 }
             }
-            if self.now >= end {
-                // A drain cycle the idle jump cannot skip, after one in
-                // which nothing moved: something is due but blocked.
-                // Injection is over, so the remaining dynamics are a
-                // deterministic function of a small compact state; if that
-                // state exactly recurs with every observable counter
-                // unchanged, the drain is livelocked and every remaining
-                // cycle is a verbatim repeat — consume the rest of the
-                // budget in closed form.
-                if self.moves_last_step == 0 {
-                    if detector.observe(|out| self.steady_snapshot(out)) {
-                        self.steady_cycles += drain_end - self.now;
-                        self.now = drain_end;
-                        break;
-                    }
-                } else {
-                    detector.reset();
-                }
+            // A drain cycle the idle jump cannot skip, after one in which
+            // nothing moved: something is due but blocked. Injection is
+            // over, so the remaining dynamics are a deterministic function
+            // of a small compact state; if that state exactly recurs with
+            // every observable counter unchanged, the drain is livelocked
+            // and every remaining cycle is a verbatim repeat — consume the
+            // rest of the budget in closed form.
+            if self.now >= end
+                && self.moves_last_step == 0
+                && detector.observe(|out| self.steady_snapshot(out))
+            {
+                self.steady_cycles += drain_end - self.now;
+                self.now = drain_end;
+                break;
             }
             self.step(sched, &mut pos);
         }
@@ -892,7 +894,11 @@ impl<'a> NetworkSim<'a> {
     /// bindings, round-robin pointers and source queues are all frozen —
     /// everything that *can* evolve is written here, in now-relative form:
     /// token positions, per-class fractional clock accumulators (with
-    /// their lazy replay cursors), per-switch wake offsets, and the fault
+    /// their lazy replay cursors), per-switch wake offsets, the
+    /// pipeline offset of every FIFO front (a wake offset alone hides a
+    /// front still in the pipeline behind a clock that sat out or an
+    /// earlier front; a ready front is written as 0, since only
+    /// `ready_at <= now` is ever tested), and the fault
     /// hazard counters plus the only stats field a zero-move cycle can
     /// touch (a corrupted transfer still radiates). Including the hazard
     /// counters is what disables detection under an *active* fault stream:
@@ -916,6 +922,12 @@ impl<'a> NetworkSim<'a> {
                 u64::MAX => u64::MAX,
                 w => w.saturating_sub(self.now),
             });
+            for slot in self.fabric.slots_of(NodeId(v)) {
+                out.push(match self.fabric.front_ready(slot) {
+                    u64::MAX => u64::MAX,
+                    r => r.saturating_sub(self.now),
+                });
+            }
         }
         for &s in &self.src_list {
             out.push(s as u64);

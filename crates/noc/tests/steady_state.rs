@@ -11,11 +11,15 @@
 //! * once the stream is cycle-stable (every WI pushed past its fallback
 //!   threshold and disabled), the state freezes again and closed-form replay
 //!   resumes.
+//! * on a deadlock-free fabric the drain never reports a livelock: however
+//!   congested the network, every measured packet is delivered given a
+//!   large enough drain budget.
 
 use mapwave_faults::{FaultConfig, FaultPlan};
 use mapwave_noc::node::Position;
 use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::sim::{NetworkSim, SimConfig};
+use mapwave_noc::topology::mesh::mesh;
 use mapwave_noc::topology::wireless::{ChannelId, WirelessInterface, WirelessOverlay};
 use mapwave_noc::topology::{Topology, TopologyKind};
 use mapwave_noc::{EnergyModel, NodeId, TrafficMatrix};
@@ -143,4 +147,84 @@ fn replay_resumes_once_fault_stream_is_cycle_stable() {
         sim.steady_replayed_cycles() > 0,
         "a cycle-stable fault stream must not disable replay forever"
     );
+}
+
+#[test]
+fn congested_xy_mesh_drain_never_reports_a_livelock() {
+    // XY routing on a mesh is deadlock-free, so any measured packet still in
+    // flight after a huge drain budget was cut off by a false livelock
+    // verdict. These saturated cases stall in the drain with FIFO fronts
+    // still inside a router pipeline that a switch's wake offset alone does
+    // not reveal (behind a clock that sat out, or behind an earlier front).
+    struct Case {
+        cols: usize,
+        rows: usize,
+        rate: f64,
+        buffer_depth: usize,
+        packet_len: usize,
+        sync_penalty: u64,
+        router_delay: u64,
+        seed: u64,
+        speeds: Vec<f64>,
+    }
+    let cases = [
+        Case {
+            cols: 2,
+            rows: 2,
+            rate: 0.4968404731215155,
+            buffer_depth: 2,
+            packet_len: 7,
+            sync_penalty: 2,
+            router_delay: 4,
+            seed: 217,
+            speeds: vec![1.0; 4],
+        },
+        Case {
+            cols: 2,
+            rows: 2,
+            rate: 0.2840932020153178,
+            buffer_depth: 1,
+            packet_len: 2,
+            sync_penalty: 2,
+            router_delay: 3,
+            seed: 118,
+            speeds: vec![1.0; 4],
+        },
+        Case {
+            cols: 2,
+            rows: 2,
+            rate: 0.45868755193064126,
+            buffer_depth: 1,
+            packet_len: 5,
+            sync_penalty: 0,
+            router_delay: 3,
+            seed: 431,
+            speeds: vec![0.5, 0.3, 0.75, 0.5],
+        },
+    ];
+    for (i, c) in cases.into_iter().enumerate() {
+        let n = c.cols * c.rows;
+        let cfg = SimConfig {
+            buffer_depth: c.buffer_depth,
+            packet_len: c.packet_len,
+            sync_penalty: c.sync_penalty,
+            router_delay: c.router_delay,
+            seed: c.seed,
+            ..SimConfig::default()
+        };
+        let mut sim = NetworkSim::with_clocks(
+            mesh(c.cols, c.rows, 1.0),
+            WirelessOverlay::none(),
+            RoutingTable::xy(c.cols, c.rows),
+            EnergyModel::default_65nm(),
+            cfg,
+            c.speeds,
+            (0..n).map(|v| v % 3).collect(),
+        )
+        .unwrap();
+        let stats = sim.run(&TrafficMatrix::uniform(n, c.rate), 50, 400, 5_000_000);
+        assert!(stats.packets_injected > 0, "case {i}");
+        assert_eq!(stats.in_flight_at_end, 0, "case {i}");
+        assert_eq!(stats.packets_delivered, stats.packets_injected, "case {i}");
+    }
 }
