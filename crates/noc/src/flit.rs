@@ -6,17 +6,6 @@
 
 use crate::node::NodeId;
 use crate::routing::Phase;
-use std::fmt;
-
-/// Unique identifier of a packet within one simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PacketId(pub u64);
-
-impl fmt::Display for PacketId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
 
 /// Position of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,15 +32,12 @@ impl FlitKind {
     }
 }
 
-/// One flow-control unit in flight.
+/// One flow-control unit in flight (32 bytes: every field is read by
+/// the switch kernel).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flit {
-    /// Owning packet.
-    pub packet: PacketId,
     /// Role within the packet.
     pub kind: FlitKind,
-    /// Source node of the packet.
-    pub src: NodeId,
     /// Destination node of the packet.
     pub dest: NodeId,
     /// Routing phase carried by the head flit (updated per hop).
@@ -75,16 +61,16 @@ pub struct Flit {
 /// # Examples
 ///
 /// ```
-/// use mapwave_noc::flit::{flits_of, PacketId, FlitKind};
+/// use mapwave_noc::flit::{flits_of, FlitKind};
 /// use mapwave_noc::NodeId;
 ///
-/// let fs = flits_of(PacketId(1), NodeId(0), NodeId(5), 4, 100);
+/// let fs = flits_of(NodeId(5), 4, 100);
 /// assert_eq!(fs.len(), 4);
 /// assert_eq!(fs[0].kind, FlitKind::Head);
 /// assert_eq!(fs[3].kind, FlitKind::Tail);
 /// ```
-pub fn flits_of(id: PacketId, src: NodeId, dest: NodeId, len: usize, now: u64) -> Vec<Flit> {
-    flit_sequence(id, src, dest, len, now).collect()
+pub fn flits_of(dest: NodeId, len: usize, now: u64) -> Vec<Flit> {
+    flit_sequence(dest, len, now).collect()
 }
 
 /// Iterator form of [`flits_of`]: yields the flit sequence without
@@ -94,16 +80,9 @@ pub fn flits_of(id: PacketId, src: NodeId, dest: NodeId, len: usize, now: u64) -
 /// # Panics
 ///
 /// Panics if `len == 0`.
-pub fn flit_sequence(
-    id: PacketId,
-    src: NodeId,
-    dest: NodeId,
-    len: usize,
-    now: u64,
-) -> impl Iterator<Item = Flit> {
+pub fn flit_sequence(dest: NodeId, len: usize, now: u64) -> impl Iterator<Item = Flit> {
     assert!(len > 0, "a packet has at least one flit");
     (0..len).map(move |i| Flit {
-        packet: id,
         kind: if len == 1 {
             FlitKind::HeadTail
         } else if i == 0 {
@@ -113,7 +92,6 @@ pub fn flit_sequence(
         } else {
             FlitKind::Body
         },
-        src,
         dest,
         phase: Phase::Up,
         created: now,
@@ -127,8 +105,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn flit_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Flit>(), 32);
+    }
+
+    #[test]
     fn single_flit_packet_is_head_tail() {
-        let fs = flits_of(PacketId(0), NodeId(1), NodeId(2), 1, 0);
+        let fs = flits_of(NodeId(2), 1, 0);
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].kind, FlitKind::HeadTail);
         assert!(fs[0].kind.is_head());
@@ -137,7 +120,7 @@ mod tests {
 
     #[test]
     fn multi_flit_roles() {
-        let fs = flits_of(PacketId(0), NodeId(1), NodeId(2), 3, 7);
+        let fs = flits_of(NodeId(2), 3, 7);
         assert_eq!(fs[0].kind, FlitKind::Head);
         assert_eq!(fs[1].kind, FlitKind::Body);
         assert_eq!(fs[2].kind, FlitKind::Tail);
@@ -149,6 +132,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_length_packet_panics() {
-        let _ = flits_of(PacketId(0), NodeId(0), NodeId(1), 0, 0);
+        let _ = flits_of(NodeId(1), 0, 0);
     }
 }

@@ -12,13 +12,19 @@
 //! A switch with no buffered flits does nothing observable when clocked:
 //! its round-robin pointer, wormhole bindings and output ownership are
 //! untouched, and no flit can move. The inner loop therefore keeps an
-//! **active set** — the ascending list of switches currently holding at
-//! least one flit — and only walks those. Switches enroll when a flit
-//! arrives (from a source queue or an upstream switch) and drop out lazily
-//! once they drain, so per-cycle cost is proportional to the number of
-//! in-flight flits rather than the topology size. Fractional clock
-//! accumulators of dormant switches are replayed on wake (see
-//! `NetworkSim::clock_fires`), preserving bit-identical firing sequences.
+//! **active set** — a bitset of the switches currently holding at least
+//! one flit — and each sweep walks, in ascending order, a snapshot of it
+//! taken at sweep start. Switches enroll when a flit arrives (from a
+//! source queue or an upstream switch) and drop out once they drain, so
+//! per-cycle cost is proportional to the number of in-flight flits rather
+//! than the topology size. Fractional clock accumulators of dormant
+//! switches are replayed on wake (see `NetworkSim::clock_fires`),
+//! preserving bit-identical firing sequences.
+//!
+//! Within a switch, the per-switch occupancy and bound-slot bitmasks of
+//! [`FabricState`] split the probes: continuing wormholes walk the
+//! occupied bound slots, new heads the occupied unbound ones, so no probe
+//! is spent on a slot that cannot move.
 //!
 //! When no source is backlogged and every buffered flit is still in its
 //! router pipeline, the cycle loop **jumps** to the next switch wake,
@@ -37,7 +43,7 @@
 //! clocked at the island's frequency.
 
 use crate::energy::EnergyModel;
-use crate::flit::{flit_sequence, Flit, PacketId};
+use crate::flit::{flit_sequence, Flit};
 use crate::mac::{macs_for, ChannelMac};
 use crate::node::NodeId;
 use crate::routing::{Hop, Phase, RoutingTable};
@@ -186,9 +192,11 @@ impl std::fmt::Display for SimError {
             SimError::InvalidDomains => {
                 write!(f, "clock domains must have one entry per node")
             }
-            SimError::InvalidConfig => {
-                write!(f, "buffer depths and packet length must be nonzero")
-            }
+            SimError::InvalidConfig => write!(
+                f,
+                "buffer depths, packet length and VC count must be nonzero, \
+                 and adaptive routing needs at least two VCs"
+            ),
         }
     }
 }
@@ -285,7 +293,6 @@ pub struct NetworkSim<'a> {
     macs: Vec<ChannelMac>,
     src_q: Vec<VecDeque<Flit>>,
     now: u64,
-    next_packet: u64,
     measure_start: u64,
     measure_end: u64,
     injected_measured: u64,
@@ -314,16 +321,14 @@ pub struct NetworkSim<'a> {
     /// VC new packets are injected on (the top VC when adaptive).
     inject_vc: usize,
 
-    /// Flits currently buffered in each switch.
-    buffered: Vec<u32>,
-    /// Whether each switch is enrolled (in `active_list` or `pending`).
-    active: Vec<bool>,
-    /// Enrolled switches in ascending order; the per-cycle worklist.
-    active_list: Vec<u32>,
-    /// Switches that gained their first flit since the last sweep.
-    pending: Vec<u32>,
-    /// Scratch for merging `pending` into `active_list`.
-    list_scratch: Vec<u32>,
+    /// The active set: bit `v % 64` of word `v / 64` is set iff switch `v`
+    /// is enrolled (holds at least one flit).
+    active: Vec<u64>,
+    /// Copy of `active` taken at sweep start; the sweep walks it, so
+    /// switches enrolled mid-sweep wait for the next cycle.
+    active_snap: Vec<u64>,
+    /// Whether a switch enrolled since the last sweep started.
+    newly_enrolled: bool,
     /// Sources with a nonempty source queue.
     src_list: Vec<u32>,
     /// Membership flags for `src_list`.
@@ -367,11 +372,12 @@ pub struct NetworkSim<'a> {
     /// it), never stale-high.
     next_due: u64,
 
-    /// Reusable per-cycle MAC holder snapshot.
+    /// Per-cycle MAC holder snapshot.
     mac_holders: Vec<Option<NodeId>>,
-    /// Reusable per-cycle channel-used flags.
+    /// Per-cycle channel-used flags.
     mac_used: Vec<bool>,
-    /// Reusable per-switch output-port-used scratch (max port count).
+    /// Output-port-used flags of the switch being processed (max port
+    /// count).
     out_used: Vec<bool>,
 
     /// Switches currently parked *with a ready front* (blocked): the only
@@ -614,11 +620,9 @@ impl<'a> NetworkSim<'a> {
             switch_pj,
             wi_channel,
             inject_vc,
-            buffered: vec![0; n],
-            active: vec![false; n],
-            active_list: Vec::with_capacity(n),
-            pending: Vec::with_capacity(n),
-            list_scratch: Vec::with_capacity(n),
+            active: vec![0; n.div_ceil(64)],
+            active_snap: Vec::with_capacity(n.div_ceil(64)),
+            newly_enrolled: false,
             src_list: Vec::with_capacity(n),
             src_listed: vec![false; n],
             src_blocked: vec![false; n],
@@ -650,7 +654,6 @@ impl<'a> NetworkSim<'a> {
             cfg,
             domains,
             now: 0,
-            next_packet: 0,
             measure_start: 0,
             measure_end: u64::MAX,
             injected_measured: 0,
@@ -743,15 +746,12 @@ impl<'a> NetworkSim<'a> {
             q.clear();
         }
         self.now = 0;
-        self.next_packet = 0;
         self.injected_measured = 0;
         self.delivered_measured = 0;
         self.stats = NetworkStats::default();
         self.link_flits.fill(0);
-        self.buffered.fill(0);
-        self.active.fill(false);
-        self.active_list.clear();
-        self.pending.clear();
+        self.active.fill(0);
+        self.newly_enrolled = false;
         self.src_list.clear();
         self.src_listed.fill(false);
         self.src_blocked.fill(false);
@@ -860,7 +860,7 @@ impl<'a> NetworkSim<'a> {
             // to the next wake, scheduled injection or phase end, every
             // cycle is idle token-MAC bookkeeping — consume the stretch in
             // closed form.
-            if self.src_list.is_empty() && self.pending.is_empty() && self.next_due > self.now {
+            if self.src_list.is_empty() && !self.newly_enrolled && self.next_due > self.now {
                 let next_event = sched.get(pos).map_or(u64::MAX, |e| e.cycle);
                 let phase_end = if self.now < end { end } else { drain_end };
                 let target = self.next_due.min(next_event).min(phase_end);
@@ -912,8 +912,7 @@ impl<'a> NetworkSim<'a> {
         for m in &self.macs {
             out.push(m.holder().map_or(u64::MAX, |h| h.index() as u64));
         }
-        for &v in self.active_list.iter().chain(&self.pending) {
-            let v = v as usize;
+        for v in (0..self.topo.len()).filter(|&v| self.active[v / 64] & (1 << (v % 64)) != 0) {
             let c = self.clock_class[v] as usize;
             out.push(v as u64);
             out.push(self.class_acc[c].to_bits());
@@ -999,14 +998,10 @@ impl<'a> NetworkSim<'a> {
             }
             *pos += 1;
             let s = e.src as usize;
-            let id = PacketId(self.next_packet);
-            self.next_packet += 1;
             if self.now >= self.measure_start && self.now < self.measure_end {
                 self.injected_measured += 1;
             }
             self.src_q[s].extend(flit_sequence(
-                id,
-                NodeId(s),
                 NodeId(e.dest as usize),
                 self.cfg.packet_len,
                 self.now,
@@ -1042,15 +1037,11 @@ impl<'a> NetworkSim<'a> {
                     f.ready_at = f.ready_at.max(self.now + self.cfg.router_delay);
                     let ready = f.ready_at;
                     self.fabric.push_back(slot, f);
-                    self.buffered[s] += 1;
                     self.moves_last_step += 1;
                     if self.wake[s] > ready {
                         self.wake[s] = ready;
                     }
-                    if !self.active[s] {
-                        self.active[s] = true;
-                        self.pending.push(s as u32);
-                    }
+                    self.enroll(s);
                 }
             } else {
                 self.src_blocked[s] = true;
@@ -1066,89 +1057,101 @@ impl<'a> NetworkSim<'a> {
         src_list.truncate(keep);
         self.src_list = src_list;
 
-        // 3. MAC: snapshot holders and usage flags per channel.
-        let mut holders = std::mem::take(&mut self.mac_holders);
-        holders.clear();
-        holders.extend(self.macs.iter().map(ChannelMac::holder));
-        let mut channel_used = std::mem::take(&mut self.mac_used);
-        channel_used.clear();
-        channel_used.resize(self.macs.len(), false);
+        // 3. MAC: snapshot holders and clear usage flags per channel.
+        self.mac_holders.clear();
+        self.mac_holders
+            .extend(self.macs.iter().map(ChannelMac::holder));
+        self.mac_used.clear();
+        self.mac_used.resize(self.macs.len(), false);
 
-        // 4. Enroll switches that gained their first flit since the last
-        //    sweep (same-cycle injections included, for router_delay = 0).
-        self.merge_pending();
+        // 4. Switch operation, ascending over the active set (same-cycle
+        //    injections included, for router_delay = 0). A switch's clock
+        //    catches up lazily right before it is consulted, and a switch
+        //    whose `wake` lies in the future is skipped outright (clocking
+        //    it is a proven no-op). Switches that end the sweep empty are
+        //    dropped and re-enroll on arrival.
+        self.sweep();
 
-        // 5. Switch operation, ascending over the active set. A switch's
-        //    clock catches up lazily right before it is consulted, and a
-        //    switch whose `wake` lies in the future is skipped outright
-        //    (clocking it is a proven no-op). Switches that end the sweep
-        //    empty are dropped and re-enroll on arrival.
-        self.sweep(&holders, &mut channel_used);
-
-        // 6. MAC bookkeeping.
+        // 5. MAC bookkeeping.
         for (c, mac) in self.macs.iter_mut().enumerate() {
-            let holds_packet = mac_holds_packet(&self.ports, &self.fabric, holders[c]);
-            mac.end_cycle(channel_used[c], holds_packet);
+            let holds_packet = mac_holds_packet(&self.ports, &self.fabric, self.mac_holders[c]);
+            mac.end_cycle(self.mac_used[c], holds_packet);
         }
-        self.mac_holders = holders;
-        self.mac_used = channel_used;
 
         self.now += 1;
     }
 
-    /// The switch sweep: ascending over the active list, due switches
-    /// processed, drained switches dropped in place.
+    /// Enrolls switch `v` in the active set (a no-op when enrolled).
+    #[inline(always)]
+    fn enroll(&mut self, v: usize) {
+        let (w, bit) = (v / 64, 1u64 << (v % 64));
+        if self.active[w] & bit == 0 {
+            self.active[w] |= bit;
+            self.newly_enrolled = true;
+        }
+    }
+
+    /// The switch sweep: ascending over a snapshot of the active set taken
+    /// at sweep start, due switches processed, drained switches dropped.
+    /// A switch enrolled mid-sweep is left for the next cycle; its first
+    /// flit is still in the router pipeline, so it has nothing to do now.
     ///
-    /// `next_due` is rebuilt inline: the compaction scan folds in each
-    /// kept switch's wake right after it is processed, and the wake
-    /// writes that can touch a switch *earlier* in the list (a push into
-    /// a lower-numbered or pending switch, a park rearm of a lower wire
-    /// peer — both in `try_advance`) fold their lowered value in at the
-    /// write. The result may sit below the true minimum when a push
+    /// `next_due` is rebuilt inline: the walk folds in each kept switch's
+    /// wake right after it is processed, and the wake writes that can
+    /// touch a switch the walk has passed or will never reach (a push into
+    /// a lower-numbered or newly enrolled switch, a park rearm of a lower
+    /// wire peer — both in `try_advance`) fold their lowered value in at
+    /// the write. The result may sit below the true minimum when a push
     /// lowers a due switch that is later processed and re-armed higher —
     /// i.e. `next_due` stays stale-low-never-stale-high: a wasted sweep
     /// recomputes it, and no switch with work is ever skipped.
-    fn sweep(&mut self, holders: &[Option<NodeId>], channel_used: &mut [bool]) {
-        let mut list = std::mem::take(&mut self.active_list);
-        let mut out_used = std::mem::take(&mut self.out_used);
-        let mut keep = 0;
+    fn sweep(&mut self) {
+        let mut snap = std::mem::take(&mut self.active_snap);
+        snap.clear();
+        snap.extend_from_slice(&self.active);
+        self.newly_enrolled = false;
         self.next_due = u64::MAX;
         let uniform = self.uniform_full_speed;
-        for r in 0..list.len() {
-            let v = list[r] as usize;
-            debug_assert!(self.buffered[v] > 0, "enrolled switches hold flits");
-            if self.wake[v] <= self.now {
-                // At uniform full speed the single class clock trivially
-                // fires; keep only its lazy cursor in sync (the writes
-                // `clock_fires` would make) and skip the class lookup.
-                let fires = if uniform {
-                    if self.class_next[0] <= self.now {
-                        self.class_next[0] = self.now + 1;
-                        self.class_fires[0] = true;
+        for (w, &word) in snap.iter().enumerate() {
+            let mut m = word;
+            while m != 0 {
+                let bit = m & m.wrapping_neg();
+                m ^= bit;
+                let v = w * 64 + bit.trailing_zeros() as usize;
+                debug_assert!(
+                    self.fabric.holds_flits(NodeId(v)),
+                    "enrolled switches hold flits"
+                );
+                if self.wake[v] <= self.now {
+                    // At uniform full speed the single class clock
+                    // trivially fires; keep only its lazy cursor in sync
+                    // (the writes `clock_fires` would make) and skip the
+                    // class lookup.
+                    let fires = if uniform {
+                        if self.class_next[0] <= self.now {
+                            self.class_next[0] = self.now + 1;
+                            self.class_fires[0] = true;
+                        }
+                        true
+                    } else {
+                        self.clock_fires(v)
+                    };
+                    if fires {
+                        self.process_switch(v);
+                    } else {
+                        // The clock sat out this cycle: retry on the next
+                        // one, exactly as a per-cycle sweep would.
+                        self.wake[v] = self.now + 1;
                     }
-                    true
+                }
+                if self.fabric.holds_flits(NodeId(v)) {
+                    self.next_due = self.next_due.min(self.wake[v]);
                 } else {
-                    self.clock_fires(v)
-                };
-                if fires {
-                    self.process_switch(NodeId(v), holders, channel_used, &mut out_used);
-                } else {
-                    // The clock sat out this cycle: retry on the next one,
-                    // exactly as a per-cycle sweep would.
-                    self.wake[v] = self.now + 1;
+                    self.active[w] &= !bit;
                 }
             }
-            if self.buffered[v] > 0 {
-                list[keep] = v as u32;
-                keep += 1;
-                self.next_due = self.next_due.min(self.wake[v]);
-            } else {
-                self.active[v] = false;
-            }
         }
-        list.truncate(keep);
-        self.active_list = list;
-        self.out_used = out_used;
+        self.active_snap = snap;
     }
 
     /// Catches switch `v`'s fractional clock up to the current cycle and
@@ -1183,33 +1186,8 @@ impl<'a> NetworkSim<'a> {
         self.class_fires[c]
     }
 
-    /// Merges newly enrolled switches into the sorted active list.
-    fn merge_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let mut merged = std::mem::take(&mut self.list_scratch);
-        merged.clear();
-        merged.reserve(self.active_list.len() + self.pending.len());
-        let (a, b) = (&self.active_list, &self.pending);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i] < b[j] {
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.pending.clear();
-        self.list_scratch = std::mem::replace(&mut self.active_list, merged);
-    }
-
     /// Translates an escape-table entry into a concrete route (down-VC 0).
+    #[inline(always)]
     fn escape_route(&self, v: NodeId, phase: Phase, dest: NodeId) -> (OutRoute, Phase) {
         let p = match phase {
             Phase::Up => 0,
@@ -1227,13 +1205,8 @@ impl<'a> NetworkSim<'a> {
     /// The third return is the fault-model divert flag: `true` when the
     /// packet leaves the wireless tree for the wireline-only fallback tree
     /// at this hop (it commits onto the flit only when the move succeeds).
-    fn route_head(
-        &self,
-        v: NodeId,
-        vc: usize,
-        f: &Flit,
-        out_used: &[bool],
-    ) -> (OutRoute, Option<Phase>, bool) {
+    #[inline(always)]
+    fn route_head(&self, v: NodeId, vc: usize, f: &Flit) -> (OutRoute, Option<Phase>, bool) {
         if f.dest == v {
             return (
                 OutRoute {
@@ -1291,7 +1264,7 @@ impl<'a> NetworkSim<'a> {
             }
             // Wired ports are 1..=degree in sorted neighbour order.
             let o = i + 1;
-            if out_used[o] {
+            if self.out_used[o] {
                 continue;
             }
             let (_, wp) = self.ports.wire_peer(v, o);
@@ -1329,51 +1302,45 @@ impl<'a> NetworkSim<'a> {
     }
 
     /// Moves flits through one switch for one of its active cycles.
-    fn process_switch(
-        &mut self,
-        v: NodeId,
-        holders: &[Option<NodeId>],
-        channel_used: &mut [bool],
-        out_used: &mut [bool],
-    ) {
-        let ports = self.ports.port_count(v);
+    fn process_switch(&mut self, v: usize) {
+        let ports = self.ports.port_count(NodeId(v));
         let vcs = self.cfg.vcs;
-        let sb = self.fabric.switch_base(v);
-        out_used[..ports].fill(false);
+        let sb = self.fabric.switch_base(NodeId(v));
+        self.out_used[..ports].fill(false);
         let masks = self.fabric.occ_masks_enabled();
 
-        // Pass A: continue established wormholes. Only an occupied slot
-        // can move, and `v`'s occupancy never grows while `v` is being
-        // processed (no switch pushes into itself), so iterating the set
-        // bits of the occupancy mask visits exactly the slots whose probe
-        // in the positional scan could succeed, in the same ascending
-        // order — slots that empty mid-pass are re-filtered by the fresh
-        // `front_ready` check either way.
+        // Pass A: continue established wormholes. Only an occupied, bound
+        // slot can move, and while `v` is processed its occupancy never
+        // grows (no switch pushes into itself) and a slot's binding changes
+        // only in its own probe. So the set bits of `occ & bound` are
+        // exactly the slots whose positional probe could succeed, in the
+        // same ascending order; slots that empty mid-pass are re-filtered
+        // by the fresh `front_ready` check either way.
         let mut any_moved = false;
         if masks {
-            let mut m = self.fabric.occ_mask(v);
+            let mut m = self.fabric.occ_mask(NodeId(v)) & self.fabric.bound_mask(NodeId(v));
             while m != 0 {
                 let local = m.trailing_zeros() as usize;
                 m &= m - 1;
-                any_moved |=
-                    self.continue_wormhole(v, sb, sb + local, holders, channel_used, out_used);
+                any_moved |= self.continue_wormhole(v, sb, local);
             }
         } else {
-            for slot in sb..sb + ports * vcs {
-                any_moved |= self.continue_wormhole(v, sb, slot, holders, channel_used, out_used);
+            for local in 0..ports * vcs {
+                any_moved |= self.continue_wormhole(v, sb, local);
             }
         }
 
         // Pass B: route new head flits, round-robin over input ports
         // (escape VC first within a port, so draining traffic keeps
-        // priority over fresh adaptive traffic). The masked variant
-        // rotates the occupancy mask by whole ports so its set bits
+        // priority over fresh adaptive traffic). The masked variant walks
+        // the occupied unbound slots (`occ & !bound`, read after Pass A
+        // released its tails), rotated by whole ports so its set bits
         // enumerate in exactly the positional scan's order: cyclic ports
         // starting at `rr_next`, ascending VCs within a port.
-        let rr = self.fabric.rr_next[v.index()] as usize;
+        let rr = self.fabric.rr_next[v] as usize;
         if masks {
             let w = ports * vcs;
-            let m0 = self.fabric.occ_mask(v);
+            let m0 = self.fabric.occ_mask(NodeId(v)) & !self.fabric.bound_mask(NodeId(v));
             let s = rr * vcs;
             let mut m = if s == 0 {
                 m0
@@ -1388,19 +1355,21 @@ impl<'a> NetworkSim<'a> {
                 if local >= w {
                     local -= w;
                 }
-                let (p, vc) = (local / vcs, local % vcs);
-                if self.route_new_head(v, sb, p, vc, holders, channel_used, out_used) {
+                let (p, vc) = self.split_slot(local);
+                if self.route_new_head(v, sb, p, vc) {
                     any_moved = true;
-                    self.fabric.rr_next[v.index()] = ((p + 1) % ports) as u32;
+                    self.fabric.rr_next[v] = if p + 1 == ports { 0 } else { p as u32 + 1 };
                 }
             }
         } else {
             let mut p = rr;
             for _ in 0..ports {
                 for vc in 0..vcs {
-                    if self.route_new_head(v, sb, p, vc, holders, channel_used, out_used) {
+                    if !self.fabric.in_route_set(sb + p * vcs + vc)
+                        && self.route_new_head(v, sb, p, vc)
+                    {
                         any_moved = true;
-                        self.fabric.rr_next[v.index()] = ((p + 1) % ports) as u32;
+                        self.fabric.rr_next[v] = if p + 1 == ports { 0 } else { p as u32 + 1 };
                     }
                 }
                 p += 1;
@@ -1424,101 +1393,73 @@ impl<'a> NetworkSim<'a> {
         // hazard counters, so every ready front retries per-cycle.
         let mut ready_now = false;
         let mut fut_min = u64::MAX;
+        let mut probe = |r: u64| {
+            if r <= self.now {
+                ready_now = true;
+            } else if r < fut_min {
+                fut_min = r;
+            }
+        };
         if masks {
             // Empty slots report `front_ready == MAX` and influence
             // neither bound, so only the occupied slots need probing.
-            let mut m = self.fabric.occ_mask(v);
+            let mut m = self.fabric.occ_mask(NodeId(v));
             while m != 0 {
                 let local = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let r = self.fabric.front_ready(sb + local);
-                if r <= self.now {
-                    ready_now = true;
-                } else if r < fut_min {
-                    fut_min = r;
-                }
+                probe(self.fabric.front_ready(sb + local));
             }
         } else {
             for slot in sb..sb + ports * vcs {
-                let r = self.fabric.front_ready(slot);
-                if r <= self.now {
-                    ready_now = true;
-                } else if r < fut_min {
-                    fut_min = r;
-                }
+                probe(self.fabric.front_ready(slot));
             }
         }
-        let parkable =
-            self.faults.is_none() && !any_moved && self.wi_channel[v.index()] == u32::MAX;
-        self.parked[v.index()] = ready_now && parkable;
-        self.wake[v.index()] = if ready_now && !parkable {
+        let parkable = self.faults.is_none() && !any_moved && self.wi_channel[v] == u32::MAX;
+        self.parked[v] = ready_now && parkable;
+        self.wake[v] = if ready_now && !parkable {
             self.now + 1
         } else {
             fut_min
         };
     }
 
+    /// Splits switch-local slot index `local` into `(port, vc)`; a plain
+    /// identity at one VC, the common case.
+    #[inline(always)]
+    fn split_slot(&self, local: usize) -> (usize, usize) {
+        let vcs = self.cfg.vcs;
+        if vcs == 1 {
+            (local, 0)
+        } else {
+            (local / vcs, local % vcs)
+        }
+    }
+
     /// One Pass-A probe of [`NetworkSim::process_switch`]: continues the
-    /// wormhole bound to `slot` when its front is ready and its output
-    /// port is still free this cycle. Returns whether a flit moved.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn continue_wormhole(
-        &mut self,
-        v: NodeId,
-        sb: usize,
-        slot: usize,
-        holders: &[Option<NodeId>],
-        channel_used: &mut [bool],
-        out_used: &mut [bool],
-    ) -> bool {
+    /// wormhole bound to switch-local slot `local` when its front is ready
+    /// and its output port is still free this cycle. Returns whether a
+    /// flit moved.
+    #[inline(always)]
+    fn continue_wormhole(&mut self, v: usize, sb: usize, local: usize) -> bool {
+        let slot = sb + local;
         let Some(route) = self.fabric.in_route(slot) else {
             return false;
         };
-        if out_used[route.out_port] {
-            return false;
-        }
-        if self.fabric.front_ready(slot) > self.now {
+        if self.out_used[route.out_port] || self.fabric.front_ready(slot) > self.now {
             return false;
         }
         let f = *self.fabric.front(slot).expect("ready slot has a front");
-        let local = slot - sb;
-        let vcs = self.cfg.vcs;
-        self.try_advance(
-            v,
-            local / vcs,
-            local % vcs,
-            f,
-            route,
-            None,
-            out_used,
-            holders,
-            channel_used,
-            false,
-            false,
-        )
+        let (p, vc) = self.split_slot(local);
+        self.try_advance(v, p, vc, f, route, None, false, false)
     }
 
     /// One Pass-B probe of [`NetworkSim::process_switch`]: routes the new
-    /// head flit at input `(p, vc)` when one is ready and unbound, and its
+    /// head flit at unbound input `(p, vc)` when one is ready, and its
     /// chosen output is free. Returns whether a flit moved.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn route_new_head(
-        &mut self,
-        v: NodeId,
-        sb: usize,
-        p: usize,
-        vc: usize,
-        holders: &[Option<NodeId>],
-        channel_used: &mut [bool],
-        out_used: &mut [bool],
-    ) -> bool {
+    #[inline(always)]
+    fn route_new_head(&mut self, v: usize, sb: usize, p: usize, vc: usize) -> bool {
         let vcs = self.cfg.vcs;
         let slot = sb + p * vcs + vc;
-        if self.fabric.in_route_set(slot) {
-            return false;
-        }
         if self.fabric.front_ready(slot) > self.now {
             return false;
         }
@@ -1526,24 +1467,12 @@ impl<'a> NetworkSim<'a> {
         if !f.kind.is_head() {
             return false;
         }
-        let (route, next_phase, divert) = self.route_head(v, vc, &f, out_used);
+        let (route, next_phase, divert) = self.route_head(NodeId(v), vc, &f);
         let o = route.out_port;
-        if out_used[o] || self.fabric.out_owner_set(sb + o * vcs + route.down_vc) {
+        if self.out_used[o] || self.fabric.out_owner_set(sb + o * vcs + route.down_vc) {
             return false;
         }
-        self.try_advance(
-            v,
-            p,
-            vc,
-            f,
-            route,
-            next_phase,
-            out_used,
-            holders,
-            channel_used,
-            true,
-            divert,
-        )
+        self.try_advance(v, p, vc, f, route, next_phase, true, divert)
     }
 
     /// Attempts to move flit `f` — the validated (ready, front-of-queue)
@@ -1552,25 +1481,23 @@ impl<'a> NetworkSim<'a> {
     /// Head flits take `next_phase` with them only when the move succeeds
     /// (a blocked flit must keep its pre-hop routing state). Returns
     /// whether the flit moved.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn try_advance(
         &mut self,
-        v: NodeId,
+        v: usize,
         p: usize,
         vc: usize,
         f: Flit,
         route: OutRoute,
-        next_phase: Option<crate::routing::Phase>,
-        out_used: &mut [bool],
-        holders: &[Option<NodeId>],
-        channel_used: &mut [bool],
+        next_phase: Option<Phase>,
         is_new_packet: bool,
         divert: bool,
     ) -> bool {
         let o = route.out_port;
-        debug_assert!(!out_used[o], "caller reserves the output port");
+        debug_assert!(!self.out_used[o], "caller reserves the output port");
         let vcs = self.cfg.vcs;
-        let sb = self.fabric.switch_base(v);
+        let sb = self.fabric.switch_base(NodeId(v));
         let slot = sb + p * vcs + vc;
         debug_assert_eq!(self.fabric.front(slot), Some(&f));
         debug_assert!(f.ready_at <= self.now);
@@ -1582,10 +1509,10 @@ impl<'a> NetworkSim<'a> {
 
         let dest = if o == PORT_LOCAL {
             Dest::Eject
-        } else if Some(o) == self.ports.wireless_port(v) {
+        } else if Some(o) == self.ports.wireless_port(NodeId(v)) {
             let to = route.wireless_to.expect("wireless route carries target");
-            let ch = self.wi_channel[v.index()] as usize;
-            if holders[ch] != Some(v) || channel_used[ch] {
+            let ch = self.wi_channel[v] as usize;
+            if self.mac_holders[ch] != Some(NodeId(v)) || self.mac_used[ch] {
                 return false;
             }
             let tp = self
@@ -1605,23 +1532,21 @@ impl<'a> NetworkSim<'a> {
                 fl.attempts[ch] += 1;
                 if fl.plan.link_corrupts(ch, attempt) {
                     fl.counts.flit_corruptions += 1;
-                    fl.consec[v.index()] += 1;
-                    if fl.consec[v.index()] >= fl.plan.wi_fallback_threshold()
-                        && !fl.disabled[v.index()]
-                    {
-                        fl.disabled[v.index()] = true;
+                    fl.consec[v] += 1;
+                    if fl.consec[v] >= fl.plan.wi_fallback_threshold() && !fl.disabled[v] {
+                        fl.disabled[v] = true;
                         fl.counts.wi_fallbacks += 1;
                     }
-                    channel_used[ch] = true;
+                    self.mac_used[ch] = true;
                     if self.measured(&f) {
                         // The corrupted transfer still radiated.
                         self.stats.energy.wireless_pj += self.energy_model.wireless_energy_pj();
                     }
                     return false;
                 }
-                fl.consec[v.index()] = 0;
+                fl.consec[v] = 0;
             }
-            let penalty = if self.domains[v.index()] != self.domains[to.index()] {
+            let penalty = if self.domains[v] != self.domains[to.index()] {
                 self.cfg.sync_penalty
             } else {
                 0
@@ -1634,11 +1559,11 @@ impl<'a> NetworkSim<'a> {
                 true,
             )
         } else {
-            let (w, wp) = self.ports.wire_peer(v, o);
+            let (w, wp) = self.ports.wire_peer(NodeId(v), o);
             if self.fabric.space(self.fabric.slot(w, wp, route.down_vc)) == 0 {
                 return false;
             }
-            let i = self.ports.flat_index(v, o);
+            let i = self.ports.flat_index(NodeId(v), o);
             Dest::Into(w, wp, self.port_penalty[i], self.wire_energy[i], false)
         };
 
@@ -1647,32 +1572,28 @@ impl<'a> NetworkSim<'a> {
         let mut f = f;
         let was_full = self.fabric.space(slot) == 0;
         self.fabric.pop_front(slot);
-        self.buffered[v.index()] -= 1;
         if p == PORT_LOCAL && vc == self.inject_vc {
-            self.src_blocked[v.index()] = false;
+            self.src_blocked[v] = false;
         } else if self.faults.is_none()
             && was_full
             && p != PORT_LOCAL
-            && Some(p) != self.ports.wireless_port(v)
+            && Some(p) != self.ports.wireless_port(NodeId(v))
         {
             // Popping a full wired slot is the only event that can unblock
             // the wire peer behind it (the peer is also the only switch
             // whose adaptive route choice reads this slot's space). A peer
             // later in this cycle's ascending sweep still gets consulted
             // *this* cycle — exactly as the per-cycle retry would.
-            let (u, _) = self.ports.wire_peer(v, p);
-            if self.parked[u.index()] {
-                let t = if u.index() > v.index() {
-                    self.now
-                } else {
-                    self.now + 1
-                };
-                if self.wake[u.index()] > t {
-                    self.wake[u.index()] = t;
-                    if u.index() < v.index() {
-                        // `u` was already compacted this sweep; fold its
+            let (u, _) = self.ports.wire_peer(NodeId(v), p);
+            let u = u.index();
+            if self.parked[u] {
+                let t = if u > v { self.now } else { self.now + 1 };
+                if self.wake[u] > t {
+                    self.wake[u] = t;
+                    if u < v {
+                        // `u` was already passed this sweep; fold its
                         // lowered wake into `next_due`. A higher peer is
-                        // folded when its own compaction slot comes around.
+                        // folded when the walk reaches it.
                         self.next_due = self.next_due.min(t);
                     }
                 }
@@ -1686,7 +1607,7 @@ impl<'a> NetworkSim<'a> {
             f.wired_fallback = true;
         }
         if measured {
-            self.stats.energy.switch_pj += self.switch_pj[v.index()];
+            self.stats.energy.switch_pj += self.switch_pj[v];
         }
         match dest {
             Dest::Eject => {
@@ -1715,31 +1636,28 @@ impl<'a> NetworkSim<'a> {
                         if route.down_vc > 0 {
                             self.stats.adaptive_flit_hops += 1;
                         }
-                        self.link_flits[self.ports.flat_index(v, o)] += 1;
+                        self.link_flits[self.ports.flat_index(NodeId(v), o)] += 1;
                     }
                 }
                 if wireless {
-                    channel_used[self.wi_channel[v.index()] as usize] = true;
+                    self.mac_used[self.wi_channel[v] as usize] = true;
                 }
                 let wslot = self.fabric.slot(w, wp, route.down_vc);
                 self.fabric.push_back(wslot, f);
-                self.buffered[w.index()] += 1;
-                if self.wake[w.index()] > ready {
-                    self.wake[w.index()] = ready;
+                let w = w.index();
+                if self.wake[w] > ready {
+                    self.wake[w] = ready;
                 }
                 // Fold the receiver's (possibly just-lowered) wake into
-                // `next_due`: `w` may already be compacted or sitting in
-                // `pending`, where the compaction scan cannot see it. For a
-                // receiver processed later this sweep the fold is merely
-                // conservative (stale-low).
-                self.next_due = self.next_due.min(self.wake[w.index()]);
-                if !self.active[w.index()] {
-                    self.active[w.index()] = true;
-                    self.pending.push(w.index() as u32);
-                }
+                // `next_due`: the walk may have passed `w` already, or `w`
+                // may be enrolled only now and absent from the walk's
+                // snapshot. For a receiver processed later this sweep the
+                // fold is merely conservative (stale-low).
+                self.next_due = self.next_due.min(self.wake[w]);
+                self.enroll(w);
             }
         }
-        out_used[o] = true;
+        self.out_used[o] = true;
 
         // Wormhole bookkeeping.
         let oslot = sb + o * vcs + route.down_vc;
@@ -1758,7 +1676,6 @@ impl<'a> NetworkSim<'a> {
         }
         true
     }
-
     /// Total flits currently buffered anywhere in the network (diagnostics).
     pub fn buffered_flits(&self) -> usize {
         self.fabric.occupancy() + self.src_q.iter().map(VecDeque::len).sum::<usize>()
@@ -2082,6 +1999,32 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::InvalidConfig);
+    }
+
+    #[test]
+    fn invalid_config_message_names_every_cause() {
+        let cfg = SimConfig {
+            vcs: 0,
+            ..SimConfig::default()
+        };
+        let err = NetworkSim::new(
+            mesh(2, 2, 1.0),
+            WirelessOverlay::none(),
+            RoutingTable::xy(2, 2),
+            EnergyModel::default_65nm(),
+            cfg,
+        )
+        .unwrap_err();
+        assert_eq!(err, SimError::InvalidConfig);
+        let msg = err.to_string();
+        for cause in [
+            "buffer depths",
+            "packet length",
+            "VC count",
+            "adaptive routing",
+        ] {
+            assert!(msg.contains(cause), "{msg:?} should name {cause:?}");
+        }
     }
 
     fn adaptive_mesh_sim(cols: usize, rows: usize) -> NetworkSim<'static> {

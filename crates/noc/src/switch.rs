@@ -25,7 +25,7 @@
 //! vectors, and a cross-switch access (the downstream credit check on every
 //! hop) lands in the same few arrays as the local state.
 
-use crate::flit::{Flit, FlitKind, PacketId};
+use crate::flit::{Flit, FlitKind};
 use crate::node::NodeId;
 use crate::routing::Phase;
 use crate::topology::wireless::WirelessOverlay;
@@ -231,6 +231,11 @@ pub struct FabricState {
     /// per-cycle sweeps iterate set bits instead of probing every slot.
     /// Only maintained while `masks_ok` (every switch fits in 64 bits).
     occ: Box<[u64]>,
+    /// Per-switch bound-slot bitmask, laid out like `occ`: bit set iff the
+    /// slot has a wormhole binding (`in_route`). Maintained by
+    /// `set_in_route` while `masks_ok`, so the switch passes can split the
+    /// occupied slots into bound (continue) and unbound (route) ones.
+    bound: Box<[u64]>,
     /// Owning switch of each slot (for the occupancy-bit updates).
     slot_sw: Box<[u32]>,
     /// Whether every switch has ≤ 64 slots, i.e. `occ` is usable.
@@ -241,9 +246,7 @@ pub struct FabricState {
 /// Filler for unoccupied ring positions (never observed: `len` guards all
 /// reads).
 const PLACEHOLDER: Flit = Flit {
-    packet: PacketId(0),
     kind: FlitKind::HeadTail,
-    src: NodeId(0),
     dest: NodeId(0),
     phase: Phase::Up,
     created: 0,
@@ -284,6 +287,7 @@ impl FabricState {
         }
         FabricState {
             occ: vec![0; switches].into_boxed_slice(),
+            bound: vec![0; switches].into_boxed_slice(),
             slot_sw: slot_sw.into_boxed_slice(),
             masks_ok: max_slots <= 64,
             sbase,
@@ -336,7 +340,7 @@ impl FabricState {
     }
 
     /// The oldest flit queued in slot `s`, if any.
-    #[inline]
+    #[inline(always)]
     pub fn front(&self, s: usize) -> Option<&Flit> {
         if self.len[s] == 0 {
             None
@@ -351,7 +355,7 @@ impl FabricState {
     ///
     /// Panics (in debug) if the ring is full; callers check
     /// [`FabricState::space`] first.
-    #[inline]
+    #[inline(always)]
     pub fn push_back(&mut self, s: usize, f: Flit) {
         let cap = self.cap(s);
         debug_assert!(self.len[s] < cap, "input FIFO overflow at slot {s}");
@@ -385,6 +389,24 @@ impl FabricState {
         self.occ[v.index()]
     }
 
+    /// Bound-slot bitmask of switch `v`: bit `i` set iff slot
+    /// `switch_base(v) + i` has a wormhole binding. Meaningful only while
+    /// [`FabricState::occ_masks_enabled`].
+    #[inline]
+    pub fn bound_mask(&self, v: NodeId) -> u64 {
+        self.bound[v.index()]
+    }
+
+    /// Whether any slot of switch `v` holds a flit.
+    #[inline(always)]
+    pub fn holds_flits(&self, v: NodeId) -> bool {
+        if self.masks_ok {
+            self.occ[v.index()] != 0
+        } else {
+            self.slots_of(v).any(|s| self.len[s] > 0)
+        }
+    }
+
     /// `ready_at` of the front flit in slot `s`, `u64::MAX` when empty.
     #[inline]
     pub fn front_ready(&self, s: usize) -> u64 {
@@ -392,7 +414,7 @@ impl FabricState {
     }
 
     /// The wormhole binding of input slot `s`, if any.
-    #[inline]
+    #[inline(always)]
     pub fn in_route(&self, s: usize) -> Option<OutRoute> {
         let w = self.in_route[s];
         if w & (1 << 31) == 0 {
@@ -414,8 +436,17 @@ impl FabricState {
     }
 
     /// Binds or clears the wormhole route of input slot `s`.
-    #[inline]
+    #[inline(always)]
     pub fn set_in_route(&mut self, s: usize, route: Option<OutRoute>) {
+        if self.masks_ok {
+            let sw = self.slot_sw[s] as usize;
+            let bit = 1 << (s as u32 - self.sbase[sw]);
+            if route.is_some() {
+                self.bound[sw] |= bit;
+            } else {
+                self.bound[sw] &= !bit;
+            }
+        }
         self.in_route[s] = match route {
             None => 0,
             Some(r) => {
@@ -450,7 +481,7 @@ impl FabricState {
     }
 
     /// Assigns or releases ownership of output slot `s`.
-    #[inline]
+    #[inline(always)]
     pub fn set_out_owner(&mut self, s: usize, owner: Option<Owner>) {
         self.out_owner[s] = match owner {
             None => 0,
@@ -462,7 +493,7 @@ impl FabricState {
     }
 
     /// Removes and returns the oldest flit queued in slot `s`.
-    #[inline]
+    #[inline(always)]
     pub fn pop_front(&mut self, s: usize) -> Option<Flit> {
         if self.len[s] == 0 {
             return None;
@@ -488,7 +519,7 @@ impl FabricState {
 
     /// Free space in the input FIFO at slot `s` (its ring capacity is its
     /// credit limit).
-    #[inline]
+    #[inline(always)]
     pub fn space(&self, s: usize) -> usize {
         (self.cap(s) - self.len[s]) as usize
     }
@@ -508,6 +539,7 @@ impl FabricState {
         self.out_owner.fill(0);
         self.rr_next.fill(0);
         self.occ.fill(0);
+        self.bound.fill(0);
     }
 }
 
@@ -616,10 +648,7 @@ mod tests {
         assert_eq!(f.space(f.slot(NodeId(4), wp, 0)), 8);
         assert_eq!(f.space(f.slot(NodeId(4), wp, 1)), 8);
         let slot = f.slot(NodeId(4), wp, 1);
-        f.push_back(
-            slot,
-            crate::flit::flits_of(crate::flit::PacketId(0), NodeId(0), NodeId(1), 1, 0)[0],
-        );
+        f.push_back(slot, crate::flit::flits_of(NodeId(1), 1, 0)[0]);
         assert_eq!(f.space(f.slot(NodeId(4), wp, 1)), 7);
         assert_eq!(f.space(f.slot(NodeId(4), wp, 0)), 8);
         assert_eq!(f.space(f.slot(NodeId(4), 1, 0)), 2);
@@ -648,8 +677,7 @@ mod tests {
         let (_, mut f) = fabric_for(&WirelessOverlay::none(), 1, 3, 3);
         let s = f.slot(NodeId(0), 1, 0);
         let mk = |i: u64| {
-            let mut fl =
-                crate::flit::flits_of(crate::flit::PacketId(i), NodeId(0), NodeId(1), 1, 0)[0];
+            let mut fl = crate::flit::flits_of(NodeId(1), 1, 0)[0];
             fl.created = i;
             fl
         };

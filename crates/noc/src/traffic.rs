@@ -7,8 +7,8 @@
 //! expectation while keeping per-cycle work `O(n)`.
 
 use crate::node::NodeId;
-use mapwave_harness::rng::RngExt;
 use mapwave_harness::rng::StdRng;
+use mapwave_harness::rng::{RngCore, RngExt};
 
 /// Errors from traffic-matrix construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -345,6 +345,11 @@ pub struct Injector {
     /// over this list produces the identical draw stream as scanning all
     /// `n` sources — sparse matrices skip the dead rows entirely.
     nonzero: Vec<u32>,
+    /// Integer gate per entry of `nonzero`: `ceil(rate · 2^53)`. A draw
+    /// `u = k · 2^-53` (`k = next_u64() >> 11`) passes `u < rate` exactly
+    /// when `k < ceil(rate · 2^53)`, since scaling by a power of two is
+    /// exact and `k` is an integer.
+    gate: Vec<u64>,
 }
 
 impl Injector {
@@ -366,11 +371,16 @@ impl Injector {
                 cumulative.push(acc);
             }
         }
+        let gate = nonzero
+            .iter()
+            .map(|&s| (row_rate[s as usize] * (1u64 << 53) as f64).ceil() as u64)
+            .collect();
         Injector {
             n,
             row_rate,
             cumulative,
             nonzero,
+            gate,
         }
     }
 
@@ -405,18 +415,18 @@ impl Injector {
     /// up front in one tight pass: per cycle and nonzero source, one gate
     /// draw, then one destination draw for each generated packet — the
     /// exact draw stream a per-cycle [`Injector::sample`] scan consumes,
-    /// making event consumption bit-identical to in-loop sampling.
+    /// making event consumption bit-identical to in-loop sampling. The
+    /// gate draw is compared as an integer (see `Injector::gate`).
     /// Self-addressed draws are dropped (as the simulator drops them) but
     /// still burn their draws.
     pub fn schedule_into(&self, rng: &mut StdRng, cycles: u64, out: &mut Vec<InjectEvent>) {
         out.clear();
         for cycle in 0..cycles {
-            for &s in &self.nonzero {
-                let su = s as usize;
-                let rate = self.row_rate[su];
-                if rate <= 0.0 || rng.random::<f64>() >= rate {
+            for (&s, &gate) in self.nonzero.iter().zip(&self.gate) {
+                if rng.next_u64() >> 11 >= gate {
                     continue;
                 }
+                let su = s as usize;
                 let cum = &self.cumulative[su * self.n..(su + 1) * self.n];
                 let total = match cum.last() {
                     Some(&t) if t > 0.0 => t,
@@ -453,13 +463,31 @@ mod tests {
     #[test]
     fn schedule_matches_per_cycle_sampling() {
         // The precomputed schedule must consume the identical draw stream
-        // as an in-loop sample() scan and emit the identical events.
-        let mut m = TrafficMatrix::zeros(6);
+        // as an in-loop sample() scan and emit the identical events. Edge
+        // rows: a total above 1 (clamped), exactly 0.5, a vanishing 1e-12,
+        // and one ulp either side of the multiple 3·2^-3 of 2^-53.
+        let boundary = 0.375f64;
+        let mut m = TrafficMatrix::zeros(10);
         m.set(NodeId(0), NodeId(5), 0.4);
         m.set(NodeId(0), NodeId(2), 0.3);
         m.set(NodeId(3), NodeId(1), 0.9);
         m.set(NodeId(5), NodeId(0), 0.05);
+        m.set(NodeId(1), NodeId(4), 0.9);
+        m.set(NodeId(1), NodeId(6), 0.6);
+        m.set(NodeId(2), NodeId(7), 0.5);
+        m.set(NodeId(4), NodeId(8), 1e-12);
+        m.set(NodeId(6), NodeId(9), boundary.next_up());
+        m.set(NodeId(7), NodeId(9), boundary.next_down());
         let inj = Injector::new(&m);
+        // The integer gate agrees with the f64 test `k·2^-53 < rate` at
+        // every draw next to each row's threshold.
+        for (&s, &gate) in inj.nonzero_sources().iter().zip(&inj.gate) {
+            let rate = inj.row_rate[s as usize];
+            for k in gate.saturating_sub(2)..(gate + 2).min(1 << 53) {
+                let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(k < gate, u < rate, "source {s}, draw {k}");
+            }
+        }
         let cycles = 500u64;
 
         let mut reference = Vec::new();

@@ -95,6 +95,36 @@ fn wireless_line(len: usize) -> (Topology, WirelessOverlay) {
     (topo, overlay)
 }
 
+/// A 256-switch WiNoC on a 16×16 die: small-world wireline, six WIs
+/// spaced on a stride-2 grid inside each quadrant, six channels assigned
+/// round-robin so every channel spans all four quadrants.
+fn winoc_256() -> (Topology, WirelessOverlay, RoutingTable) {
+    let (cols, rows) = (16usize, 16usize);
+    let clusters: Vec<usize> = (0..cols * rows)
+        .map(|i| (i % cols) / (cols / 2) + 2 * ((i / cols) / (rows / 2)))
+        .collect();
+    let topo = SmallWorldBuilder::new(grid_positions(cols, rows, 2.5), clusters)
+        .alpha(1.5)
+        .seed(0xDAC_2015)
+        .build()
+        .expect("builds");
+    let channels = 6;
+    let mut wis = Vec::new();
+    for q in 0..4 {
+        for k in 0..6 {
+            let col = cols / 2 * (q % 2) + 2 + 2 * (k % 3);
+            let row = rows / 2 * (q / 2) + 2 + 2 * (k / 3);
+            wis.push(WirelessInterface {
+                node: NodeId(row * cols + col),
+                channel: ChannelId(k % channels),
+            });
+        }
+    }
+    let overlay = WirelessOverlay::new(wis, channels).expect("valid overlay");
+    let table = RoutingTable::up_down_weighted(&topo, &overlay, 1).expect("routable");
+    (topo, overlay, table)
+}
+
 fn mesh_sim(side: usize, cfg: SimConfig) -> NetworkSim<'static> {
     NetworkSim::new(
         mesh(side, side, 2.5),
@@ -300,6 +330,37 @@ fn scenarios() -> Vec<Scenario> {
         measure: 2000,
         drain: 30_000,
         expected: "6047f7abcfdb71acb57dc2f4f8f5221f",
+    });
+
+    // 16x16 mesh: 256 switches, so the active set spans four 64-bit words
+    // and flits cross word boundaries.
+    v.push(Scenario {
+        name: "mesh16_uniform",
+        sim: mesh_sim(16, SimConfig::default()),
+        traffic: TrafficMatrix::uniform(256, 0.08),
+        warmup: 300,
+        measure: 1500,
+        drain: 20_000,
+        expected: "2051c987fe6bf7e340cdf2d56228527c",
+    });
+
+    // A 256-switch WiNoC: token MACs over six channels on a 16x16 die.
+    let (wi256, wi256_overlay, wi256_table) = winoc_256();
+    v.push(Scenario {
+        name: "winoc256_uniform",
+        sim: NetworkSim::new(
+            wi256,
+            wi256_overlay,
+            wi256_table,
+            EnergyModel::default_65nm(),
+            SimConfig::default(),
+        )
+        .unwrap(),
+        traffic: TrafficMatrix::uniform(256, 0.02),
+        warmup: 300,
+        measure: 1500,
+        drain: 20_000,
+        expected: "971810fcdf751d6e9698805e4dbea229",
     });
 
     // A drain-limited run: the window ends with packets still in flight,

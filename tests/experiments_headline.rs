@@ -1,9 +1,11 @@
 //! Drift guard for EXPERIMENTS.md: the headline table's average and
 //! maximum EDP saving and worst VFI-WiNoC execution-time penalty (to one
-//! decimal place), the Fig. 7 mesh/WiNoC totals and the Fig. 8 rows (to
-//! three) must be the numbers the code produces at the reference scale
-//! (0.1). After an intended model change, regenerate them with `cargo run
-//! --release --bin mapwave -- report --scale 0.1` and update the document.
+//! decimal place), the Fig. 4 VFI 1/VFI 2 times and PCA EDP pair, the
+//! Fig. 6 relative network EDPs, the Fig. 7 mesh/WiNoC totals and the
+//! Fig. 8 rows (to three) must be the numbers the code produces at the
+//! reference scale (0.1). After an intended model change, regenerate them
+//! with `cargo run --release --bin mapwave -- report --scale 0.1` and
+//! update the document.
 
 use mapwave::prelude::*;
 
@@ -49,6 +51,38 @@ fn experiments_headline_matches_the_reference_run() {
         assert!(
             line.contains(&want),
             "EXPERIMENTS.md drifted from the code: {label:?} row should quote {want}, found:\n{line}"
+        );
+    }
+    // Fig. 4 tabulates both VFI times per application and quotes the PCA
+    // EDP pair in prose.
+    let fig4 = section("## Figure 4");
+    let fig4_prose = fig4.join(" ");
+    for row in ctx.fig4() {
+        let want = format!(
+            "| {} | {:.3} → {:.3} |",
+            row.app.name(),
+            row.vfi1_time,
+            row.vfi2_time
+        );
+        assert!(
+            fig4.iter().any(|l| l.starts_with(&want)),
+            "EXPERIMENTS.md Figure 4 drifted from the code: should have the row {want:?}"
+        );
+        if row.app.name() == "PCA" {
+            let want = format!("PCA {:.3} → {:.3}", row.vfi1_edp, row.vfi2_edp);
+            assert!(
+                fig4_prose.contains(&want),
+                "EXPERIMENTS.md Figure 4 drifted from the code: should quote {want:?}"
+            );
+        }
+    }
+    // Fig. 6 quotes its ratios as running prose, which may wrap anywhere.
+    let fig6 = section("## Figure 6").join(" ");
+    for row in ctx.fig6() {
+        let want = format!("{} {:.3}", row.app.name(), row.relative_network_edp);
+        assert!(
+            fig6.contains(&want),
+            "EXPERIMENTS.md Figure 6 drifted from the code: should quote {want:?}"
         );
     }
     // Fig. 7 quotes its totals as running prose, which may wrap anywhere.
