@@ -1,56 +1,39 @@
-//! Executions/sec micro-benches of the Phoenix runtime model itself.
+//! Executions/sec micro-bench of the Phoenix runtime model itself.
 //!
-//! Two applications (WordCount, Kmeans) × three workload scales time full
-//! `Executor` replays on a 64-core platform and report the median
-//! wall-clock time per execution — the figure of merit for the
-//! execution-model kernels, which aim to make per-completion cost track
-//! tasks moved rather than cores × tasks. Both schedulers run back to
-//! back in the same process: the in-tree reference
-//! (`Executor::run_reference`, the pre-optimization implementation) as
-//! "before" and the optimized scratch-reusing path as "after".
+//! Times full [`Executor::run`] replays of each of the six applications at
+//! input scale 0.1 on a 64-core platform with heterogeneous speeds and
+//! VFI-capped stealing (the cap bookkeeping is on the measured path, as in
+//! a full design-flow run), and reports the median wall-clock time per
+//! execution. Workload generation happens once, outside the timed region.
 //!
-//! Prints one line per scenario; set `MAPWAVE_BENCH_JSON=<path>` to also
-//! write the results as JSON (used to record before/after numbers in
-//! `BENCH_phoenix_run.json`).
+//! Prints one line per app; set `MAPWAVE_BENCH_JSON=<path>` to also write
+//! the results as JSON (used to record `BENCH_phoenix_run.json`).
 
 use mapwave_phoenix::apps::App;
-use mapwave_phoenix::runtime::{ExecScratch, Executor, RuntimeConfig};
+use mapwave_phoenix::runtime::{Executor, RuntimeConfig};
 use mapwave_phoenix::stealing::StealPolicy;
-use mapwave_phoenix::workload::AppWorkload;
 use std::time::Instant;
 
 const CORES: usize = 64;
+const SCALE: f64 = 0.1;
 
-/// Heterogeneous speeds so the VFI-capped policy (and its cap bookkeeping)
-/// is on the measured path, as in a full design-flow run.
 fn speeds() -> Vec<f64> {
     (0..CORES).map(|c| [1.0, 0.8, 0.6, 0.9][c % 4]).collect()
 }
 
-/// Times `before` and `after` with interleaved samples and returns the
-/// median seconds per call of each. Alternating the two closures sample
-/// by sample (rather than timing one batch then the other) means clock
-/// or contention drift lands on both sides equally, so the *ratio* of
-/// the medians stays meaningful even when absolute times wander. One
-/// untimed call each warms caches and sizes the sample count so each
-/// scenario spends a bounded ~second total.
-fn median_secs_paired(mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
+/// Median seconds per call of `f`. One untimed call warms caches and sizes
+/// the sample count so each app spends about a second.
+fn median_secs(mut f: impl FnMut()) -> f64 {
     let timed = |f: &mut dyn FnMut()| {
         let start = Instant::now();
         f();
         start.elapsed().as_secs_f64()
     };
-    let pair = (timed(&mut before) + timed(&mut after)).max(1e-9);
-    let samples = ((1.0 / pair).ceil() as usize).clamp(5, 4_000);
-    let mut before_times = Vec::with_capacity(samples);
-    let mut after_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        before_times.push(timed(&mut before));
-        after_times.push(timed(&mut after));
-    }
-    before_times.sort_by(|a, b| a.total_cmp(b));
-    after_times.sort_by(|a, b| a.total_cmp(b));
-    (before_times[samples / 2], after_times[samples / 2])
+    let first = timed(&mut f).max(1e-9);
+    let samples = ((1.0 / first).ceil() as usize).clamp(5, 4_000);
+    let mut times: Vec<f64> = (0..samples).map(|_| timed(&mut f)).collect();
+    times.sort_by(|a, b| a.total_cmp(b));
+    times[samples / 2]
 }
 
 fn main() {
@@ -59,67 +42,35 @@ fn main() {
             .with_speeds(speeds())
             .with_steal_policy(StealPolicy::VfiCapped),
     );
-    let scenarios: Vec<(String, AppWorkload)> = [App::WordCount, App::Kmeans]
-        .into_iter()
-        .flat_map(|app| {
-            [0.002f64, 0.02, 0.2].into_iter().map(move |scale| {
-                (
-                    format!("phoenix_run_{app:?}/scale_{scale}").to_lowercase(),
-                    app.workload(scale, 42, CORES),
-                )
-            })
-        })
-        .collect();
-
-    let mut results: Vec<(String, f64, f64)> = Vec::new();
-    for (name, w) in &scenarios {
-        // Sanity: the two paths must agree before their times mean anything.
-        let mut scratch = ExecScratch::new();
-        assert_eq!(
-            exec.run_with_scratch(w, &mut scratch),
-            exec.run_reference(w),
-            "{name}: optimized/reference reports diverged"
-        );
-        let (before, after) = median_secs_paired(
-            || {
-                std::hint::black_box(exec.run_reference(std::hint::black_box(w)));
-            },
-            || {
-                std::hint::black_box(exec.run_with_scratch(std::hint::black_box(w), &mut scratch));
-            },
-        );
-        println!(
-            "{name:<34} before {:>9.1} µs  after {:>9.1} µs  speedup {:>5.2}x",
-            before * 1e6,
-            after * 1e6,
-            before / after
-        );
-        results.push((name.clone(), before, after));
+    let mut results: Vec<(String, f64)> = Vec::new();
+    for app in App::ALL {
+        let w = app.workload(SCALE, 42, CORES);
+        let secs = median_secs(|| {
+            std::hint::black_box(exec.run(std::hint::black_box(&w)));
+        });
+        let name = format!("phoenix_run_{}/scale_{SCALE}", app.name()).to_lowercase();
+        println!("{name:<30} {:>9.1} µs", secs * 1e6);
+        results.push((name, secs));
     }
+    let total: f64 = results.iter().map(|(_, s)| s).sum();
+    println!("{:<30} {:>9.1} µs", "all six apps", total * 1e6);
 
     if let Ok(path) = std::env::var("MAPWAVE_BENCH_JSON") {
         let entries: Vec<String> = results
             .iter()
-            .map(|(k, before, after)| {
-                format!(
-                    "    \"{k}\": {{ \"before_us\": {:.2}, \"after_us\": {:.2}, \"speedup\": {:.2} }}",
-                    before * 1e6,
-                    after * 1e6,
-                    before / after
-                )
-            })
+            .map(|(k, s)| format!("    \"{k}\": {{ \"us\": {:.2} }}", s * 1e6))
             .collect();
         let json = format!(
             concat!(
                 "{{\n",
                 "  \"benchmark\": \"phoenix_run (crates/bench/benches/phoenix_run.rs)\",\n",
-                "  \"unit\": \"median wall-clock microseconds per execution\",\n",
-                "  \"method\": \"interleaved before/after samples (~1 s per scenario) on a 64-core platform, heterogeneous speeds, VfiCapped stealing; before = in-tree reference scheduler (Executor::run_reference), after = optimized scratch-reusing path; reports asserted equal before timing\",\n",
+                "  \"unit\": \"median wall-clock microseconds per Executor::run\",\n",
                 "  \"scenarios\": {{\n{}\n  }},\n",
-                "  \"notes\": \"Speedups come from the indexed steal structure (no per-completion victim rescan), batch cap-lift resume, span-sink tracing elision in untraced runs, scratch reuse across runs, and the rebuilt traffic accounting (batched memory-flit scatter with fused reply columns, min-pass shuffle scatter, single-divide matrix normalisation). Observables are bit-identical to the reference (crates/phoenix/tests/equivalence.rs).\"\n",
+                "  \"all_six_us\": {:.2}\n",
                 "}}\n"
             ),
-            entries.join(",\n")
+            entries.join(",\n"),
+            total * 1e6
         );
         std::fs::write(&path, json).expect("write bench json");
         println!("wrote {path}");

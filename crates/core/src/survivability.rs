@@ -18,7 +18,7 @@
 //! the same [`FaultSweepConfig`] renders a byte-identical report.
 
 use mapwave_faults::{FaultConfig, FaultPlan, FaultStats};
-use mapwave_phoenix::runtime::{ExecScratch, Executor, PhoenixFaults, RuntimeConfig};
+use mapwave_phoenix::runtime::{Executor, PhoenixFaults, RuntimeConfig};
 use mapwave_phoenix::App;
 use mapwave_vfi::assignment::reassign_for_degradation;
 
@@ -187,7 +187,6 @@ pub fn fault_sweep_with_sink(
                 .with_speeds(probe_speeds)
                 .with_steal_policy(design.steal(VfStage::Vfi2)),
         );
-        let mut scratch = ExecScratch::default();
 
         for &rate in &sweep.rates {
             let plan = plan_for(rate, sweep.fault_seed);
@@ -203,7 +202,7 @@ pub fn fault_sweep_with_sink(
             let mut reassigned = false;
             if !plan.is_none() {
                 let mut phx = PhoenixFaults::new(&plan, n, probe_exec.config().master_core);
-                let probe = probe_exec.run_with_faults(&design.workload, &mut scratch, &mut phx);
+                let probe = probe_exec.run_with_faults(&design.workload, &mut phx);
                 let (reacted_vf, analysis) = reassign_for_degradation(
                     &design.vfi2,
                     &design.clustering,

@@ -24,7 +24,7 @@ use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::sim::{NetworkSim, SimConfig};
 use mapwave_noc::topology::wireless::WirelessOverlay;
 use mapwave_noc::{EnergyModel, NetworkStats, NocFaultCounts, NodeId, Topology, TrafficMatrix};
-use mapwave_phoenix::runtime::{ExecScratch, Executor, PhoenixFaults, RuntimeConfig};
+use mapwave_phoenix::runtime::{Executor, PhoenixFaults, RuntimeConfig};
 use mapwave_phoenix::stealing::StealPolicy;
 use mapwave_phoenix::task::PhaseKind;
 use mapwave_phoenix::workload::{AppWorkload, ExecutionReport, PhaseLatencies};
@@ -183,16 +183,13 @@ pub(crate) fn run_system_inner(
     let speeds = spec.vf.core_speeds(&spec.clustering, table);
 
     // Pass 1: execute with a nominal network latency to obtain traffic.
-    // One executor and one scheduler scratch serve every relaxation round —
-    // latencies are swapped in place instead of recloning the configuration
-    // per round, and the scratch keeps queue/heap/flit allocations warm
-    // across reruns.
+    // One executor serves every relaxation round — latencies are swapped in
+    // place instead of recloning the configuration per round.
     let base_cfg = RuntimeConfig::nvfi(n)
         .with_speeds(speeds)
         .with_steal_policy(spec.steal);
     let default_rt = base_cfg.remote_l2_latency.map;
     let mut executor = Executor::new(base_cfg);
-    let mut scratch = ExecScratch::new();
     // Each executor invocation replays the fault schedule from scratch
     // (fresh health/retry state), so relaxation rounds see the *same*
     // deterministic fault history rather than compounding degradation
@@ -200,20 +197,19 @@ pub(crate) fn run_system_inner(
     // state of the last (final relaxed) run is kept for the report.
     let runtime_faulted = faults.is_some_and(FaultPlan::affects_runtime);
     let mut last_phx: Option<PhoenixFaults> = None;
-    let run_exec =
-        |executor: &Executor, scratch: &mut ExecScratch, last_phx: &mut Option<PhoenixFaults>| {
-            if runtime_faulted {
-                let plan = faults.expect("runtime_faulted implies a plan");
-                let master = executor.config().master_core;
-                let mut phx = PhoenixFaults::new(plan, n, master);
-                let report = executor.run_with_faults(workload, scratch, &mut phx);
-                *last_phx = Some(phx);
-                report
-            } else {
-                executor.run_with_scratch(workload, scratch)
-            }
-        };
-    let mut exec = run_exec(&executor, &mut scratch, &mut last_phx);
+    let run_exec = |executor: &Executor, last_phx: &mut Option<PhoenixFaults>| {
+        if runtime_faulted {
+            let plan = faults.expect("runtime_faulted implies a plan");
+            let master = executor.config().master_core;
+            let mut phx = PhoenixFaults::new(plan, n, master);
+            let report = executor.run_with_faults(workload, &mut phx);
+            *last_phx = Some(phx);
+            report
+        } else {
+            executor.run(workload)
+        }
+    };
+    let mut exec = run_exec(&executor, &mut last_phx);
 
     // The NoC is VFI-partitioned too: each quadrant's switches run at the
     // quadrant cluster's frequency.
@@ -432,7 +428,7 @@ pub(crate) fn run_system_inner(
             let mem = dram_latency(&exec, &executor.config().core_speeds).unwrap_or(default_mem);
             executor.set_mem_latency_cycles(mem);
         }
-        exec = run_exec(&executor, &mut scratch, &mut last_phx);
+        exec = run_exec(&executor, &mut last_phx);
         prev = latencies;
     }
 

@@ -69,24 +69,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty queue with room for `capacity` pending events before any
-    /// heap reallocation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
-        }
-    }
-
-    /// Drops all pending events and resets the tie-break sequence, leaving
-    /// the queue exactly as freshly constructed — but keeping the heap's
-    /// allocation, so simulation loops can reuse one queue across phases
-    /// instead of reallocating per phase.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-    }
-
     /// Schedules `event` at `time`.
     ///
     /// # Panics
@@ -194,30 +176,5 @@ mod tests {
         let q: EventQueue<()> = EventQueue::default();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(16);
-        q.push(2.0, "b");
-        q.push(1.0, "a");
-        assert_eq!(q.pop(), Some((1.0, "a")));
-        assert_eq!(q.pop(), Some((2.0, "b")));
-    }
-
-    #[test]
-    fn clear_resets_to_fresh_state() {
-        let mut q = EventQueue::new();
-        q.push(1.0, 1);
-        q.push(1.0, 2);
-        q.clear();
-        assert!(q.is_empty());
-        // The sequence counter restarts, so tie-break order after a clear
-        // is identical to a freshly constructed queue's.
-        q.push(5.0, 10);
-        q.push(5.0, 11);
-        assert_eq!(q.pop(), Some((5.0, 10)));
-        assert_eq!(q.pop(), Some((5.0, 11)));
-        assert_eq!(q.pop(), None);
     }
 }

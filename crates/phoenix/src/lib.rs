@@ -39,7 +39,7 @@ pub mod timeline;
 pub mod workload;
 
 pub use apps::App;
-pub use runtime::{ExecScratch, Executor, PhoenixFaults, RuntimeConfig};
+pub use runtime::{Executor, PhoenixFaults, RuntimeConfig};
 pub use stealing::{task_cap, StealPolicy};
 pub use task::{PhaseKind, TaskWork};
 pub use timeline::{Span, Timeline};

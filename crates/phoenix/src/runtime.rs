@@ -16,21 +16,13 @@
 //! that depend on the NoC round-trip latency — the coupling through which a
 //! better interconnect (the WiNoC) shortens execution.
 //!
-//! # Execution-model kernels
-//!
-//! The scheduler's per-completion cost tracks tasks moved, not
-//! cores × tasks: steal victims come from an indexed max-structure
-//! (`StealIndex`, length-bucketed core bitmasks) instead of an O(cores)
-//! scan, span recording compiles away in untraced [`Executor::run`] calls
-//! (the sealed `SpanSink` parameter), and all per-phase scratch (task
-//! queues, caps, the event heap, flit accumulators) lives in an
-//! [`ExecScratch`] that is reused across phases, iterations and —
-//! via [`Executor::run_with_scratch`] — across relaxation rounds. Every
-//! observable is bit-identical to the pre-optimization scheduler, which is
-//! kept in-tree as [`Executor::run_traced_reference`] and pinned by
-//! `crates/phoenix/tests/equivalence.rs`.
+//! Every entry point runs the same plain scheduler: an O(cores) victim
+//! scan per steal, per-phase vectors, and per-task traffic loops. The
+//! executor takes a percent or two of an end-to-end run at most, so
+//! nothing here is tuned; `crates/phoenix/tests/golden.rs` pins every
+//! observable.
 
-use crate::stealing::{caps_for_phase_into, StealPolicy};
+use crate::stealing::{caps_for_phase, StealPolicy};
 use crate::task::{PhaseKind, TaskWork};
 use crate::timeline::{Span, Timeline};
 use crate::workload::{AppWorkload, ExecutionReport, PhaseBreakdown, PhaseLatencies, PhaseTraffic};
@@ -40,9 +32,8 @@ use mapwave_manycore::cache::{CacheModel, MemoryProfile};
 use mapwave_manycore::event::EventQueue;
 use mapwave_manycore::health::CoreHealth;
 use mapwave_noc::TrafficMatrix;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
-
-mod reference;
 
 /// Platform/runtime parameters of one execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,111 +113,17 @@ impl RuntimeConfig {
     }
 }
 
-/// A task-completion event (internal).
+/// A task-completion event.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Completion {
-    pub(crate) core: usize,
+struct Completion {
+    core: usize,
     /// The phase-local task index that just finished — the fault layer
     /// needs it to decide (and bill) a retry of exactly this task.
-    pub(crate) task: usize,
+    task: usize,
 }
 
-/// Where the scheduler reports busy spans.
-///
-/// The trait is crate-private (maximally sealed): the only implementors are
-/// [`Timeline`] (the traced path, byte-identical output to the reference
-/// scheduler) and [`NoSpans`] (the untraced path, where `record` compiles
-/// down to a counter increment and the span tuple is never materialised).
-pub(crate) trait SpanSink {
-    /// Accepts one busy span in absolute (run-clock) time.
-    fn record(&mut self, span: Span);
-}
-
-/// Span sink of untraced runs: discards every span, counting the elisions
-/// for the `phoenix.spans_skipped` telemetry counter.
-#[derive(Debug, Default)]
-pub(crate) struct NoSpans {
-    skipped: u64,
-}
-
-impl SpanSink for NoSpans {
-    #[inline]
-    fn record(&mut self, _span: Span) {
-        self.skipped += 1;
-    }
-}
-
-impl SpanSink for Timeline {
-    #[inline]
-    fn record(&mut self, span: Span) {
-        self.push(span);
-    }
-}
-
-/// Where the scheduler consults the fault model.
-///
-/// Like [`SpanSink`], the trait is crate-private and monomorphised: the
-/// fault-free implementor [`NoFaults`] carries `ACTIVE = false`, so every
-/// `if F::ACTIVE` hook in the scheduler compiles away and the untraced,
-/// unfaulted path is instruction-for-instruction the pre-fault scheduler —
-/// the bit-identity pinned by `tests/equivalence.rs` costs nothing to keep.
-pub(crate) trait FaultHook {
-    /// Whether any hook can ever fire. `false` removes every hook at
-    /// compile time.
-    const ACTIVE: bool;
-    /// Opens a fault slot (a scheduling window between global barriers):
-    /// applies pending core degrade/fail events and fills `buf` with the
-    /// effective per-core speeds derived from `base`.
-    fn begin_slot(&mut self, base: &[f64], buf: &mut Vec<f64>);
-    /// Resets per-task retry state for a phase of `len` tasks and advances
-    /// the global task serial (task identities must differ across phases).
-    fn begin_phase(&mut self, len: usize);
-    /// Zeroes the task caps of offline cores so they never start work.
-    fn mask_caps(&self, caps: &mut [usize]);
-    /// Whether the just-finished attempt of phase-local task `t` failed
-    /// (and must be requeued). Charges the retry and arms its backoff.
-    fn task_failed(&mut self, t: usize) -> bool;
-    /// Consumes the pending backoff delay of task `t`, in reference cycles.
-    fn take_backoff(&mut self, t: usize) -> f64;
-    /// The core that actually performs serial work assigned to `core` —
-    /// `core` itself when alive, else the nearest surviving substitute.
-    fn live_core(&self, core: usize) -> usize;
-    /// Observes a steal from `victim` (bills a re-steal when the victim is
-    /// an offline core whose queue survivors are draining).
-    fn note_steal(&mut self, victim: usize);
-}
-
-/// Fault hook of unfaulted runs: every hook is a no-op that the optimiser
-/// removes (`ACTIVE = false`).
-#[derive(Debug, Default)]
-pub(crate) struct NoFaults;
-
-impl FaultHook for NoFaults {
-    const ACTIVE: bool = false;
-    #[inline]
-    fn begin_slot(&mut self, _base: &[f64], _buf: &mut Vec<f64>) {}
-    #[inline]
-    fn begin_phase(&mut self, _len: usize) {}
-    #[inline]
-    fn mask_caps(&self, _caps: &mut [usize]) {}
-    #[inline]
-    fn task_failed(&mut self, _t: usize) -> bool {
-        false
-    }
-    #[inline]
-    fn take_backoff(&mut self, _t: usize) -> f64 {
-        0.0
-    }
-    #[inline]
-    fn live_core(&self, core: usize) -> usize {
-        core
-    }
-    #[inline]
-    fn note_steal(&mut self, _victim: usize) {}
-}
-
-/// Live fault state of one faulted execution: the deterministic plan plus
-/// the core-health, retry, and counter state it drives.
+/// Live fault state of one execution: the deterministic plan plus the
+/// core-health, retry, and counter state it drives.
 ///
 /// Create one per [`Executor::run_with_faults`] call (health and counters
 /// accumulate monotonically — reusing an instance carries degradation over,
@@ -236,6 +133,10 @@ impl FaultHook for NoFaults {
 /// queues), and exempt from degradation because library init is serial on
 /// the master and a degraded master would conflate serial-fraction stretch
 /// with the parallel-phase fault response the sweep isolates.
+///
+/// The fault-free entry points run with a state built from
+/// [`FaultPlan::none`]: no hook ever fires, and health factor 1.0 leaves
+/// every core speed exact.
 #[derive(Debug, Clone)]
 pub struct PhoenixFaults {
     plan: FaultPlan,
@@ -285,12 +186,11 @@ impl PhoenixFaults {
     pub fn health(&self) -> &CoreHealth {
         &self.health
     }
-}
 
-impl FaultHook for PhoenixFaults {
-    const ACTIVE: bool = true;
-
-    fn begin_slot(&mut self, base: &[f64], buf: &mut Vec<f64>) {
+    /// Opens a fault slot (a scheduling window between global barriers):
+    /// applies this slot's core degrade/fail events and fills `speeds`
+    /// with the effective per-core speeds derived from `base`.
+    fn begin_slot(&mut self, base: &[f64], speeds: &mut Vec<f64>) {
         let slot = self.slot;
         self.slot += 1;
         for core in 0..self.health.len() {
@@ -309,18 +209,19 @@ impl FaultHook for PhoenixFaults {
                 CoreEvent::None => {}
             }
         }
-        self.health.effective_speeds(base, buf);
+        self.health.effective_speeds(base, speeds);
     }
 
+    /// Resets per-task retry state for a phase of `len` tasks and advances
+    /// the global task serial (task identities must differ across phases).
     fn begin_phase(&mut self, len: usize) {
         self.task_base = self.task_serial;
         self.task_serial += len as u64;
-        self.attempts.clear();
-        self.attempts.resize(len, 0);
-        self.backoff.clear();
-        self.backoff.resize(len, 0.0);
+        self.attempts = vec![0; len];
+        self.backoff = vec![0.0; len];
     }
 
+    /// Zeroes the task caps of offline cores so they never start work.
     fn mask_caps(&self, caps: &mut [usize]) {
         for (core, cap) in caps.iter_mut().enumerate() {
             if !self.health.is_alive(core) {
@@ -329,6 +230,8 @@ impl FaultHook for PhoenixFaults {
         }
     }
 
+    /// Whether the just-finished attempt of phase-local task `t` failed
+    /// (and must be requeued). Charges the retry and arms its backoff.
     fn task_failed(&mut self, t: usize) -> bool {
         let attempt = self.attempts[t];
         if self.plan.task_fails(self.task_base + t as u64, attempt) {
@@ -341,16 +244,19 @@ impl FaultHook for PhoenixFaults {
         }
     }
 
+    /// Consumes the pending backoff delay of task `t`, in reference cycles.
     fn take_backoff(&mut self, t: usize) -> f64 {
-        let b = self.backoff[t];
-        self.backoff[t] = 0.0;
-        b
+        std::mem::take(&mut self.backoff[t])
     }
 
+    /// The core that actually performs serial work assigned to `core` —
+    /// `core` itself when alive, else the nearest surviving substitute.
     fn live_core(&self, core: usize) -> usize {
         self.health.live_substitute(core)
     }
 
+    /// Observes a steal from `victim` (bills a re-steal when the victim is
+    /// an offline core whose queue survivors are draining).
     fn note_steal(&mut self, victim: usize) {
         if !self.health.is_alive(victim) {
             self.stats.re_steals += 1;
@@ -358,162 +264,16 @@ impl FaultHook for PhoenixFaults {
     }
 }
 
-/// Indexed max-structure over the nonempty task queues, keyed by queue
-/// length with lowest-core-index tie-break — the same victim order as the
-/// reference scheduler's `max_by_key(|&v| (queues[v].len(), usize::MAX - v))`
-/// scan, at O(words) per lookup instead of O(cores).
+/// Effective duration of `task` on a core at relative `speed`, in
+/// reference cycles.
 ///
-/// Queues only ever shrink after the round-robin distribution, so the
-/// structure is a dense array of length buckets (bitmask of cores per
-/// length) with a monotonically falling `cur_max` watermark: each
-/// `decrement` moves one core down one bucket, and `best` resumes its
-/// downward scan from the previous watermark, making the whole phase's
-/// bucket traversal amortized O(max queue length).
-#[derive(Debug, Default, Clone)]
-struct StealIndex {
-    /// `buckets[len * words ..][.. words]` = bitmask of cores whose queue
-    /// currently holds exactly `len` tasks (len ≥ 1 only).
-    buckets: Vec<u64>,
-    /// Bitmask words per bucket (`ceil(cores / 64)`).
-    words: usize,
-    /// No bucket above this length is nonempty.
-    cur_max: usize,
-}
-
-impl StealIndex {
-    /// Rebuilds the index from the per-core queues of a fresh phase.
-    fn rebuild(&mut self, queues: &[VecDeque<usize>]) {
-        self.words = queues.len().div_ceil(64).max(1);
-        let max_len = queues.iter().map(VecDeque::len).max().unwrap_or(0);
-        self.cur_max = max_len;
-        self.buckets.clear();
-        self.buckets.resize((max_len + 1) * self.words, 0);
-        for (core, q) in queues.iter().enumerate() {
-            let len = q.len();
-            if len > 0 {
-                self.buckets[len * self.words + (core >> 6)] |= 1u64 << (core & 63);
-            }
-        }
-    }
-
-    /// Records that `core`'s queue shrank from `old_len` to `old_len - 1`.
-    #[inline]
-    fn decrement(&mut self, core: usize, old_len: usize) {
-        debug_assert!(old_len >= 1);
-        let w = core >> 6;
-        let bit = 1u64 << (core & 63);
-        self.buckets[old_len * self.words + w] &= !bit;
-        if old_len > 1 {
-            self.buckets[(old_len - 1) * self.words + w] |= bit;
-        }
-    }
-
-    /// Records that `core`'s queue grew from `new_len - 1` to `new_len`
-    /// (a fault-layer requeue — the only way queues refill mid-phase).
-    /// Raises the watermark back up when the requeued length exceeds it.
-    #[inline]
-    fn increment(&mut self, core: usize, new_len: usize) {
-        debug_assert!(new_len >= 1);
-        let needed = (new_len + 1) * self.words;
-        if self.buckets.len() < needed {
-            self.buckets.resize(needed, 0);
-        }
-        let w = core >> 6;
-        let bit = 1u64 << (core & 63);
-        if new_len > 1 {
-            self.buckets[(new_len - 1) * self.words + w] &= !bit;
-        }
-        self.buckets[new_len * self.words + w] |= bit;
-        if new_len > self.cur_max {
-            self.cur_max = new_len;
-        }
-    }
-
-    /// The steal victim: the core with the longest nonempty queue, lowest
-    /// index on ties. `None` when every queue is empty.
-    #[inline]
-    fn best(&mut self) -> Option<usize> {
-        while self.cur_max > 0 {
-            let row = &self.buckets[self.cur_max * self.words..(self.cur_max + 1) * self.words];
-            for (wi, &word) in row.iter().enumerate() {
-                if word != 0 {
-                    return Some((wi << 6) | word.trailing_zeros() as usize);
-                }
-            }
-            self.cur_max -= 1;
-        }
-        None
-    }
-}
-
-/// Reusable executor scratch: every per-phase allocation of the scheduler
-/// (task queues, caps, the completion heap, the steal index) plus the
-/// per-run flit accumulators and the neighbour table of the traffic model.
-///
-/// [`Executor::run`] creates one internally per call; hot loops that replay
-/// the same executor many times (the `run_system` relaxation rounds, the
-/// `phoenix_run` micro-bench) hold one across calls via
-/// [`Executor::run_with_scratch`] so no per-phase heap allocation remains.
-#[derive(Debug, Default, Clone)]
-pub struct ExecScratch {
-    queues: Vec<VecDeque<usize>>,
-    caps: Vec<usize>,
-    done: Vec<usize>,
-    events: EventQueue<Completion>,
-    steal_index: StealIndex,
-    /// Flattened neighbour lists of the memory-traffic model, valid for
-    /// `neighbors_n` cores.
-    neighbors_flat: Vec<usize>,
-    neighbors_off: Vec<usize>,
-    neighbors_n: usize,
-    map_flits: Vec<f64>,
-    reduce_flits: Vec<f64>,
-    merge_flits: Vec<f64>,
-    total_flits: Vec<f64>,
-    /// Per-core reduce-task counts, the 0/1 pass indicators, and the
-    /// high-count overflow list of the shuffle scatter (see the shuffle
-    /// block in `run_impl`).
-    shuffle_cnt: Vec<u32>,
-    shuffle_excess: Vec<(usize, u32)>,
-}
-
-/// Radius of the neighbour-locality bias: memory traffic is shared with
-/// cores within this index distance. `ensure_neighbors` materialises the
-/// lists; `account_memory_flits` relies on the same radius to test
-/// adjacency without walking a list.
-const NEIGHBORHOOD: isize = 4;
-
-impl ExecScratch {
-    /// An empty scratch (allocations grow on first use).
-    pub fn new() -> Self {
-        ExecScratch::default()
-    }
-
-    /// Ensures the neighbour table covers `n` cores, in the reference
-    /// order (for each offset 1..=NEIGHBORHOOD: lower index first, then
-    /// higher).
-    fn ensure_neighbors(&mut self, n: usize) {
-        if self.neighbors_n == n {
-            return;
-        }
-        self.neighbors_flat.clear();
-        self.neighbors_off.clear();
-        self.neighbors_off.push(0);
-        for c in 0..n {
-            for off in 1..=NEIGHBORHOOD {
-                let lo = c as isize - off;
-                let hi = c as isize + off;
-                if lo >= 0 {
-                    self.neighbors_flat.push(lo as usize);
-                }
-                if (hi as usize) < n {
-                    self.neighbors_flat.push(hi as usize);
-                }
-            }
-            self.neighbors_off.push(self.neighbors_flat.len());
-        }
-        self.neighbors_n = n;
-    }
+/// Compute cycles stretch with the core's clock divider, but cache-miss
+/// stalls do not: an L2/network/DRAM access takes fixed wall-clock time
+/// regardless of the requesting core's frequency. This memory-bound
+/// slack is exactly the lever VFI pulls — slowing a stall-heavy core
+/// barely stretches it while cutting its V²f energy.
+fn task_duration(task: &TaskWork, speed: f64, stall: f64) -> f64 {
+    task.cycles / speed + task.instructions * stall
 }
 
 /// Outcome of scheduling one task-parallel phase.
@@ -522,54 +282,44 @@ struct PhaseOutcome {
     duration: f64,
     executed_by: Vec<usize>,
     steals: u64,
-    /// O(cores) scans the reference scheduler would have run (victim scans
-    /// answered by the index + per-completion idle rescans elided).
-    scans_avoided: u64,
 }
 
-/// In-flight state of one phase's event loop (borrowed scheduler scratch
-/// plus the per-phase accumulators), so the start/steal logic reads as
-/// methods instead of a closure with a dozen parameters.
-struct PhaseCtx<'a, S: SpanSink, F: FaultHook> {
+/// In-flight state of one phase's event loop, so the start/steal logic
+/// reads as methods instead of a closure with a dozen parameters.
+struct PhaseCtx<'a> {
     tasks: &'a [TaskWork],
     speeds: &'a [f64],
     stall: f64,
     steal_overhead: f64,
     phase: PhaseKind,
+    /// Run-clock time at which the phase starts (span offset).
     base: f64,
-    queues: &'a mut Vec<VecDeque<usize>>,
-    index: &'a mut StealIndex,
-    events: &'a mut EventQueue<Completion>,
-    caps: &'a mut Vec<usize>,
-    done: &'a mut Vec<usize>,
-    executed_by: &'a mut [usize],
+    queues: Vec<VecDeque<usize>>,
+    caps: Vec<usize>,
+    done: Vec<usize>,
+    events: EventQueue<Completion>,
+    executed_by: Vec<usize>,
     queued: usize,
     steals: u64,
-    scans_avoided: u64,
-    sink: &'a mut S,
-    faults: &'a mut F,
+    timeline: Option<&'a mut Timeline>,
+    faults: &'a mut PhoenixFaults,
 }
 
-impl<S: SpanSink, F: FaultHook> PhaseCtx<'_, S, F> {
+impl PhaseCtx<'_> {
     /// Picks the next task for `core`: own queue first, else steal from the
-    /// most-loaded victim via the index. Returns `(task, stolen)`.
-    #[inline]
+    /// core with the longest queue, lowest index on ties. Returns
+    /// `(task, stolen)`.
     fn next_task(&mut self, core: usize) -> Option<(usize, bool)> {
         if let Some(t) = self.queues[core].pop_front() {
-            self.index.decrement(core, self.queues[core].len() + 1);
             return Some((t, false));
         }
-        // The requester's queue is empty, so it is absent from the index
-        // and the best entry is automatically a legal victim.
-        let victim = self.index.best()?;
-        self.scans_avoided += 1;
+        let victim = (0..self.queues.len())
+            .filter(|&v| !self.queues[v].is_empty())
+            .max_by_key(|&v| (self.queues[v].len(), Reverse(v)))?;
         let t = self.queues[victim]
             .pop_back()
-            .expect("indexed victim queue nonempty");
-        self.index.decrement(victim, self.queues[victim].len() + 1);
-        if F::ACTIVE {
-            self.faults.note_steal(victim);
-        }
+            .expect("victim queue nonempty");
+        self.faults.note_steal(victim);
         Some((t, true))
     }
 
@@ -582,38 +332,36 @@ impl<S: SpanSink, F: FaultHook> PhaseCtx<'_, S, F> {
         let Some((t, stolen)) = self.next_task(core) else {
             return;
         };
-        let task = &self.tasks[t];
-        let mut dur = task.cycles / self.speeds[core] + task.instructions * self.stall;
+        let mut dur = task_duration(&self.tasks[t], self.speeds[core], self.stall);
         if stolen {
             dur += self.steal_overhead / self.speeds[core];
             self.steals += 1;
         }
-        if F::ACTIVE {
-            // Retry backoff is wall-clock (a timer, not compute): it does
-            // not stretch with the core's clock divider.
-            dur += self.faults.take_backoff(t);
-        }
+        // Retry backoff is wall-clock (a timer, not compute): it does not
+        // stretch with the core's clock divider.
+        dur += self.faults.take_backoff(t);
         self.executed_by[t] = core;
         self.done[core] += 1;
         self.queued -= 1;
         self.events.push(now + dur, Completion { core, task: t });
-        self.sink.record(Span {
-            core,
-            phase: self.phase,
-            start: self.base + now,
-            end: self.base + (now + dur),
-            stolen,
-        });
-    }
-
-    /// Puts a failed task back on `core`'s queue tail, re-registering it
-    /// with the steal index so idle cores can pick up the retry.
-    fn requeue(&mut self, core: usize, t: usize) {
-        self.queues[core].push_back(t);
-        self.index.increment(core, self.queues[core].len());
-        self.queued += 1;
+        if let Some(timeline) = self.timeline.as_deref_mut() {
+            timeline.push(Span {
+                core,
+                phase: self.phase,
+                start: self.base + now,
+                end: self.base + (now + dur),
+                stolen,
+            });
+        }
     }
 }
+
+/// Radius of the neighbour-locality bias: memory traffic is shared with
+/// cores within this index distance.
+const NEIGHBORHOOD: usize = 4;
+
+/// Flits per packet, matching the NoC simulator's default packet length.
+const PACKET_FLITS: f64 = 4.0;
 
 /// The execution engine.
 #[derive(Debug, Clone)]
@@ -659,61 +407,29 @@ impl Executor {
         self.cfg.cache.mem_latency_cycles = cycles;
     }
 
-    /// Effective duration of `task` on `core`, in reference cycles.
-    ///
-    /// Compute cycles stretch with the core's clock divider, but cache-miss
-    /// stalls do not: an L2/network/DRAM access takes fixed wall-clock time
-    /// regardless of the requesting core's frequency. This memory-bound
-    /// slack is exactly the lever VFI pulls — slowing a stall-heavy core
-    /// barely stretches it while cutting its V²f energy.
-    pub(crate) fn task_duration(
-        &self,
-        task: &TaskWork,
-        memory: &MemoryProfile,
-        core: usize,
-        latency: f64,
-    ) -> f64 {
-        let stall = self.cfg.cache.stall_cycles_per_inst(memory, latency);
-        task.cycles / self.cfg.core_speeds[core] + task.instructions * stall
+    /// Fault state that never fires, for the fault-free entry points.
+    fn no_faults(&self) -> PhoenixFaults {
+        PhoenixFaults::new(&FaultPlan::none(), self.cfg.cores, self.cfg.master_core)
     }
 
     /// Replays `workload` and reports the observables.
     pub fn run(&self, workload: &AppWorkload) -> ExecutionReport {
-        self.run_with_scratch(workload, &mut ExecScratch::new())
-    }
-
-    /// Like [`Executor::run`], reusing caller-held [`ExecScratch`] so
-    /// repeated executions (relaxation rounds, sweeps) perform no per-phase
-    /// heap allocation. The report is identical to [`Executor::run`]'s.
-    pub fn run_with_scratch(
-        &self,
-        workload: &AppWorkload,
-        scratch: &mut ExecScratch,
-    ) -> ExecutionReport {
-        let mut sink = NoSpans::default();
-        let report = self.run_impl(workload, scratch, &mut sink, &mut NoFaults);
-        telemetry::count("phoenix.spans_skipped", sink.skipped);
-        report
+        self.run_impl(workload, None, &mut self.no_faults())
     }
 
     /// Like [`Executor::run`], but also records the full schedule as a
     /// [`Timeline`] (per-core busy spans for Gantt-style inspection).
     pub fn run_traced(&self, workload: &AppWorkload) -> (ExecutionReport, Timeline) {
         let mut timeline = Timeline::new(self.cfg.cores);
-        let report = self.run_impl(
-            workload,
-            &mut ExecScratch::new(),
-            &mut timeline,
-            &mut NoFaults,
-        );
+        let report = self.run_impl(workload, Some(&mut timeline), &mut self.no_faults());
         (report, timeline)
     }
 
-    /// Like [`Executor::run_with_scratch`], with the fault model live:
-    /// cores may degrade or fail at scheduling-window boundaries (survivors
-    /// re-steal a dead core's queue), map/reduce task attempts may fail and
-    /// retry with exponential backoff, and the merge tree routes around
-    /// offline mergers. With a plan built from an all-zero
+    /// Like [`Executor::run`], with the fault model live: cores may degrade
+    /// or fail at scheduling-window boundaries (survivors re-steal a dead
+    /// core's queue), map/reduce task attempts may fail and retry with
+    /// exponential backoff, and the merge tree routes around offline
+    /// mergers. With a plan built from an all-zero
     /// [`FaultConfig`](mapwave_faults::FaultConfig) no hook ever fires and
     /// the report is bit-identical to [`Executor::run`]'s.
     ///
@@ -727,7 +443,6 @@ impl Executor {
     pub fn run_with_faults(
         &self,
         workload: &AppWorkload,
-        scratch: &mut ExecScratch,
         faults: &mut PhoenixFaults,
     ) -> ExecutionReport {
         assert_eq!(
@@ -735,107 +450,74 @@ impl Executor {
             self.cfg.cores,
             "fault state platform size mismatch"
         );
-        let mut sink = NoSpans::default();
-        let report = self.run_impl(workload, scratch, &mut sink, faults);
-        telemetry::count("phoenix.spans_skipped", sink.skipped);
-        report
+        self.run_impl(workload, None, faults)
     }
 
-    /// The shared engine behind [`Executor::run`] (span sink [`NoSpans`])
-    /// and [`Executor::run_traced`] (span sink [`Timeline`]), fault hook
-    /// [`NoFaults`] on both, and [`Executor::run_with_faults`] (hook
-    /// [`PhoenixFaults`]).
-    fn run_impl<S: SpanSink, F: FaultHook>(
+    /// The one engine behind every entry point.
+    fn run_impl(
         &self,
         workload: &AppWorkload,
-        scratch: &mut ExecScratch,
-        sink: &mut S,
-        faults: &mut F,
+        mut timeline: Option<&mut Timeline>,
+        faults: &mut PhoenixFaults,
     ) -> ExecutionReport {
         let _span = telemetry::span_labeled("phoenix.exec", workload.name);
         let n = self.cfg.cores;
         let lat = self.cfg.remote_l2_latency;
+        let cache = &self.cfg.cache;
+        let master = self.cfg.master_core;
         let mut phases = PhaseBreakdown::default();
         let mut busy = vec![0.0f64; n];
-        scratch.ensure_neighbors(n);
-        for buf in [
-            &mut scratch.map_flits,
-            &mut scratch.reduce_flits,
-            &mut scratch.merge_flits,
-        ] {
-            buf.clear();
-            buf.resize(n * n, 0.0);
-        }
+        let mut map_flits = vec![0.0f64; n * n];
+        let mut reduce_flits = vec![0.0f64; n * n];
+        let mut merge_flits = vec![0.0f64; n * n];
         let mut steals = 0u64;
-        let mut scans_avoided = 0u64;
         let mut tasks_per_core = vec![0u32; n];
         let mut clock = 0.0f64;
-        // Effective per-core speeds of the current fault slot. Stays empty
-        // on the unfaulted path (`NoFaults::begin_slot` is a no-op), in
-        // which case the base speed vector is used directly — no copy, no
-        // extra float op, bit-identical schedules.
-        let mut fault_speeds: Vec<f64> = Vec::new();
+        // Effective per-core speeds of the current fault slot.
+        let mut speeds = Vec::with_capacity(n);
 
         for it in &workload.iterations {
             // --- Fault slot A: library init + Map ---
-            faults.begin_slot(&self.cfg.core_speeds, &mut fault_speeds);
-            let speeds: &[f64] = if F::ACTIVE && !fault_speeds.is_empty() {
-                &fault_speeds
-            } else {
-                &self.cfg.core_speeds
-            };
+            faults.begin_slot(&self.cfg.core_speeds, &mut speeds);
 
             // --- Library init (serial, on the master core) ---
-            let master = self.cfg.master_core;
             let li_task =
                 TaskWork::new(workload.lib_init_cycles, workload.lib_init_instructions, 0);
-            let li_stall = self
-                .cfg
-                .cache
-                .stall_cycles_per_inst(&it.map_memory, lat.lib_init);
-            let li = li_task.cycles / speeds[master] + li_task.instructions * li_stall;
+            let li_stall = cache.stall_cycles_per_inst(&it.map_memory, lat.lib_init);
+            let li = task_duration(&li_task, speeds[master], li_stall);
             busy[master] += li;
             phases.lib_init += li;
-            sink.record(Span {
-                core: master,
-                phase: PhaseKind::LibraryInit,
-                start: clock,
-                end: clock + li,
-                stolen: false,
-            });
+            if let Some(t) = timeline.as_deref_mut() {
+                t.push(Span {
+                    core: master,
+                    phase: PhaseKind::LibraryInit,
+                    start: clock,
+                    end: clock + li,
+                    stolen: false,
+                });
+            }
             clock += li;
 
             // --- Map ---
+            let map_stall = cache.stall_cycles_per_inst(&it.map_memory, lat.map);
             let map = self.run_phase(
                 &it.map_tasks,
-                &it.map_memory,
-                lat.map,
+                map_stall,
                 PhaseKind::Map,
                 clock,
-                speeds,
-                scratch,
-                sink,
+                &speeds,
+                timeline.as_deref_mut(),
                 faults,
             );
             phases.map += map.duration;
             clock += map.duration;
-            let map_stall = self
-                .cfg
-                .cache
-                .stall_cycles_per_inst(&it.map_memory, lat.map);
             for (t, &c) in map.executed_by.iter().enumerate() {
-                let task = &it.map_tasks[t];
-                busy[c] += task.cycles / speeds[c] + task.instructions * map_stall;
+                busy[c] += task_duration(&it.map_tasks[t], speeds[c], map_stall);
                 tasks_per_core[c] += 1;
             }
             steals += map.steals;
-            scans_avoided += map.scans_avoided;
-            account_memory_flits(
-                &self.cfg.cache,
-                &mut scratch.map_flits,
-                &scratch.neighbors_flat,
-                &scratch.neighbors_off,
-                n,
+            self.account_memory_flits(
+                &mut map_flits,
                 &it.map_tasks,
                 &map.executed_by,
                 &it.map_memory,
@@ -843,44 +525,28 @@ impl Executor {
             );
 
             // --- Fault slot B: Reduce ---
-            faults.begin_slot(&self.cfg.core_speeds, &mut fault_speeds);
-            let speeds: &[f64] = if F::ACTIVE && !fault_speeds.is_empty() {
-                &fault_speeds
-            } else {
-                &self.cfg.core_speeds
-            };
+            faults.begin_slot(&self.cfg.core_speeds, &mut speeds);
 
             // --- Reduce ---
+            let red_stall = cache.stall_cycles_per_inst(&it.reduce_memory, lat.reduce);
             let red = self.run_phase(
                 &it.reduce_tasks,
-                &it.reduce_memory,
-                lat.reduce,
+                red_stall,
                 PhaseKind::Reduce,
                 clock,
-                speeds,
-                scratch,
-                sink,
+                &speeds,
+                timeline.as_deref_mut(),
                 faults,
             );
             phases.reduce += red.duration;
             clock += red.duration;
-            let red_stall = self
-                .cfg
-                .cache
-                .stall_cycles_per_inst(&it.reduce_memory, lat.reduce);
             for (t, &c) in red.executed_by.iter().enumerate() {
-                let task = &it.reduce_tasks[t];
-                busy[c] += task.cycles / speeds[c] + task.instructions * red_stall;
+                busy[c] += task_duration(&it.reduce_tasks[t], speeds[c], red_stall);
                 tasks_per_core[c] += 1;
             }
             steals += red.steals;
-            scans_avoided += red.scans_avoided;
-            account_memory_flits(
-                &self.cfg.cache,
-                &mut scratch.reduce_flits,
-                &scratch.neighbors_flat,
-                &scratch.neighbors_off,
-                n,
+            self.account_memory_flits(
+                &mut reduce_flits,
                 &it.reduce_tasks,
                 &red.executed_by,
                 &it.reduce_memory,
@@ -892,17 +558,26 @@ impl Executor {
             //     Phoenix++ the transfer is cache-mediated: producers write
             //     container buckets back during Map and consumers fetch
             //     them during Reduce, so the flits split between the two
-            //     windows instead of bursting into the (short) Reduce.
-            //     See [`scatter_shuffle_flits`] for the bit-identity
-            //     argument of the pass-based scatter. ---
-            scatter_shuffle_flits(
-                scratch,
-                n,
-                &it.map_tasks,
-                &map.executed_by,
-                &red.executed_by,
-                it.kv_flits_per_key,
-            );
+            //     windows instead of bursting into the (short) Reduce. ---
+            if !it.reduce_tasks.is_empty() {
+                let r = it.reduce_tasks.len() as f64;
+                for (t, &c_m) in map.executed_by.iter().enumerate() {
+                    let keys = it.map_tasks[t].keys_emitted as f64;
+                    if keys == 0.0 {
+                        continue;
+                    }
+                    let per_bucket = keys * it.kv_flits_per_key / r / 2.0;
+                    for &c_r in &red.executed_by {
+                        if c_m != c_r {
+                            map_flits[c_m * n + c_r] += per_bucket;
+                            reduce_flits[c_m * n + c_r] += per_bucket;
+                        }
+                    }
+                }
+            }
+
+            // --- Fault slot C: Merge ---
+            faults.begin_slot(&self.cfg.core_speeds, &mut speeds);
 
             // --- Merge: binary tree, active threads halve per level. After
             //     the hash-partitioned Reduce, each of the n partitions
@@ -910,19 +585,8 @@ impl Executor {
             //     combines two partitions of total_items·2^l/n keys each,
             //     so the critical path is ~2·total_items·cycles_per_item
             //     while early levels stay cheap and wide. ---
-            // --- Fault slot C: Merge ---
-            faults.begin_slot(&self.cfg.core_speeds, &mut fault_speeds);
-            let speeds: &[f64] = if F::ACTIVE && !fault_speeds.is_empty() {
-                &fault_speeds
-            } else {
-                &self.cfg.core_speeds
-            };
-
             if let Some(merge) = it.merge {
-                let merge_stall = self
-                    .cfg
-                    .cache
-                    .stall_cycles_per_inst(&it.reduce_memory, lat.merge);
+                let merge_stall = cache.stall_cycles_per_inst(&it.reduce_memory, lat.merge);
                 let levels = (n as f64).log2().ceil() as u32;
                 for l in 0..levels {
                     let stride = 1usize << (l + 1);
@@ -935,33 +599,31 @@ impl Executor {
                         0,
                     );
                     let mut level_time = 0.0f64;
-                    let mut merger = 0usize;
-                    while merger < n {
+                    for merger in (0..n).step_by(stride) {
                         let partner = merger + half;
-                        if partner < n {
-                            // The merge tree is positional; a dead merger's
-                            // slot is serviced by the nearest survivor
-                            // (identity when fault-free).
-                            let m = faults.live_core(merger);
-                            let dur = mtask.cycles / speeds[m] + mtask.instructions * merge_stall;
-                            busy[m] += dur;
-                            sink.record(Span {
+                        if partner >= n {
+                            continue;
+                        }
+                        // The merge tree is positional; a dead merger's
+                        // slot is serviced by the nearest survivor.
+                        let m = faults.live_core(merger);
+                        let dur = task_duration(&mtask, speeds[m], merge_stall);
+                        busy[m] += dur;
+                        if let Some(t) = timeline.as_deref_mut() {
+                            t.push(Span {
                                 core: m,
                                 phase: PhaseKind::Merge,
                                 start: clock,
                                 end: clock + dur,
                                 stolen: false,
                             });
-                            level_time = level_time.max(dur);
-                            // Partner ships its partition to the merger
-                            // (its L2 slice still holds the data even if
-                            // the partner core itself is offline; any
-                            // self-traffic from substitution lands on the
-                            // matrix diagonal, which `from_dense` clears).
-                            scratch.merge_flits[partner * n + m] +=
-                                partition_items * merge.flits_per_item;
                         }
-                        merger += stride;
+                        level_time = level_time.max(dur);
+                        // Partner ships its partition to the merger (its L2
+                        // slice still holds the data even if the partner
+                        // core itself is offline; self-traffic from a
+                        // substitution lands on the ignored diagonal).
+                        merge_flits[partner * n + m] += partition_items * merge.flits_per_item;
                     }
                     phases.merge += level_time;
                     clock += level_time;
@@ -975,37 +637,23 @@ impl Executor {
         // Convert flit counts to packets per reference cycle: stage rates
         // are relative to each stage's own duration, the aggregate to the
         // whole execution.
-        let packet_flits = 4.0; // matches the NoC simulator's default packet length
         let to_matrix = |flits: &[f64], cycles: f64| -> TrafficMatrix {
             if cycles <= 0.0 {
                 return TrafficMatrix::zeros(n);
             }
-            // `packet_flits` is a power of two, so `flits / packet_flits`
-            // is an exact exponent shift and folding it into the divisor
-            // leaves exactly one rounding step — the quotient is
-            // bit-identical to the reference's two-step division at half
-            // the divide count. Dividing the whole buffer branch-free
-            // keeps untouched entries untouched too (`0.0 / denom` is the
-            // `+0.0` the reference left in place) while letting the loop
-            // vectorise; `from_dense` then clears the diagonal the
-            // reference's `set` guard never wrote.
-            let denom = packet_flits * cycles;
-            TrafficMatrix::from_dense(n, flits.iter().map(|&f| f / denom).collect())
+            TrafficMatrix::from_dense(
+                n,
+                flits.iter().map(|&f| f / PACKET_FLITS / cycles).collect(),
+            )
         };
-        scratch.total_flits.clear();
-        scratch.total_flits.extend(
-            scratch
-                .map_flits
-                .iter()
-                .zip(&scratch.reduce_flits)
-                .zip(&scratch.merge_flits)
-                .map(|((&m, &r), &g)| m + r + g),
-        );
-        let traffic = to_matrix(&scratch.total_flits, total);
+        let total_flits: Vec<f64> = (0..n * n)
+            .map(|i| map_flits[i] + reduce_flits[i] + merge_flits[i])
+            .collect();
+        let traffic = to_matrix(&total_flits, total);
         let phase_traffic = PhaseTraffic {
-            map: to_matrix(&scratch.map_flits, phases.map),
-            reduce: to_matrix(&scratch.reduce_flits, phases.reduce),
-            merge: to_matrix(&scratch.merge_flits, phases.merge),
+            map: to_matrix(&map_flits, phases.map),
+            reduce: to_matrix(&reduce_flits, phases.reduce),
+            merge: to_matrix(&merge_flits, phases.merge),
         };
 
         telemetry::count(
@@ -1013,7 +661,6 @@ impl Executor {
             tasks_per_core.iter().map(|&t| u64::from(t)).sum(),
         );
         telemetry::count("phoenix.tasks_stolen", steals);
-        telemetry::count("phoenix.steal_scans_avoided", scans_avoided);
         ExecutionReport {
             name: workload.name,
             phases,
@@ -1026,74 +673,44 @@ impl Executor {
         }
     }
 
-    /// Event-driven scheduling of one task-parallel phase.
+    /// Event-driven scheduling of one task-parallel phase whose tasks stall
+    /// `stall` cycles per instruction.
     ///
-    /// Per-completion cost is O(1) amortized: victim selection comes from
-    /// the [`StealIndex`] and no idle rescan exists. The reference
-    /// scheduler rescanned every core after each completion looking for
-    /// idle cores that could start; that scan is provably dead while tasks
-    /// remain queued — `queued` always equals the total queued-task count,
-    /// a core only goes idle-with-capacity when `next_task` finds every
-    /// queue empty (i.e. `queued == 0`), and queues never refill — so the
-    /// only resume point that can ever start an idle core is the cap-lift
-    /// batch below, which restarts all cores at once. (Under an active
-    /// fault hook a failed task *does* refill a queue, which can strand it
-    /// with every other core idle until the cap-lift batch; the retry
-    /// backoff models that pickup delay, so no extra wake-up pass is
-    /// needed there either.)
+    /// A finishing core picks up more work itself; no idle-core rescan
+    /// follows a completion. While tasks remain queued, a core only goes
+    /// idle with capacity left when every queue is empty, so the only point
+    /// that can restart an idle core is the cap lift below, which restarts
+    /// all cores at once. A failed task does refill a queue, which can
+    /// strand it with every other core idle until that lift; the retry
+    /// backoff models that pickup delay.
     #[allow(clippy::too_many_arguments)]
-    fn run_phase<S: SpanSink, F: FaultHook>(
+    fn run_phase(
         &self,
         tasks: &[TaskWork],
-        memory: &MemoryProfile,
-        latency: f64,
+        stall: f64,
         phase: PhaseKind,
         base: f64,
         speeds: &[f64],
-        scratch: &mut ExecScratch,
-        sink: &mut S,
-        faults: &mut F,
+        timeline: Option<&mut Timeline>,
+        faults: &mut PhoenixFaults,
     ) -> PhaseOutcome {
         let n = self.cfg.cores;
-        if F::ACTIVE {
-            faults.begin_phase(tasks.len());
-        }
-        let mut executed_by = vec![usize::MAX; tasks.len()];
+        faults.begin_phase(tasks.len());
         if tasks.is_empty() {
             return PhaseOutcome {
                 duration: 0.0,
-                executed_by,
+                executed_by: Vec::new(),
                 steals: 0,
-                scans_avoided: 0,
             };
         }
 
-        // Round-robin initial assignment (Phoenix chunk distribution) into
-        // the reused queue set.
-        scratch.queues.truncate(n);
-        for q in scratch.queues.iter_mut() {
-            q.clear();
-        }
-        scratch.queues.resize_with(n, VecDeque::new);
+        // Round-robin initial assignment (Phoenix chunk distribution).
+        let mut queues = vec![VecDeque::new(); n];
         for t in 0..tasks.len() {
-            scratch.queues[t % n].push_back(t);
+            queues[t % n].push_back(t);
         }
-        caps_for_phase_into(
-            self.cfg.steal_policy,
-            tasks.len(),
-            speeds,
-            &mut scratch.caps,
-        );
-        if F::ACTIVE {
-            faults.mask_caps(&mut scratch.caps);
-        }
-        scratch.done.clear();
-        scratch.done.resize(n, 0);
-        scratch.events.clear();
-        scratch.steal_index.rebuild(&scratch.queues);
-
-        let stall = self.cfg.cache.stall_cycles_per_inst(memory, latency);
-        let mut phase_end = 0.0f64;
+        let mut caps = caps_for_phase(self.cfg.steal_policy, tasks.len(), speeds);
+        faults.mask_caps(&mut caps);
         let mut ctx = PhaseCtx {
             tasks,
             speeds,
@@ -1101,16 +718,14 @@ impl Executor {
             steal_overhead: self.cfg.steal_overhead_cycles,
             phase,
             base,
-            queues: &mut scratch.queues,
-            index: &mut scratch.steal_index,
-            events: &mut scratch.events,
-            caps: &mut scratch.caps,
-            done: &mut scratch.done,
-            executed_by: &mut executed_by,
+            queues,
+            caps,
+            done: vec![0; n],
+            events: EventQueue::new(),
+            executed_by: vec![usize::MAX; tasks.len()],
             queued: tasks.len(),
             steals: 0,
-            scans_avoided: 0,
-            sink,
+            timeline,
             faults,
         };
 
@@ -1119,300 +734,83 @@ impl Executor {
             ctx.start_core(core, 0.0);
         }
 
+        let mut phase_end = 0.0f64;
         loop {
             while let Some((now, ev)) = ctx.events.pop() {
                 phase_end = phase_end.max(now);
                 // A failed attempt re-enters the queues before the
                 // finishing core looks for more work, so the retry is
                 // immediately stealable (possibly by the same core).
-                if F::ACTIVE && ctx.faults.task_failed(ev.task) {
-                    ctx.requeue(ev.core, ev.task);
+                if ctx.faults.task_failed(ev.task) {
+                    ctx.queues[ev.core].push_back(ev.task);
+                    ctx.queued += 1;
                 }
-                // The finishing core tries to pick up more work; no other
-                // core can become runnable here (see the method docs), so
-                // the reference's per-completion idle rescan is counted as
-                // avoided rather than replayed.
                 ctx.start_core(ev.core, now);
-                if ctx.queued > 0 {
-                    ctx.scans_avoided += 1;
-                }
             }
-            debug_assert_eq!(
-                ctx.queued,
-                ctx.queues.iter().map(VecDeque::len).sum::<usize>(),
-                "queued counter must track queue contents"
-            );
             if ctx.queued == 0 {
                 break;
             }
             // Every core hit its cap while tasks remain (possible only when
             // no core runs at f_max): lift the caps and resume the whole
-            // platform in one batch at the current phase end. Offline cores
-            // stay masked at zero — survivors drain the leftovers.
+            // platform at the current phase end. Offline cores stay masked
+            // at zero — survivors drain the leftovers.
             ctx.caps.fill(usize::MAX);
-            if F::ACTIVE {
-                ctx.faults.mask_caps(ctx.caps);
-            }
+            ctx.faults.mask_caps(&mut ctx.caps);
             for core in 0..n {
                 ctx.start_core(core, phase_end);
             }
         }
 
-        let steals = ctx.steals;
-        let scans_avoided = ctx.scans_avoided;
-        debug_assert!(executed_by.iter().all(|&c| c != usize::MAX));
+        debug_assert!(ctx.executed_by.iter().all(|&c| c != usize::MAX));
         PhaseOutcome {
             duration: phase_end,
-            executed_by,
-            steals,
-            scans_avoided,
+            executed_by: ctx.executed_by,
+            steals: ctx.steals,
         }
     }
-}
 
-/// Scatters the shuffle traffic of one iteration into the map and reduce
-/// flit accumulators: each map task spreads its emitted keys uniformly
-/// over the reduce buckets, half charged to the Map window and half to
-/// the Reduce window.
-///
-/// The reference walks `red_by` per map task, so entry (c_m, c) receives
-/// exactly cnt[c] adds of the task's per-bucket value, where cnt[c]
-/// counts the reduce tasks on core c. Because every add to a given entry
-/// carries the *same* addend, any schedule that delivers cnt[c]
-/// sequential adds to entry c produces bit-identical results — there is
-/// no ordering constraint between entries, and none within an entry
-/// beyond the count. The cheapest such schedule is the one used here:
-/// `cnt_min` unmasked full-row passes (branch-free, vectorisable, no
-/// indicator loads or multiplies) cover the shared floor of every count,
-/// and a compact excess list of (core, cnt[c] - cnt_min) pairs tops up
-/// the rest with register-resident scalar chains. The map core's own
-/// column — skipped by the reference's `c_m != c_r` guard — is written
-/// anyway and restored afterwards, leaving identical final bits.
-fn scatter_shuffle_flits(
-    scratch: &mut ExecScratch,
-    n: usize,
-    map_tasks: &[TaskWork],
-    map_by: &[usize],
-    red_by: &[usize],
-    kv_flits_per_key: f64,
-) {
-    if red_by.is_empty() {
-        return;
-    }
-    let r = red_by.len() as f64;
-    scratch.shuffle_cnt.clear();
-    scratch.shuffle_cnt.resize(n, 0);
-    for &c in red_by {
-        scratch.shuffle_cnt[c] += 1;
-    }
-    let cnt_min = scratch.shuffle_cnt.iter().copied().min().unwrap_or(0);
-    scratch.shuffle_excess.clear();
-    for c in 0..n {
-        let extra = scratch.shuffle_cnt[c] - cnt_min;
-        if extra > 0 {
-            scratch.shuffle_excess.push((c, extra));
+    /// Distributes the memory traffic of executed tasks: requests to home L2
+    /// slices and line-sized replies back, with a neighbour-locality bias.
+    fn account_memory_flits(
+        &self,
+        flits: &mut [f64],
+        tasks: &[TaskWork],
+        executed_by: &[usize],
+        memory: &MemoryProfile,
+        neighbor_bias: f64,
+    ) {
+        let n = self.cfg.cores;
+        if n < 2 {
+            return;
         }
-    }
-    for (t, &c_m) in map_by.iter().enumerate() {
-        let keys = map_tasks[t].keys_emitted as f64;
-        if keys == 0.0 {
-            continue;
-        }
-        let per_bucket = keys * kv_flits_per_key / r / 2.0;
-        let row = c_m * n;
-        let own_map = scratch.map_flits[row + c_m];
-        let own_red = scratch.reduce_flits[row + c_m];
-        let mrow = &mut scratch.map_flits[row..row + n];
-        let rrow = &mut scratch.reduce_flits[row..row + n];
-        for _ in 0..cnt_min {
-            for (v, w) in mrow.iter_mut().zip(rrow.iter_mut()) {
-                *v += per_bucket;
-                *w += per_bucket;
-            }
-        }
-        for &(c, extra) in &scratch.shuffle_excess {
-            let mut m = mrow[c];
-            let mut q = rrow[c];
-            for _ in 0..extra {
-                m += per_bucket;
-                q += per_bucket;
-            }
-            mrow[c] = m;
-            rrow[c] = q;
-        }
-        mrow[c_m] = own_map;
-        rrow[c_m] = own_red;
-    }
-}
-
-/// Distributes the memory traffic of executed tasks: requests to home L2
-/// slices and line-sized replies back, with a neighbour-locality bias.
-///
-/// The per-destination weights (`share`, `uniform`) and the per-task
-/// scaled addends are hoisted out of the scatter loops — each is one
-/// multiplication whose repeated evaluation in the reference produced the
-/// same value — and the neighbour lists come from the precomputed
-/// [`ExecScratch`] table, so the only per-destination work left is the
-/// additions themselves, which stay in the reference's exact order (the
-/// add sequence per matrix entry is what the bit-identity guarantee pins).
-#[allow(clippy::too_many_arguments)]
-fn account_memory_flits(
-    cache: &CacheModel,
-    flits: &mut [f64],
-    neighbors_flat: &[usize],
-    neighbors_off: &[usize],
-    n: usize,
-    tasks: &[TaskWork],
-    executed_by: &[usize],
-    memory: &MemoryProfile,
-    neighbor_bias: f64,
-) {
-    if n < 2 {
-        return;
-    }
-    let line_flits = cache.line_flits() as f64;
-    let mpki = memory.l1_mpki / 1000.0;
-    let uniform = (1.0 - neighbor_bias) / (n - 1) as f64;
-
-    // Tasks are processed in batches of up to BATCH consecutive tasks on
-    // pairwise-distinct cores. Entries touched by at most one batch task
-    // keep their reference add order automatically: the neighbour
-    // scatters and request rows run per task in task order, and the
-    // fused reply-column walk appends each task's single column add. The
-    // only entries where *cross-task* order matters are the k×k
-    // core-intersection entries (task a's row crosses task b's column
-    // exactly at (cores[a], cores[b])) — those are snapshot before the
-    // batch and recomputed afterwards by replaying the reference's exact
-    // per-entry add sequence, so every final bit matches the reference's
-    // one-task-at-a-time walk. Fusing the columns is what pays: the k
-    // strided column walks collapse into one pass that touches each
-    // cache line once instead of k times.
-    const BATCH: usize = 4;
-    let len = tasks.len();
-    let mut cores = [0usize; BATCH];
-    let mut reqs = [0.0f64; BATCH];
-    let mut reps = [0.0f64; BATCH];
-    let mut req_sh = [0.0f64; BATCH];
-    let mut rep_sh = [0.0f64; BATCH];
-    let mut req_u = [0.0f64; BATCH];
-    let mut rep_u = [0.0f64; BATCH];
-    let mut i = 0;
-    while i < len {
-        // Collect the batch: tasks with no traffic pass through freely
-        // (the reference skips them too); a repeated core flushes early.
-        let mut k = 0;
-        while i < len && k < BATCH {
-            let accesses =
-                tasks[i].instructions * mpki * memory.remote_fraction * cache.network_fraction;
+        let cache = &self.cfg.cache;
+        let line_flits = cache.line_flits() as f64;
+        let uniform = (1.0 - neighbor_bias) / (n - 1) as f64;
+        for (t, &c) in executed_by.iter().enumerate() {
+            let accesses = tasks[t].instructions
+                * (memory.l1_mpki / 1000.0)
+                * memory.remote_fraction
+                * cache.network_fraction;
             if accesses <= 0.0 {
-                i += 1;
                 continue;
             }
-            let c = executed_by[i];
-            if cores[..k].contains(&c) {
-                break;
+            let req = accesses; // 1 flit per request
+            let rep = accesses * line_flits;
+            // Neighbour share: split over up to 2·NEIGHBORHOOD nearby cores.
+            let neighbors: Vec<usize> = (1..=NEIGHBORHOOD)
+                .flat_map(|off| [c.checked_sub(off), Some(c + off).filter(|&d| d < n)])
+                .flatten()
+                .collect();
+            let share = neighbor_bias / neighbors.len() as f64;
+            for &d in &neighbors {
+                flits[c * n + d] += req * share;
+                flits[d * n + c] += rep * share;
             }
-            cores[k] = c;
-            reqs[k] = accesses; // 1 flit per request
-            reps[k] = accesses * line_flits;
-            k += 1;
-            i += 1;
-        }
-        if k == 0 {
-            continue;
-        }
-        // Snapshot the intersection entries (including diagonals, which
-        // the reference never writes).
-        let mut saved = [[0.0f64; BATCH]; BATCH];
-        for a in 0..k {
-            for b in 0..k {
-                saved[a][b] = flits[cores[a] * n + cores[b]];
-            }
-        }
-        // Neighbour share: split over up to 2*NEIGHBORHOOD nearby cores,
-        // per task in task order.
-        for a in 0..k {
-            let c = cores[a];
-            let neighbors = &neighbors_flat[neighbors_off[c]..neighbors_off[c + 1]];
-            req_sh[a] = 0.0;
-            rep_sh[a] = 0.0;
-            if !neighbors.is_empty() {
-                let share = neighbor_bias / neighbors.len() as f64;
-                req_sh[a] = reqs[a] * share;
-                rep_sh[a] = reps[a] * share;
-                for &d in neighbors {
-                    flits[c * n + d] += req_sh[a];
-                    flits[d * n + c] += rep_sh[a];
+            for d in 0..n {
+                if d != c {
+                    flits[c * n + d] += req * uniform;
+                    flits[d * n + c] += rep * uniform;
                 }
-            }
-            req_u[a] = reqs[a] * uniform;
-            rep_u[a] = reps[a] * uniform;
-        }
-        // Request rows, per task in task order, branch-free over the full
-        // row (the diagonal garbage is fixed by the replay below).
-        for a in 0..k {
-            let c = cores[a];
-            for v in &mut flits[c * n..(c + 1) * n] {
-                *v += req_u[a];
-            }
-        }
-        // Reply columns, fused into a single walk over the rows. The
-        // full-batch case is unrolled by hand so the four independent
-        // scattered adds pipeline instead of sharing a counted loop.
-        if k == BATCH {
-            let [c0, c1, c2, c3] = cores;
-            let [r0, r1, r2, r3] = rep_u;
-            for chunk in flits.chunks_exact_mut(n) {
-                chunk[c0] += r0;
-                chunk[c1] += r1;
-                chunk[c2] += r2;
-                chunk[c3] += r3;
-            }
-        } else {
-            for chunk in flits.chunks_exact_mut(n) {
-                for a in 0..k {
-                    chunk[cores[a]] += rep_u[a];
-                }
-            }
-        }
-        // Replay the intersection entries from the snapshot in the
-        // reference's order: for entry (cores[a], cores[b]) the adds come
-        // from task a (neighbour request share if the cores are adjacent,
-        // then the uniform request) and task b (neighbour reply share,
-        // then the uniform reply), sequenced by task position. Adjacency
-        // is symmetric, so one membership test covers both directions.
-        for a in 0..k {
-            for b in 0..k {
-                let (x, y) = (cores[a], cores[b]);
-                if a == b {
-                    flits[x * n + x] = saved[a][a];
-                    continue;
-                }
-                // Membership in the neighbour list is exactly index
-                // distance <= NEIGHBORHOOD (both cores are in-bounds), so
-                // no list walk is needed.
-                let near = x.abs_diff(y) <= NEIGHBORHOOD as usize;
-                let mut val = saved[a][b];
-                if a < b {
-                    if near {
-                        val += req_sh[a];
-                    }
-                    val += req_u[a];
-                    if near {
-                        val += rep_sh[b];
-                    }
-                    val += rep_u[b];
-                } else {
-                    if near {
-                        val += rep_sh[b];
-                    }
-                    val += rep_u[b];
-                    if near {
-                        val += req_sh[a];
-                    }
-                    val += req_u[a];
-                }
-                flits[x * n + y] = val;
             }
         }
     }
@@ -1611,24 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_transparent() {
-        // One scratch across heterogeneous runs (different task counts and
-        // core counts upstream of it) changes nothing.
-        let mut scratch = ExecScratch::new();
-        for tasks in [3usize, 64, 17] {
-            let w = simple_workload(tasks, 20_000.0);
-            let exec = Executor::new(RuntimeConfig::nvfi(8));
-            let fresh = exec.run(&w);
-            let reused = exec.run_with_scratch(&w, &mut scratch);
-            assert_eq!(fresh, reused, "scratch reuse diverged at tasks={tasks}");
-        }
-        // A smaller platform after a larger one (scratch shrinks).
-        let w = simple_workload(9, 5_000.0);
-        let exec = Executor::new(RuntimeConfig::nvfi(2));
-        assert_eq!(exec.run(&w), exec.run_with_scratch(&w, &mut scratch));
-    }
-
-    #[test]
     fn merge_busy_lands_on_tree_mergers() {
         let exec = Executor::new(RuntimeConfig::nvfi(8));
         let report = exec.run(&simple_workload(8, 1_000.0));
@@ -1687,25 +1067,5 @@ mod tests {
         assert_eq!(report.phases.reduce, 0.0);
         assert_eq!(report.phases.merge, 0.0);
         assert!(report.phases.lib_init > 0.0);
-    }
-
-    #[test]
-    fn steal_index_matches_scan_order() {
-        // Drive a StealIndex and a naive max-scan side by side through a
-        // deterministic pop sequence; the victims must agree throughout.
-        let mut queues: Vec<VecDeque<usize>> = (0..7)
-            .map(|c| (0..[3usize, 1, 4, 4, 0, 2, 4][c]).collect())
-            .collect();
-        let mut index = StealIndex::default();
-        index.rebuild(&queues);
-        for _ in 0..20 {
-            let scan = (0..queues.len())
-                .filter(|&v| !queues[v].is_empty())
-                .max_by_key(|&v| (queues[v].len(), usize::MAX - v));
-            assert_eq!(index.best(), scan, "victim order diverged");
-            let Some(v) = scan else { break };
-            queues[v].pop_back();
-            index.decrement(v, queues[v].len() + 1);
-        }
     }
 }

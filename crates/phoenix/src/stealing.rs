@@ -76,34 +76,13 @@ pub fn task_cap(total_tasks: usize, cores: usize, speed_ratio: f64) -> usize {
 /// still keeps that island uncapped. Under [`StealPolicy::Default`] every
 /// core is uncapped.
 pub fn caps_for_phase(policy: StealPolicy, total_tasks: usize, speed_ratios: &[f64]) -> Vec<usize> {
-    let mut caps = Vec::new();
-    caps_for_phase_into(policy, total_tasks, speed_ratios, &mut caps);
-    caps
-}
-
-/// [`caps_for_phase`] into a caller-owned buffer, so schedulers running
-/// many phases can reuse one allocation. The buffer is cleared first.
-pub fn caps_for_phase_into(
-    policy: StealPolicy,
-    total_tasks: usize,
-    speed_ratios: &[f64],
-    out: &mut Vec<usize>,
-) {
-    out.clear();
+    let fastest = speed_ratios.iter().cloned().fold(0.0, f64::max);
     match policy {
-        StealPolicy::Default => out.resize(speed_ratios.len(), usize::MAX),
-        StealPolicy::VfiCapped => {
-            let fastest = speed_ratios.iter().cloned().fold(0.0, f64::max);
-            if fastest <= 0.0 {
-                out.resize(speed_ratios.len(), usize::MAX);
-                return;
-            }
-            out.extend(
-                speed_ratios
-                    .iter()
-                    .map(|&s| task_cap(total_tasks, speed_ratios.len(), s / fastest)),
-            );
-        }
+        StealPolicy::VfiCapped if fastest > 0.0 => speed_ratios
+            .iter()
+            .map(|&s| task_cap(total_tasks, speed_ratios.len(), s / fastest))
+            .collect(),
+        _ => vec![usize::MAX; speed_ratios.len()],
     }
 }
 
@@ -193,18 +172,6 @@ mod tests {
         assert_eq!(task_cap(3, 8, 0.9), 0);
         let caps = caps_for_phase(StealPolicy::VfiCapped, 3, &[0.8, 0.9, 1.0, 1.0]);
         assert_eq!(caps, vec![0, 0, usize::MAX, usize::MAX]);
-    }
-
-    #[test]
-    fn caps_for_phase_into_reuses_buffer() {
-        let mut buf = vec![123usize; 7];
-        caps_for_phase_into(StealPolicy::VfiCapped, 64, &[0.6, 1.0, 0.8, 1.0], &mut buf);
-        assert_eq!(
-            buf,
-            caps_for_phase(StealPolicy::VfiCapped, 64, &[0.6, 1.0, 0.8, 1.0])
-        );
-        caps_for_phase_into(StealPolicy::Default, 10, &[1.0, 1.0], &mut buf);
-        assert_eq!(buf, vec![usize::MAX; 2]);
     }
 
     #[test]

@@ -1,124 +1,17 @@
-//! Bit-level equivalence of the optimized phase scheduler against the
-//! in-tree reference implementation.
+//! Determinism, victim-order and fault-path checks of the Phoenix
+//! scheduler, by direct assertion.
 //!
-//! The optimized execution-model kernels (indexed steal structure, elided
-//! idle rescans, span-sink tracing, scratch reuse, hoisted traffic
-//! accounting) are required to reproduce the pre-optimization scheduler —
-//! kept verbatim as `Executor::run_traced_reference` — *bit for bit*:
-//! every `f64` in the `ExecutionReport` (phase durations, per-core busy
-//! cycles, utilization), every `TrafficMatrix` rate (aggregate and
-//! per-stage), every `Timeline` span boundary, and every integer counter
-//! (steals, per-core task counts) must match on `to_bits()`, not merely
-//! within a tolerance. Any drift means an optimization changed the
-//! computation rather than just its cost.
+//! The bit-level pin of every observable across apps and platforms lives
+//! in `tests/golden.rs`; the exhaustive small-state fault check in
+//! `tests/exhaustive.rs`.
 
 use mapwave_faults::{FaultConfig, FaultPlan};
 use mapwave_manycore::cache::MemoryProfile;
-use mapwave_noc::NodeId;
 use mapwave_phoenix::apps::App;
-use mapwave_phoenix::runtime::{ExecScratch, Executor, PhoenixFaults, RuntimeConfig};
+use mapwave_phoenix::runtime::{Executor, PhoenixFaults, RuntimeConfig};
 use mapwave_phoenix::stealing::StealPolicy;
 use mapwave_phoenix::task::TaskWork;
-use mapwave_phoenix::workload::{AppWorkload, ExecutionReport, IterationWorkload, PhaseLatencies};
-use mapwave_phoenix::Timeline;
-
-/// Asserts two reports match on every bit of every observable.
-fn assert_reports_bit_identical(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
-    assert_eq!(a.name, b.name, "{what}: name");
-    for (label, x, y) in [
-        ("lib_init", a.phases.lib_init, b.phases.lib_init),
-        ("map", a.phases.map, b.phases.map),
-        ("reduce", a.phases.reduce, b.phases.reduce),
-        ("merge", a.phases.merge, b.phases.merge),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: phases.{label}");
-    }
-    assert_eq!(a.steals, b.steals, "{what}: steals");
-    assert_eq!(a.tasks_per_core, b.tasks_per_core, "{what}: tasks_per_core");
-    let n = a.busy_cycles.len();
-    assert_eq!(n, b.busy_cycles.len(), "{what}: core count");
-    for c in 0..n {
-        assert_eq!(
-            a.busy_cycles[c].to_bits(),
-            b.busy_cycles[c].to_bits(),
-            "{what}: busy_cycles[{c}]"
-        );
-        assert_eq!(
-            a.utilization[c].to_bits(),
-            b.utilization[c].to_bits(),
-            "{what}: utilization[{c}]"
-        );
-    }
-    let matrices = [
-        ("traffic", &a.traffic, &b.traffic),
-        (
-            "phase_traffic.map",
-            &a.phase_traffic.map,
-            &b.phase_traffic.map,
-        ),
-        (
-            "phase_traffic.reduce",
-            &a.phase_traffic.reduce,
-            &b.phase_traffic.reduce,
-        ),
-        (
-            "phase_traffic.merge",
-            &a.phase_traffic.merge,
-            &b.phase_traffic.merge,
-        ),
-    ];
-    for (label, ma, mb) in matrices {
-        for s in 0..n {
-            for d in 0..n {
-                assert_eq!(
-                    ma.rate(NodeId(s), NodeId(d)).to_bits(),
-                    mb.rate(NodeId(s), NodeId(d)).to_bits(),
-                    "{what}: {label}[{s}→{d}]"
-                );
-            }
-        }
-    }
-}
-
-/// Asserts two timelines record the same spans with bit-identical bounds.
-fn assert_timelines_bit_identical(a: &Timeline, b: &Timeline, what: &str) {
-    assert_eq!(a.cores(), b.cores(), "{what}: timeline cores");
-    assert_eq!(a.spans().len(), b.spans().len(), "{what}: span count");
-    for (i, (x, y)) in a.spans().iter().zip(b.spans()).enumerate() {
-        assert_eq!(x.core, y.core, "{what}: span[{i}].core");
-        assert_eq!(x.phase, y.phase, "{what}: span[{i}].phase");
-        assert_eq!(x.stolen, y.stolen, "{what}: span[{i}].stolen");
-        assert_eq!(
-            x.start.to_bits(),
-            y.start.to_bits(),
-            "{what}: span[{i}].start"
-        );
-        assert_eq!(x.end.to_bits(), y.end.to_bits(), "{what}: span[{i}].end");
-    }
-}
-
-/// Checks optimized-vs-reference equivalence for one executor/workload
-/// pair, on both the traced and untraced paths, under scratch reuse, and
-/// through the fault-hooked path with an inert plan (which must be a
-/// transparent alias for the unfaulted scheduler, bit for bit).
-fn check(exec: &Executor, w: &AppWorkload, scratch: &mut ExecScratch, what: &str) {
-    let (ref_report, ref_timeline) = exec.run_traced_reference(w);
-    let (opt_report, opt_timeline) = exec.run_traced(w);
-    assert_reports_bit_identical(&opt_report, &ref_report, what);
-    assert_timelines_bit_identical(&opt_timeline, &ref_timeline, what);
-    let untraced = exec.run(w);
-    assert_reports_bit_identical(&untraced, &ref_report, &format!("{what} (untraced)"));
-    let reused = exec.run_with_scratch(w, scratch);
-    assert_reports_bit_identical(&reused, &ref_report, &format!("{what} (scratch reuse)"));
-    let mut faults = PhoenixFaults::new(&FaultPlan::none(), exec.config().cores, 0);
-    let faulted = exec.run_with_faults(w, scratch, &mut faults);
-    assert_reports_bit_identical(&faulted, &ref_report, &format!("{what} (none-plan faults)"));
-    assert_eq!(
-        *faults.stats(),
-        Default::default(),
-        "{what}: inert plan must inject nothing"
-    );
-}
+use mapwave_phoenix::workload::{AppWorkload, IterationWorkload};
 
 /// Heterogeneous speed vector of `n` cores cycling through the paper's
 /// relative operating points.
@@ -127,73 +20,9 @@ fn hetero_speeds(n: usize) -> Vec<f64> {
 }
 
 #[test]
-fn apps_match_reference_across_platforms() {
-    let apps = [App::WordCount, App::Kmeans, App::Histogram];
-    let mut scratch = ExecScratch::new();
-    for app in apps {
-        let w = app.workload(0.002, 42, 16);
-        for (label, cfg) in [
-            ("nvfi-16", RuntimeConfig::nvfi(16)),
-            (
-                "hetero-default-16",
-                RuntimeConfig::nvfi(16)
-                    .with_speeds(hetero_speeds(16))
-                    .with_steal_policy(StealPolicy::Default),
-            ),
-            (
-                "hetero-capped-16",
-                RuntimeConfig::nvfi(16)
-                    .with_speeds(hetero_speeds(16))
-                    .with_steal_policy(StealPolicy::VfiCapped),
-            ),
-            (
-                "all-slow-capped-16",
-                RuntimeConfig::nvfi(16)
-                    .with_speeds(vec![0.6; 16])
-                    .with_steal_policy(StealPolicy::VfiCapped),
-            ),
-            (
-                "hetero-latencies-16",
-                RuntimeConfig::nvfi(16)
-                    .with_speeds(hetero_speeds(16))
-                    .with_steal_policy(StealPolicy::VfiCapped)
-                    .with_phase_latencies(PhaseLatencies {
-                        lib_init: 25.0,
-                        map: 90.0,
-                        reduce: 55.0,
-                        merge: 140.0,
-                    }),
-            ),
-        ] {
-            let exec = Executor::new(cfg);
-            check(&exec, &w, &mut scratch, &format!("{app:?}/{label}"));
-        }
-    }
-}
-
-#[test]
-fn small_platforms_match_reference() {
-    // Fewer cores than tasks-per-phase edge cases, including a 2-core
-    // platform (minimal traffic model) and more cores than reduce tasks.
-    let w = App::WordCount.workload(0.002, 7, 4);
-    let mut scratch = ExecScratch::new();
-    for cores in [2usize, 4, 64] {
-        let cfg = RuntimeConfig::nvfi(cores)
-            .with_speeds(hetero_speeds(cores))
-            .with_steal_policy(StealPolicy::VfiCapped);
-        check(
-            &Executor::new(cfg),
-            &w,
-            &mut scratch,
-            &format!("WordCount/cores-{cores}"),
-        );
-    }
-}
-
-#[test]
 fn determinism_across_policies_and_speeds() {
-    // Satellite: `run()` and `run_traced().0` must agree for both steal
-    // policies across heterogeneous speed vectors.
+    // `run()`, `run_traced().0` and a run under an inert fault plan must
+    // agree for both steal policies across heterogeneous speed vectors.
     let w = App::Kmeans.workload(0.002, 11, 16);
     for policy in [StealPolicy::Default, StealPolicy::VfiCapped] {
         for speeds in [
@@ -212,6 +41,13 @@ fn determinism_across_policies_and_speeds() {
                 plain, traced,
                 "run/run_traced diverged at policy={policy:?} speeds={speeds:?}"
             );
+            let mut faults = PhoenixFaults::new(&FaultPlan::none(), 16, 0);
+            assert_eq!(
+                plain,
+                exec.run_with_faults(&w, &mut faults),
+                "inert fault plan changed the run at policy={policy:?} speeds={speeds:?}"
+            );
+            assert_eq!(*faults.stats(), Default::default(), "inert plan fired");
         }
     }
 }
@@ -221,8 +57,8 @@ fn steal_order_pins_lowest_index_victim_on_ties() {
     // Satellite regression: 8 tasks round-robin over 4 equal-speed cores
     // (two per queue). Cores 2 and 3 get tiny tasks and go hunting while
     // cores 0 and 1 still run their first task with exactly one task left
-    // in each queue — a tie on queue length. The reference victim order
-    // (`max_by_key(len, usize::MAX - v)`) resolves ties to the *lowest*
+    // in each queue — a tie on queue length. The victim order (longest
+    // queue, lowest index on ties) resolves ties to the *lowest*
     // core index, so core 2's steal must take core 0's task (cycles A),
     // not core 1's (cycles B). The stolen span durations expose which.
     let a_cycles = 2_000_000.0;
@@ -277,10 +113,6 @@ fn steal_order_pins_lowest_index_victim_on_ties() {
         stolen_dur(3).to_bits(),
         (b_cycles + steal_overhead).to_bits()
     );
-    // And the schedule matches the reference scheduler exactly.
-    let (ref_report, ref_timeline) = exec.run_traced_reference(&w);
-    assert_reports_bit_identical(&report, &ref_report, "steal-order");
-    assert_timelines_bit_identical(&timeline, &ref_timeline, "steal-order");
 }
 
 #[test]
@@ -294,15 +126,14 @@ fn task_faults_retry_deterministically_and_still_complete() {
     cfg.task_fail_rate = 0.2;
     cfg.seed = 9;
     let plan = FaultPlan::build(&cfg);
-    let mut scratch = ExecScratch::new();
 
-    let run = |scratch: &mut ExecScratch| {
+    let run = || {
         let mut faults = PhoenixFaults::new(&plan, 16, 0);
-        let report = exec.run_with_faults(&w, scratch, &mut faults);
+        let report = exec.run_with_faults(&w, &mut faults);
         (report, *faults.stats())
     };
-    let (report_a, stats_a) = run(&mut scratch);
-    let (report_b, stats_b) = run(&mut scratch);
+    let (report_a, stats_a) = run();
+    let (report_b, stats_b) = run();
     assert_eq!(report_a, report_b, "same fault seed must replay exactly");
     assert_eq!(stats_a, stats_b);
     assert!(
@@ -312,7 +143,7 @@ fn task_faults_retry_deterministically_and_still_complete() {
     assert_eq!(stats_a.cores_failed, 0);
     assert_eq!(stats_a.cores_degraded, 0);
 
-    let clean = exec.run_with_scratch(&w, &mut scratch);
+    let clean = exec.run(&w);
     assert_eq!(
         clean
             .tasks_per_core
@@ -344,9 +175,8 @@ fn dead_cores_are_drained_by_survivors() {
     cfg.core_degrade_rate = 0.3;
     cfg.seed = 4;
     let plan = FaultPlan::build(&cfg);
-    let mut scratch = ExecScratch::new();
     let mut faults = PhoenixFaults::new(&plan, 16, 0);
-    let report = exec.run_with_faults(&w, &mut scratch, &mut faults);
+    let report = exec.run_with_faults(&w, &mut faults);
     let stats = *faults.stats();
     assert!(
         stats.cores_failed > 0,
@@ -355,7 +185,7 @@ fn dead_cores_are_drained_by_survivors() {
     assert!(stats.re_steals > 0, "survivors must drain dead queues");
     assert!(faults.health().is_alive(0), "master is protected");
     assert!(faults.health().alive_count() < 16);
-    let clean = exec.run_with_scratch(&w, &mut scratch);
+    let clean = exec.run(&w);
     assert_eq!(
         clean
             .tasks_per_core
@@ -379,14 +209,13 @@ fn dead_cores_are_drained_by_survivors() {
 fn different_fault_seeds_diverge() {
     let w = App::WordCount.workload(0.002, 42, 16);
     let exec = Executor::new(RuntimeConfig::nvfi(16));
-    let mut scratch = ExecScratch::new();
-    let run = |seed: u64, scratch: &mut ExecScratch| {
+    let run = |seed: u64| {
         let plan = FaultPlan::build(&FaultConfig::at_rate(0.15, seed));
         let mut faults = PhoenixFaults::new(&plan, 16, 0);
-        exec.run_with_faults(&w, scratch, &mut faults)
+        exec.run_with_faults(&w, &mut faults)
     };
-    let a = run(1, &mut scratch);
-    let b = run(2, &mut scratch);
+    let a = run(1);
+    let b = run(2);
     assert_ne!(
         a.total_cycles().to_bits(),
         b.total_cycles().to_bits(),

@@ -1,9 +1,10 @@
 //! Drift guard for EXPERIMENTS.md: the headline table's average and
 //! maximum EDP saving and worst VFI-WiNoC execution-time penalty (to one
-//! decimal place), the Fig. 4 VFI 1/VFI 2 times and PCA EDP pair, the
-//! Fig. 6 relative network EDPs, the Fig. 7 mesh/WiNoC totals and the
-//! Fig. 8 rows (to three) must be the numbers the code produces at the
-//! reference scale (0.1). After an intended model change, regenerate them
+//! decimal place), which Table 2 rows the bottleneck pass reassigns, the
+//! Fig. 4 VFI 1/VFI 2 times and PCA EDP pair, the Fig. 5 bottleneck ÷
+//! average utilization ratios (to two), the Fig. 6 relative network EDPs,
+//! the Fig. 7 mesh/WiNoC totals and the Fig. 8 rows (to three) must be
+//! the numbers the code produces at the reference scale (0.1). After an intended model change, regenerate them
 //! with `cargo run --release --bin mapwave -- report --scale 0.1` and
 //! update the document.
 
@@ -53,6 +54,25 @@ fn experiments_headline_matches_the_reference_run() {
             "EXPERIMENTS.md drifted from the code: {label:?} row should quote {want}, found:\n{line}"
         );
     }
+    // Table 2's VFI 2 column reads "unchanged" exactly for the apps the
+    // bottleneck pass leaves alone.
+    let table2 = section("## Table 2");
+    for row in ctx.table2() {
+        let prefix = format!("| {} |", row.app.name());
+        let line = table2
+            .iter()
+            .find(|l| l.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("EXPERIMENTS.md Table 2 has no {} row", row.app.name()));
+        let vfi2_cell = line.split('|').nth(3).unwrap_or("");
+        assert_eq!(
+            vfi2_cell.contains("unchanged"),
+            !row.reassigned,
+            "EXPERIMENTS.md Table 2 drifted from the code: the {} VFI 2 cell {vfi2_cell:?} \
+             should {}say \"unchanged\"",
+            row.app.name(),
+            if row.reassigned { "not " } else { "" }
+        );
+    }
     // Fig. 4 tabulates both VFI times per application and quotes the PCA
     // EDP pair in prose.
     let fig4 = section("## Figure 4");
@@ -75,6 +95,19 @@ fn experiments_headline_matches_the_reference_run() {
                 "EXPERIMENTS.md Figure 4 drifted from the code: should quote {want:?}"
             );
         }
+    }
+    // Fig. 5 quotes its bottleneck ÷ average ratios as running prose.
+    let fig5 = section("## Figure 5").join(" ");
+    for row in ctx.fig5() {
+        let want = format!(
+            "{} {:.2}",
+            row.app.name(),
+            row.bottleneck_utilization / row.average_utilization.max(1e-9)
+        );
+        assert!(
+            fig5.contains(&want),
+            "EXPERIMENTS.md Figure 5 drifted from the code: should quote {want:?}"
+        );
     }
     // Fig. 6 quotes its ratios as running prose, which may wrap anywhere.
     let fig6 = section("## Figure 6").join(" ");
