@@ -7,7 +7,9 @@
 //! ```
 //!
 //! [`DesignFlow::design`] executes the flow for one application and returns
-//! a [`Design`]; spec builders then materialise each of the paper's
+//! a [`Design`] ([`DesignFlow::design_with_baseline`] also returns the
+//! NVFI-mesh run it profiled on, the baseline of every comparison); spec
+//! builders then materialise each of the paper's
 //! platform configurations (NVFI mesh, VFI mesh, VFI WiNoC) as
 //! [`SystemSpec`]s ready for [`crate::system::run_system`].
 
@@ -16,7 +18,7 @@ use crate::placement::{
     anneal_wi_placement, center_wis, initial_mapping, refine_mapping_max_wireless,
     refine_mapping_min_hop,
 };
-use crate::system::SystemSpec;
+use crate::system::{RunReport, SystemSpec};
 use mapwave_manycore::mapping::ThreadMapping;
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::routing::RoutingTable;
@@ -42,6 +44,16 @@ pub enum VfStage {
     Vfi2,
 }
 
+impl VfStage {
+    /// The label of the stage's VFI mesh system.
+    pub fn mesh_label(self) -> &'static str {
+        match self {
+            VfStage::Vfi1 => "VFI 1 Mesh",
+            VfStage::Vfi2 => "VFI Mesh",
+        }
+    }
+}
+
 /// The products of the design flow for one application.
 #[derive(Debug, Clone)]
 pub struct Design {
@@ -49,7 +61,9 @@ pub struct Design {
     pub app: App,
     /// Its recorded workload (real computation already performed).
     pub workload: AppWorkload,
-    /// The NVFI-mesh profiling run (utilization + traffic inputs).
+    /// The NVFI-mesh profiling run (utilization + traffic inputs): the
+    /// `exec` of the baseline [`RunReport`] that
+    /// [`DesignFlow::design_with_baseline`] returns beside the design.
     pub profile: ExecutionReport,
     /// The Eq. (1) clustering.
     pub clustering: Clustering,
@@ -131,13 +145,21 @@ impl DesignFlow {
 
     /// Runs the Fig. 3 flow for `app`.
     pub fn design(&self, app: App) -> Design {
+        self.design_with_baseline(app).0
+    }
+
+    /// Runs the Fig. 3 flow for `app` and also returns the NVFI-mesh run
+    /// it profiled on. That run is the baseline of every comparison, and
+    /// it is exactly `run_system(&self.nvfi_spec(), ..)`, so callers that
+    /// need both must not simulate it again.
+    pub fn design_with_baseline(&self, app: App) -> (Design, RunReport) {
         let _span = mapwave_harness::telemetry::span_labeled("core.design", app.name());
         let cfg = &self.cfg;
         let workload = app.workload(cfg.scale, cfg.seed, cfg.cores());
 
         // Step 1: compute the V/F design parameters on the non-VFI system.
-        let profile =
-            crate::system::run_system(&self.nvfi_spec(), &workload, cfg, &self.power).exec;
+        let baseline = crate::system::run_system(&self.nvfi_spec(), &workload, cfg, &self.power);
+        let profile = baseline.exec.clone();
 
         // Step 2: VFI clustering (Eq. 1).
         let n = cfg.cores();
@@ -175,7 +197,7 @@ impl DesignFlow {
         let steal_vfi1 = self.choose_steal(&workload, &clustering, &vfi1);
         let steal_vfi2 = self.choose_steal(&workload, &clustering, &vfi2);
 
-        Design {
+        let design = Design {
             app,
             workload,
             profile,
@@ -185,7 +207,8 @@ impl DesignFlow {
             analysis,
             steal_vfi1,
             steal_vfi2,
-        }
+        };
+        (design, baseline)
     }
 
     /// Picks the steal policy with the lower modelled execution time for
@@ -225,10 +248,7 @@ impl DesignFlow {
         let cfg = &self.cfg;
         let mapping = self.min_hop_mapping(design);
         SystemSpec {
-            label: match stage {
-                VfStage::Vfi1 => "VFI 1 Mesh".into(),
-                VfStage::Vfi2 => "VFI Mesh".into(),
-            },
+            label: stage.mesh_label().into(),
             topology: mesh(cfg.cols, cfg.rows, cfg.tile_mm),
             overlay: WirelessOverlay::none(),
             routing: RoutingTable::xy(cfg.cols, cfg.rows),
@@ -266,7 +286,15 @@ impl DesignFlow {
         // Scales with the die edge (3 on 8×8, 6 on 16×16, 12 on 32×32);
         // identical to the paper's min(3, wis_per_cluster) on ≤ 8×8 dies.
         let channels = cfg.wi_channels();
-        let (overlay, mapping) = match strategy {
+        let route = |overlay: &WirelessOverlay| {
+            RoutingTable::up_down_weighted(
+                &topology,
+                overlay,
+                crate::placement::WINOC_HUB_EDGE_WEIGHT,
+            )
+            .expect("WiNoC is connected")
+        };
+        let (overlay, mapping, routing) = match strategy {
             PlacementStrategy::MinHopCount => {
                 // Minimise distance over the *actual* wireline graph, not
                 // die geometry: a power-law network's neighbours are not
@@ -290,7 +318,8 @@ impl DesignFlow {
                     channels,
                     cfg.seed,
                 );
-                (overlay, mapping)
+                let routing = route(&overlay);
+                (overlay, mapping, routing)
             }
             PlacementStrategy::MaxWirelessUtilization => {
                 let overlay = center_wis(
@@ -313,27 +342,18 @@ impl DesignFlow {
                     cfg.cols,
                     cfg.rows,
                 );
-                let table = RoutingTable::up_down_weighted(
-                    &topology,
-                    &overlay,
-                    crate::placement::WINOC_HUB_EDGE_WEIGHT,
-                )
-                .expect("WiNoC is connected");
+                // The refinement's distance table is also the spec's
+                // routing: the overlay does not change after it is built.
+                let routing = route(&overlay);
                 let mapping = refine_mapping_min_hop(
                     seeded,
                     &design.clustering,
                     &design.profile.traffic,
-                    |a: NodeId, b: NodeId| table.distance(a, b) as f64,
+                    |a: NodeId, b: NodeId| routing.distance(a, b) as f64,
                 );
-                (overlay, mapping)
+                (overlay, mapping, routing)
             }
         };
-        let routing = RoutingTable::up_down_weighted(
-            &topology,
-            &overlay,
-            crate::placement::WINOC_HUB_EDGE_WEIGHT,
-        )
-        .expect("WiNoC is connected");
 
         SystemSpec {
             label: format!("VFI WiNoC ({strategy})"),

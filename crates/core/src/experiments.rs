@@ -6,8 +6,18 @@
 //! rows from those runs (Fig. 6 builds its extra placement/degree variants
 //! on demand). Use [`crate::report`] to render the results as text tables.
 //!
-//! Evaluation work is dispatched as a [`mapwave_harness::jobs::JobGraph`]:
-//! one design job per application, five run jobs depending on it.
+//! Evaluation work is dispatched as a [`mapwave_harness::jobs::JobGraph`]
+//! of five jobs per application, and each distinct system is simulated
+//! once:
+//!
+//! * the design job runs the Fig. 3 flow, whose NVFI-mesh profiling run
+//!   *is* the `nvfi` baseline ([`AppRuns::nvfi`]), handed on as data;
+//! * the `vfi1-mesh` and both WiNoC run jobs depend on the design job;
+//! * the `vfi-mesh` job runs after the `vfi1-mesh` job: when the
+//!   bottleneck reassignment changed nothing (equal VFI 1 and VFI 2
+//!   assignments and steal policies) the two systems differ only in their
+//!   label, so it relabels the VFI 1 report instead of simulating it again.
+//!
 //! [`ExperimentContext::new_parallel`] executes that graph on a worker
 //! pool; because every job is deterministic and results are collected by
 //! job id, the outputs are byte-identical to the single-threaded run (and
@@ -17,7 +27,9 @@
 
 use crate::config::{PlacementStrategy, PlatformConfig};
 use crate::design_flow::{Design, DesignFlow};
-use crate::orchestrator::{design_cached, run_cached, RunVariant};
+use crate::orchestrator::{
+    design_with_baseline_cached, run_cached, vfi_mesh_run_cached, RunVariant,
+};
 use crate::system::{run_system, RunReport};
 use mapwave_harness::jobs::JobGraph;
 use mapwave_phoenix::apps::App;
@@ -25,17 +37,25 @@ use mapwave_phoenix::workload::PhaseBreakdown;
 use mapwave_vfi::vf::VfPair;
 use std::sync::Arc;
 
-/// A job output: either a design or one system run (see the module docs).
+/// A job output: a design with its NVFI-mesh baseline run, or one system
+/// run (see the module docs).
 enum Artifact {
-    Design(Box<Design>),
+    Design(Box<(Design, RunReport)>),
     Run(Box<RunReport>),
 }
 
 impl Artifact {
     fn as_design(&self) -> &Design {
         match self {
-            Artifact::Design(d) => d,
+            Artifact::Design(d) => &d.0,
             Artifact::Run(_) => unreachable!("job graph wiring returns a design here"),
+        }
+    }
+
+    fn as_run(&self) -> &RunReport {
+        match self {
+            Artifact::Run(r) => r,
+            Artifact::Design(_) => unreachable!("job graph wiring returns a run here"),
         }
     }
 
@@ -46,7 +66,7 @@ impl Artifact {
         }
     }
 
-    fn into_design(self) -> Design {
+    fn into_design(self) -> (Design, RunReport) {
         match self {
             Artifact::Design(d) => *d,
             Artifact::Run(_) => unreachable!("job graph wiring returns a design here"),
@@ -54,29 +74,35 @@ impl Artifact {
     }
 }
 
-/// Adds one application's design job and its five run jobs to `graph`,
-/// returning the job ids as `(design, [runs; 5])`.
-fn add_app_jobs(
-    graph: &mut JobGraph<Artifact>,
-    flow: &Arc<DesignFlow>,
-    app: App,
-) -> (usize, [usize; 5]) {
+/// Adds one application's jobs to `graph`: the design job (which also
+/// yields the `nvfi` run), then the `vfi1-mesh`, `vfi-mesh` and two WiNoC
+/// run jobs. The `vfi-mesh` job also depends on the `vfi1-mesh` job,
+/// whose report it reuses when the two systems coincide.
+fn add_app_jobs(graph: &mut JobGraph<Artifact>, flow: &Arc<DesignFlow>, app: App) {
     let design_flow = Arc::clone(flow);
     let design_id = graph.add(format!("design/{}", app.name()), vec![], move |_| {
-        Artifact::Design(Box::new(design_cached(&design_flow, app)))
+        Artifact::Design(Box::new(design_with_baseline_cached(&design_flow, app)))
     });
-    let run_ids = RunVariant::ALL.map(|variant| {
+    let label = |variant: RunVariant| format!("run/{}/{}", app.name(), variant.name());
+    let add_run = |graph: &mut JobGraph<Artifact>, variant: RunVariant| {
         let run_flow = Arc::clone(flow);
-        graph.add(
-            format!("run/{}/{}", app.name(), variant.name()),
-            vec![design_id],
-            move |deps| {
-                let design = deps[0].as_design();
-                Artifact::Run(Box::new(run_cached(&run_flow, design, variant)))
-            },
-        )
-    });
-    (design_id, run_ids)
+        graph.add(label(variant), vec![design_id], move |deps| {
+            let design = deps[0].as_design();
+            Artifact::Run(Box::new(run_cached(&run_flow, design, variant)))
+        })
+    };
+    let vfi1_id = add_run(graph, RunVariant::Vfi1Mesh);
+    let vfi_flow = Arc::clone(flow);
+    graph.add(
+        label(RunVariant::VfiMesh),
+        vec![design_id, vfi1_id],
+        move |deps| {
+            let (design, vfi1_mesh) = (deps[0].as_design(), deps[1].as_run());
+            Artifact::Run(Box::new(vfi_mesh_run_cached(&vfi_flow, design, vfi1_mesh)))
+        },
+    );
+    add_run(graph, RunVariant::WinocMinHop);
+    add_run(graph, RunVariant::WinocMaxWireless);
 }
 
 /// Collects one application's artifacts from a finished graph.
@@ -84,12 +110,12 @@ fn add_app_jobs(
 /// The drain consumes results in ascending id order, so callers must
 /// process apps in the order their jobs were added.
 fn collect_app(results: &mut std::vec::IntoIter<Artifact>) -> (Design, AppRuns) {
-    let design = results.next().expect("design job ran").into_design();
+    let (design, nvfi) = results.next().expect("design job ran").into_design();
     let app = design.app;
     let mut next_run = || results.next().expect("run job ran").into_run();
     let app_runs = AppRuns {
         app,
-        nvfi: next_run(),
+        nvfi,
         vfi1_mesh: next_run(),
         vfi_mesh: next_run(),
         winoc_min_hop: next_run(),

@@ -162,11 +162,67 @@ fn run_key(cfg_key: CacheKey, app: App, variant: RunVariant) -> CacheKey {
     mapwave_harness::hash::stable_hash_of(&("run", cfg_key.to_hex(), app.name(), variant.name()))
 }
 
+/// Runs the design flow for `app` and leaves its NVFI-mesh baseline in the
+/// run cache, where the design's own `nvfi` run would be stored.
+fn fresh_design(flow: &DesignFlow, app: App, cfg_key: CacheKey) -> (Design, RunReport) {
+    let (design, nvfi) = flow.design_with_baseline(app);
+    RUN_CACHE.insert(run_key(cfg_key, app, RunVariant::Nvfi), nvfi.clone());
+    (design, nvfi)
+}
+
 /// The design for `app` under `flow`'s configuration, computed once per
-/// `(config, app)` pair process-wide.
+/// `(config, app)` pair process-wide. Computing it also caches the
+/// `nvfi` run (the flow's profiling run), so a later
+/// [`run_cached`]`(.., RunVariant::Nvfi)` hits.
 pub fn design_cached(flow: &DesignFlow, app: App) -> Design {
-    let key = design_key(config_key(flow.config()), app);
-    DESIGN_CACHE.get_or_insert_with(key, || flow.design(app))
+    let cfg_key = config_key(flow.config());
+    DESIGN_CACHE.get_or_insert_with(design_key(cfg_key, app), || {
+        fresh_design(flow, app, cfg_key).0
+    })
+}
+
+/// [`design_cached`] together with the design's `nvfi` run, handed over
+/// as data: on a design miss the NVFI report comes straight from the
+/// design flow's profiling run, with no run-cache lookup.
+pub fn design_with_baseline_cached(flow: &DesignFlow, app: App) -> (Design, RunReport) {
+    let cfg_key = config_key(flow.config());
+    let key = design_key(cfg_key, app);
+    match DESIGN_CACHE.get(key) {
+        Some(design) => {
+            let nvfi = run_cached(flow, &design, RunVariant::Nvfi);
+            (design, nvfi)
+        }
+        None => {
+            let (design, nvfi) = fresh_design(flow, app, cfg_key);
+            DESIGN_CACHE.insert(key, design.clone());
+            (design, nvfi)
+        }
+    }
+}
+
+/// Whether `design`'s VFI mesh (VFI 2) system is its VFI 1 mesh system
+/// under another label. [`DesignFlow::vfi_mesh_spec`] varies only the
+/// label, the V/F assignment and the steal policy by stage, so equal
+/// assignments and policies (no bottleneck reassignment) give the same
+/// system and the same run.
+pub fn vfi_mesh_is_vfi1(design: &Design) -> bool {
+    design.vfi1 == design.vfi2 && design.steal(VfStage::Vfi1) == design.steal(VfStage::Vfi2)
+}
+
+/// The `vfi-mesh` run, given the same design's `vfi1-mesh` run: that
+/// report relabelled when [`vfi_mesh_is_vfi1`], a [`run_cached`] run
+/// otherwise. Either way the report is left in the run cache.
+pub fn vfi_mesh_run_cached(flow: &DesignFlow, design: &Design, vfi1_mesh: &RunReport) -> RunReport {
+    if !vfi_mesh_is_vfi1(design) {
+        return run_cached(flow, design, RunVariant::VfiMesh);
+    }
+    let report = RunReport {
+        label: VfStage::Vfi2.mesh_label().into(),
+        ..vfi1_mesh.clone()
+    };
+    let key = run_key(config_key(flow.config()), design.app, RunVariant::VfiMesh);
+    RUN_CACHE.insert(key, report.clone());
+    report
 }
 
 /// The run report of one system variant, computed once per
@@ -177,7 +233,8 @@ pub fn run_cached(flow: &DesignFlow, design: &Design, variant: RunVariant) -> Ru
 
 /// [`run_cached`] with an optional [`ArtifactSink`] notified whenever the
 /// report had to be *computed* (a stage-cache hit was already recorded on
-/// its first computation and is not re-emitted).
+/// its first computation and is not re-emitted). The `nvfi` report that
+/// [`design_cached`] leaves in the cache counts as a hit.
 pub fn run_cached_with_sink(
     flow: &DesignFlow,
     design: &Design,
@@ -195,6 +252,12 @@ pub fn run_cached_with_sink(
         sink.record_run(key, &report);
     }
     report
+}
+
+/// Whether the run report of `(config, app, variant)` is in the run cache
+/// (a pure query: it counts neither a hit nor a miss).
+pub fn run_is_cached(cfg: &PlatformConfig, app: App, variant: RunVariant) -> bool {
+    RUN_CACHE.contains(run_key(config_key(cfg), app, variant))
 }
 
 /// Hit/miss statistics of every stage cache, by stage name.

@@ -93,6 +93,13 @@ impl<V: Clone> StageCache<V> {
         hit
     }
 
+    /// Whether `key` is cached. Unlike [`StageCache::get`] this counts
+    /// neither a hit nor a miss.
+    pub fn contains(&self, key: CacheKey) -> bool {
+        let guard = self.map.lock().expect("stage cache poisoned");
+        guard.as_ref().is_some_and(|m| m.contains_key(&key))
+    }
+
     /// Stores `value` under `key` (last write wins).
     pub fn insert(&self, key: CacheKey, value: V) {
         let mut guard = self.map.lock().expect("stage cache poisoned");

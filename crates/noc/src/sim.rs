@@ -397,9 +397,28 @@ pub struct NetworkSim<'a> {
     steady_cycles: u64,
     /// Flit moves (switch and source) performed by the last step.
     moves_last_step: u64,
+    /// Work counters of the last run (telemetry).
+    work: WorkCounters,
     /// Reusable buffer for the precomputed injection schedule of one run
     /// (see [`Injector::schedule_into`]).
     sched: Vec<InjectEvent>,
+}
+
+/// Per-run counts of the cycle loop's work, kept in plain fields and
+/// emitted once per [`NetworkSim::run`].
+#[derive(Debug, Clone, Copy, Default)]
+struct WorkCounters {
+    /// Enrolled switches the sweep walked over.
+    switch_visits: u64,
+    /// Visits that clocked a due switch.
+    switches_processed: u64,
+    /// Flits moved, switch to switch or source queue to injection port.
+    flit_moves: u64,
+    /// Head flits routed (a head blocked on its output is routed again
+    /// on each retry).
+    head_routes: u64,
+    /// Visits to a due switch whose clock sat out the cycle.
+    clock_gated_skips: u64,
 }
 
 impl<'a> NetworkSim<'a> {
@@ -642,6 +661,7 @@ impl<'a> NetworkSim<'a> {
             stepped_cycles: 0,
             steady_cycles: 0,
             moves_last_step: 0,
+            work: WorkCounters::default(),
             sched: Vec::new(),
             src_q: vec![VecDeque::new(); n],
             fabric,
@@ -764,6 +784,7 @@ impl<'a> NetworkSim<'a> {
         self.stepped_cycles = 0;
         self.steady_cycles = 0;
         self.moves_last_step = 0;
+        self.work = WorkCounters::default();
         if let Some(fl) = &mut self.faults {
             // The plan (and fallback table) survives; the per-run hazard
             // counters restart so every run replays the same schedule.
@@ -833,6 +854,12 @@ impl<'a> NetworkSim<'a> {
         telemetry::count("noc.flits_delivered", self.stats.flits_delivered);
         telemetry::count("noc.cycles_simulated", self.stepped_cycles);
         telemetry::count("noc.cycles_steady_replayed", self.steady_cycles);
+        let w = self.work;
+        telemetry::count("noc.switch_visits", w.switch_visits);
+        telemetry::count("noc.switches_processed", w.switches_processed);
+        telemetry::count("noc.flit_moves", w.flit_moves);
+        telemetry::count("noc.head_routes", w.head_routes);
+        telemetry::count("noc.clock_gated_skips", w.clock_gated_skips);
         &self.stats
     }
 
@@ -1078,6 +1105,7 @@ impl<'a> NetworkSim<'a> {
             mac.end_cycle(self.mac_used[c], holds_packet);
         }
 
+        self.work.flit_moves += self.moves_last_step;
         self.now += 1;
     }
 
@@ -1109,6 +1137,7 @@ impl<'a> NetworkSim<'a> {
         let mut snap = std::mem::take(&mut self.active_snap);
         snap.clear();
         snap.extend_from_slice(&self.active);
+        self.work.switch_visits += snap.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         self.newly_enrolled = false;
         self.next_due = u64::MAX;
         let uniform = self.uniform_full_speed;
@@ -1137,8 +1166,10 @@ impl<'a> NetworkSim<'a> {
                         self.clock_fires(v)
                     };
                     if fires {
+                        self.work.switches_processed += 1;
                         self.process_switch(v);
                     } else {
+                        self.work.clock_gated_skips += 1;
                         // The clock sat out this cycle: retry on the next
                         // one, exactly as a per-cycle sweep would.
                         self.wake[v] = self.now + 1;
@@ -1467,6 +1498,7 @@ impl<'a> NetworkSim<'a> {
         if !f.kind.is_head() {
             return false;
         }
+        self.work.head_routes += 1;
         let (route, next_phase, divert) = self.route_head(NodeId(v), vc, &f);
         let o = route.out_port;
         if self.out_used[o] || self.fabric.out_owner_set(sb + o * vcs + route.down_vc) {

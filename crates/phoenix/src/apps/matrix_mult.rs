@@ -62,20 +62,29 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> MatrixMultRun {
     let mut map_tasks = Vec::with_capacity(tasks);
     let mut frob = 0.0f64;
     let mut row_digests = Vec::with_capacity(dim);
+    let mut c_row = vec![0.0f64; dim];
 
     for t in 0..tasks {
         // Balanced row ranges: every block gets ⌊dim/tasks⌋ or ⌈dim/tasks⌉.
         let row_start = t * dim / tasks;
         let row_end = (t + 1) * dim / tasks;
         let rows = row_end - row_start;
-        // The real multiply for this block.
+        // The real multiply for this block, in i-k-j order: the whole
+        // output row accumulates while rows of B stream past, instead of
+        // one dot product walking a column of B per element. Every
+        // element still sums the same k products from 0.0 in ascending k
+        // (mul then add, never fused), so C is bit-identical to the
+        // i-j-k dot-product loop, and so are the witnesses folded in j
+        // order below.
         for i in row_start..row_end {
-            let mut row_sum = 0.0;
-            for j in 0..dim {
-                let mut acc = 0.0;
-                for (k, &aik) in a[i * dim..(i + 1) * dim].iter().enumerate() {
-                    acc += aik * b[k * dim + j];
+            c_row.fill(0.0);
+            for (&aik, b_row) in a[i * dim..(i + 1) * dim].iter().zip(b.chunks_exact(dim)) {
+                for (c, &bkj) in c_row.iter_mut().zip(b_row) {
+                    *c += aik * bkj;
                 }
+            }
+            let mut row_sum = 0.0;
+            for &acc in &c_row {
                 frob += acc * acc;
                 row_sum += acc;
             }

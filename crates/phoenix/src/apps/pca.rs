@@ -86,26 +86,46 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> PcaRun {
     }
 
     // --- Iteration 2: covariance (upper triangle) ---
+    // Centre every row, then transpose in place (no second n×n buffer):
+    // afterwards `centred[k * n + j]` is row j's centred value at k.
+    let mut centred = matrix;
+    for (row, &mean) in centred.chunks_exact_mut(n).zip(&means) {
+        row.iter_mut().for_each(|x| *x -= mean);
+    }
+    for r in 0..n {
+        for c in r + 1..n {
+            centred.swap(r * n + c, c * n + r);
+        }
+    }
     let cov_tasks_n = COV_TASKS.min(n);
     let mut iter2_tasks = Vec::with_capacity(cov_tasks_n);
     let mut trace = 0.0f64;
     let mut diag_digest = Vec::with_capacity(n);
+    let mut acc_row = vec![0.0f64; n];
     for t in 0..cov_tasks_n {
         let start = t * n / cov_tasks_n;
         let end = (t + 1) * n / cov_tasks_n;
         let mut macs = 0.0f64;
         let mut entries = 0usize;
         for i in start..end {
-            for j in i..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += (matrix[i * n + k] - means[i]) * (matrix[j * n + k] - means[j]);
+            // Row i of the upper triangle in i-k-j order: entries (i, i..n)
+            // accumulate together while rows of the transposed matrix
+            // stream past, instead of one latency-bound dot product per
+            // entry. Each entry still sums the same k products
+            // (x_ik · x_jk, centred exactly as before) from 0.0 in
+            // ascending k, so every covariance is bit-identical.
+            let acc = &mut acc_row[i..];
+            acc.fill(0.0);
+            for xt_row in centred.chunks_exact(n) {
+                let x_ik = xt_row[i];
+                for (a, &x_jk) in acc.iter_mut().zip(&xt_row[i..]) {
+                    *a += x_ik * x_jk;
                 }
-                let cov = acc / (n as f64 - 1.0);
-                if i == j {
-                    trace += cov;
-                    diag_digest.push(cov);
-                }
+            }
+            let variance = acc[0] / (n as f64 - 1.0);
+            trace += variance;
+            diag_digest.push(variance);
+            for _ in i..n {
                 entries += 1;
                 macs += n as f64;
             }

@@ -86,18 +86,29 @@ fn two_figure_pipeline_is_cache_stable() {
         .iter()
         .find(|(name, _)| *name == "design")
         .expect("design cache is registered");
-    let run = stats
-        .iter()
-        .find(|(name, _)| *name == "run")
-        .expect("run cache is registered");
-    // At least the six designs and thirty runs of this context passed
-    // through the caches (other tests in this binary add to the totals).
+    assert!(
+        stats.iter().any(|(name, _)| *name == "run"),
+        "run cache is registered"
+    );
+    // At least the six designs of this context passed through the design
+    // cache (other tests in this binary add to the totals).
     assert!(
         design.1.misses >= 6,
         "designs were computed: {:?}",
         design.1
     );
-    assert!(run.1.misses >= 30, "runs were computed: {:?}", run.1);
+    // Not every run is a run-cache miss (the design hands over the `nvfi`
+    // run, and an unchanged VFI 2 reuses the VFI 1 run), but all thirty
+    // reports of the context end up in the run cache.
+    for app in App::ALL {
+        for variant in RunVariant::ALL {
+            assert!(
+                orchestrator::run_is_cached(ctx.flow().config(), app, variant),
+                "{app}/{}: report missing from the run cache",
+                variant.name()
+            );
+        }
+    }
     assert!(!orchestrator::cache_stats_summary().is_empty());
 }
 
