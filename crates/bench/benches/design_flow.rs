@@ -1,7 +1,7 @@
 //! Wall-clock micro-benches of the design-flow optimizer kernels and the
 //! full-system report path.
 //!
-//! Three stages are timed:
+//! Four stages are timed:
 //!
 //! * `cluster_refine` — multi-start Eq.(1) clustering at n=64, reference
 //!   (full swap-cost re-evaluation) vs incremental (aggregated W table +
@@ -9,8 +9,10 @@
 //!   incremental path against the multilevel coarsen/solve/refine hierarchy;
 //! * `wi_anneal` — WI placement annealing on an 8×8 small-world fabric,
 //!   reference (routing table per candidate overlay) vs incremental
-//!   (distance-only up*/down* evaluation), plus a 16×16 row timing the
-//!   coarse-then-fine large-die schedule against the flat reference;
+//!   (bit-parallel all-pairs up*/down* distances), plus a 16×16 row timing
+//!   the coarse-then-fine large-die schedule against the flat reference;
+//! * `routing_build_256` — one up*/down* routing table for the 16×16
+//!   WiNoC with its max-wireless overlay (24 WIs over 6 channels);
 //! * `run_system` — one WordCount WiNoC report on the 64-core paper
 //!   platform with the reused-simulator relaxation loop (current
 //!   implementation only; the pre-optimization median is recorded in
@@ -33,7 +35,9 @@
 
 use mapwave::config::{PlacementStrategy, PlatformConfig};
 use mapwave::design_flow::DesignFlow;
-use mapwave::placement::{anneal_wi_placement, anneal_wi_placement_reference};
+use mapwave::placement::{
+    anneal_wi_placement, anneal_wi_placement_reference, center_wis, WINOC_HUB_EDGE_WEIGHT,
+};
 use mapwave::system::run_system;
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::prelude::*;
@@ -201,6 +205,19 @@ fn main() {
         "wi_anneal_256/hierarchical",
         median_secs(|| {
             std::hint::black_box(anneal_wi_placement(&topo256, &traffic256, 16, 16, 6, 6, 7));
+        }),
+    ));
+
+    // One routing-table build on the same 16×16 fabric: what `winoc_spec`
+    // pays once per spec after the anneal has picked the overlay.
+    let overlay256 = center_wis(16, 16, 2.5, 6, 6);
+    results.push((
+        "routing_build_256",
+        median_secs(|| {
+            std::hint::black_box(
+                RoutingTable::up_down_weighted(&topo256, &overlay256, WINOC_HUB_EDGE_WEIGHT)
+                    .expect("routable"),
+            );
         }),
     ));
 

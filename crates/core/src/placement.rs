@@ -531,13 +531,12 @@ pub fn refine_mapping_max_wireless(
 ///
 /// Moves relocate one WI to a free tile of the same quadrant; the objective
 /// is the routed up\*/down\* hop metric, so wireless shortcuts are
-/// evaluated exactly as the router will use them. Per move, only the
-/// distances of destinations that actually receive traffic are recomputed
-/// (via [`UpDownDistances`], no port-table materialisation), and the
-/// traffic-weighted mean is re-accumulated in
-/// [`TrafficMatrix::weighted_mean`]'s pair order — so every cost value, and
-/// therefore the whole annealing trajectory, is bit-identical to
-/// [`anneal_wi_placement_reference`].
+/// evaluated exactly as the router will use them. Per move, one
+/// bit-parallel [`UpDownDistances`] pass computes every distance (no
+/// port-table materialisation), and the traffic-weighted mean is
+/// re-accumulated in [`TrafficMatrix::weighted_mean`]'s pair order — so
+/// every cost value, and therefore the whole annealing trajectory, is
+/// bit-identical to [`anneal_wi_placement_reference`].
 ///
 /// # Panics
 ///
@@ -552,39 +551,36 @@ pub fn anneal_wi_placement(
     seed: u64,
 ) -> WirelessOverlay {
     let n = topo.len();
-    // Nonzero traffic pairs in weighted_mean's (s-major) order, the fixed
-    // denominator, and the set of destinations worth a Dijkstra pass.
+    // Nonzero traffic pairs in weighted_mean's (s-major) order and the
+    // fixed denominator.
     let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
     let mut den = 0.0;
-    let mut is_dest = vec![false; n];
     for s in 0..n {
-        for (d, dest) in is_dest.iter_mut().enumerate() {
+        for d in 0..n {
             let r = traffic.rate(NodeId(s), NodeId(d));
             if s != d && r > 0.0 {
                 pairs.push((s, d, r));
                 den += r;
-                *dest = true;
             }
         }
     }
-    let dests: Vec<usize> = (0..n).filter(|&d| is_dest[d]).collect();
 
     let mut eval = UpDownDistances::new(topo, WINOC_HUB_EDGE_WEIGHT);
-    let mut grid = vec![0u32; n * n]; // grid[d * n + s], rows for `dests` only
+    let mut dist: Vec<u32> = Vec::new(); // dist[(v * 2 + phase) * n + d]
     let cost = move |overlay: &WirelessOverlay| -> f64 {
         telemetry::count("placement.routing_rebuilds_avoided", 1);
         if !eval.prepare(overlay) {
             return f64::INFINITY; // the reference's RoutingError arm
         }
-        for &d in &dests {
-            eval.distances_into(NodeId(d), &mut grid[d * n..(d + 1) * n]);
-        }
         if den <= 0.0 {
             return 0.0;
         }
+        dist.resize(eval.state_count() * n, 0);
+        eval.all_pairs_into(&mut dist);
         let mut num = 0.0;
         for &(s, d, r) in &pairs {
-            num += r * f64::from(grid[d * n + s]);
+            // Fresh packets start in phase Up: state `s * 2`.
+            num += r * f64::from(dist[s * 2 * n + d]);
         }
         num / den
     };
@@ -847,7 +843,8 @@ mod tests {
     fn anneal_matches_reference_implementation() {
         // The distance-only cost path must reproduce the table-building
         // reference bit for bit: same RNG stream, same accept decisions,
-        // same final overlay.
+        // same final overlay. Both sides read one distance kernel; the
+        // routing oracle test in mapwave-noc pins the distances themselves.
         let clusters: Vec<usize> = (0..64).map(|i| quadrant_of(NodeId(i), 8, 8)).collect();
         for (topo_seed, traffic_seed, sa_seed) in [(5u64, 11u64, 7u64), (3, 42, 99)] {
             let topo = SmallWorldBuilder::new(grid_positions(8, 8, 2.5), clusters.clone())

@@ -258,7 +258,9 @@ impl TelemetrySummary {
         out
     }
 
-    /// A plain-text per-stage timing table plus counter totals.
+    /// A plain-text per-stage timing table plus counter totals. The name
+    /// column is as wide as the longest stage or counter name, so every
+    /// value stays in its column.
     pub fn text_summary(&self) -> String {
         let mut agg: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
         for s in &self.spans {
@@ -267,15 +269,21 @@ impl TelemetrySummary {
             e.1 += s.dur_ns;
             e.2 = e.2.max(s.dur_ns);
         }
+        let w = agg
+            .keys()
+            .copied()
+            .chain(self.counters.keys().map(String::as_str))
+            .map(str::len)
+            .fold("counter".len(), usize::max);
         let mut out = String::new();
         if !agg.is_empty() {
             out.push_str(&format!(
-                "{:<28} {:>7} {:>12} {:>12} {:>12}\n",
+                "{:<w$} {:>7} {:>12} {:>12} {:>12}\n",
                 "stage", "count", "total[ms]", "mean[ms]", "max[ms]"
             ));
             for (name, (count, total, max)) in &agg {
                 out.push_str(&format!(
-                    "{:<28} {:>7} {:>12.2} {:>12.3} {:>12.2}\n",
+                    "{:<w$} {:>7} {:>12.2} {:>12.3} {:>12.2}\n",
                     name,
                     count,
                     *total as f64 / 1e6,
@@ -285,9 +293,9 @@ impl TelemetrySummary {
             }
         }
         if !self.counters.is_empty() {
-            out.push_str(&format!("{:<28} {:>20}\n", "counter", "total"));
+            out.push_str(&format!("{:<w$} {:>20}\n", "counter", "total"));
             for (name, v) in &self.counters {
-                out.push_str(&format!("{name:<28} {v:>20}\n"));
+                out.push_str(&format!("{name:<w$} {v:>20}\n"));
             }
         }
         if out.is_empty() {
@@ -370,6 +378,32 @@ mod tests {
         reset();
         assert_eq!(snapshot().spans.len(), 0);
         assert!(snapshot().text_summary().contains("no telemetry"));
+    }
+
+    #[test]
+    fn text_summary_aligns_long_names() {
+        let long = "placement.routing_rebuilds_avoided";
+        let summary = TelemetrySummary {
+            counters: BTreeMap::from([(long.to_string(), 720), ("t.short".to_string(), 5)]),
+            spans: vec![SpanRecord {
+                name: "t.stage",
+                label: None,
+                tid: 0,
+                start_ns: 0,
+                dur_ns: 1_000_000,
+            }],
+        };
+        let text = summary.text_summary();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "{text}");
+        // Every row of a table has the same width: the values line up.
+        assert_eq!(lines[0].len(), lines[1].len(), "{text}");
+        assert!(
+            lines[2..].iter().all(|l| l.len() == lines[2].len()),
+            "{text}"
+        );
+        assert!(lines[3].starts_with(long) && lines[3].ends_with(" 720"));
+        assert!(lines[4].starts_with("t.short ") && lines[4].ends_with(" 5"));
     }
 
     #[test]

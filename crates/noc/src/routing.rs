@@ -255,6 +255,11 @@ impl RoutingTable {
     /// uses weight 2 (wireless hop = 4), reflecting the channel's lower
     /// bandwidth and token-access latency relative to point-to-point wires.
     ///
+    /// The extended adjacency, spanning-tree levels and every
+    /// `(state, destination)` distance, hub states included, come from one
+    /// [`UpDownDistances`] pass; each entry then depends only on those
+    /// distance values.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`RoutingTable::up_down`].
@@ -272,233 +277,115 @@ impl RoutingTable {
         if n == 0 {
             return Err(RoutingError::Empty);
         }
-        let hubs = overlay.channel_count();
-        let total = n + hubs; // switches then hub vertices
-
-        // Extended adjacency.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for v in topo.nodes() {
-            adj[v.index()] = topo.neighbors(v).iter().map(|w| w.index()).collect();
-        }
-        for wi in overlay.interfaces() {
-            let hub = n + wi.channel.index();
-            adj[wi.node.index()].push(hub);
-            adj[hub].push(wi.node.index());
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-        }
-
-        // BFS levels from the root for the up/down orientation. The root
-        // must be a high-degree switch: every "crossing" route climbs
-        // toward the root, so the root's port count bounds the bandwidth of
-        // the tree's upper cut.
-        let root = (0..n)
-            .max_by_key(|&v| (adj[v].len(), usize::MAX - v))
-            .expect("n > 0");
-        let mut level = vec![usize::MAX; total];
-        level[root] = 0;
-        let mut queue = VecDeque::from([root]);
-        while let Some(v) = queue.pop_front() {
-            for &w in &adj[v] {
-                if level[w] == usize::MAX {
-                    level[w] = level[v] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        if level.contains(&usize::MAX) {
+        let mut eval = UpDownDistances::new(topo, hub_edge_weight);
+        if !eval.prepare(overlay) {
             return Err(RoutingError::Disconnected);
         }
-
-        // Edge direction: going v -> w is "up" iff (level[w], w) < (level[v], v).
-        let is_up = |v: usize, w: usize| (level[w], w) < (level[v], v);
-
-        // Per-destination reverse Dijkstra over the phase-expanded graph.
-        // State id: vertex * 2 + phase (phase 0 = Up, 1 = Down).
-        // Wire edges weigh 1; hub (wireless) edges weigh `hub_edge_weight`.
-        let state = |v: usize, p: usize| v * 2 + p;
-        let edge_w = |a: usize, b: usize| -> u32 {
-            if a >= n || b >= n {
-                hub_edge_weight
+        // Switch states come first, so after the hub rows are cut off this
+        // is the table's own `dist` layout.
+        let mut dist = vec![0u32; eval.state_count() * n];
+        eval.all_pairs_into(&mut dist);
+        // The legal steps of a state `v * 2 + p`, as (target state,
+        // crosses a hub) — the kernel's own step lists.
+        let steps = |s: usize| {
+            eval.steps[eval.step_off[s]..eval.step_off[s + 1]]
+                .iter()
+                .map(|&e| (e >> 1, e & 1 == 1))
+        };
+        let phase = |state: usize| {
+            if state.is_multiple_of(2) {
+                Phase::Up
             } else {
-                1
+                Phase::Down
             }
         };
-        let mut entries = vec![None; n * 2 * n];
-        let mut dist_out = vec![u32::MAX; n * 2 * n];
 
-        // Forward transitions: (v, p) -> (w, q) legal?
-        //   p == Up:  up edge -> (w, Up); down edge -> (w, Down)
-        //   p == Down: down edge only -> (w, Down)
-        // The reverse search needs predecessors of (w, q):
-        //   (w, Up)  <- (v, Up) where v->w is up
-        //   (w, Down)<- (v, Up) or (v, Down) where v->w is down
-        for d in 0..n {
-            let mut dist = vec![u32::MAX; total * 2];
-            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, usize)>> =
-                std::collections::BinaryHeap::new();
-            for p in 0..2 {
-                dist[state(d, p)] = 0;
-                heap.push(std::cmp::Reverse((0, state(d, p))));
-            }
-            while let Some(std::cmp::Reverse((c, s))) = heap.pop() {
-                if c > dist[s] {
+        let mut entries = vec![None; n * 2 * n];
+        for s in 0..2 * n {
+            let v = s / 2;
+            for d in 0..n {
+                let out = s * n + d;
+                if v == d {
+                    entries[out] = Some(RouteEntry {
+                        hop: Hop::Local,
+                        next_phase: phase(s),
+                    });
                     continue;
                 }
-                let (w, q) = (s / 2, s % 2);
-                for &v in &adj[w] {
-                    let up = is_up(v, w);
-                    // Which predecessor states may step v -> w into phase q?
-                    let preds: &[usize] = if up {
-                        if q == 0 {
-                            &[0]
-                        } else {
-                            &[]
-                        }
-                    } else if q == 1 {
-                        &[0, 1]
-                    } else {
-                        &[]
-                    };
-                    let nc = c + edge_w(v, w);
-                    for &pp in preds {
-                        let ps = state(v, pp);
-                        if nc < dist[ps] {
-                            dist[ps] = nc;
-                            heap.push(std::cmp::Reverse((nc, ps)));
-                        }
-                    }
+                let my = dist[out];
+                if my == u32::MAX {
+                    // Unreachable state; never consulted. A connected graph
+                    // always admits an Up route (climb to the root, then
+                    // descend).
+                    debug_assert_eq!(phase(s), Phase::Down, "connected graph has Up routes");
+                    continue;
                 }
-            }
-
-            // Fill table entries for destination d.
-            for v in 0..n {
-                for p in 0..2 {
-                    let out = (v * 2 + p) * n + d;
-                    if v == d {
-                        entries[out] = Some(RouteEntry {
-                            hop: Hop::Local,
-                            next_phase: if p == 0 { Phase::Up } else { Phase::Down },
-                        });
-                        dist_out[out] = 0;
-                        continue;
+                // The lowest legal equal-cost next state: wired candidates
+                // sort first, so the shared wireless channels are taken only
+                // when no equal-cost wire exists; ties then break toward the
+                // lowest vertex id (state `w * 2 + q` orders as `(w, q)`),
+                // keeping the table deterministic.
+                let (is_hub, t) = steps(s)
+                    .filter(|&(t, hub)| {
+                        let cost = if hub { hub_edge_weight } else { 1 };
+                        dist[t * n + d].saturating_add(cost) == my
+                    })
+                    .map(|(t, hub)| (hub, t))
+                    .min()
+                    .expect("finite distance implies a next state");
+                entries[out] = Some(if !is_hub {
+                    RouteEntry {
+                        hop: Hop::Wire(NodeId(t / 2)),
+                        next_phase: phase(t),
                     }
-                    let my = dist[state(v, p)];
-                    if my == u32::MAX {
-                        continue; // unreachable state; never consulted
+                } else {
+                    // Resolve through the hub to the receiving WI.
+                    let exit = steps(t)
+                        .map(|(t2, _)| t2)
+                        .filter(|&t2| {
+                            t2 / 2 != v
+                                && dist[t2 * n + d] == my.saturating_sub(2 * hub_edge_weight)
+                        })
+                        .min()
+                        .expect("hub on shortest path has an exit WI");
+                    RouteEntry {
+                        hop: Hop::Wireless {
+                            channel: ChannelId(t / 2 - n),
+                            to: NodeId(exit / 2),
+                        },
+                        next_phase: phase(exit),
                     }
-                    dist_out[out] = my;
-                    // Collect every legal equal-cost next state and pick one
-                    // by a deterministic hash of (v, d): equal-cost path
-                    // diversity spreads load across the up*/down* DAG
-                    // instead of funnelling all flows through the same
-                    // lowest-id links.
-                    let mut candidates: Vec<(bool, usize, usize)> = Vec::new();
-                    for &w in &adj[v] {
-                        let up = is_up(v, w);
-                        let q = if p == 1 {
-                            if up {
-                                continue;
-                            }
-                            1
-                        } else if up {
-                            0
-                        } else {
-                            1
-                        };
-                        if dist[state(w, q)].saturating_add(edge_w(v, w)) == my {
-                            candidates.push((w >= n, w, q));
-                        }
-                    }
-                    candidates.sort_unstable();
-                    assert!(
-                        !candidates.is_empty(),
-                        "finite distance implies a next state"
-                    );
-                    // Wired candidates sort first, so the shared wireless
-                    // channels are taken only when no equal-cost wire
-                    // exists; ties then break toward the lowest vertex id,
-                    // keeping the table deterministic.
-                    let (is_hub, w, q) = candidates[0];
-                    if !is_hub {
-                        entries[out] = Some(RouteEntry {
-                            hop: Hop::Wire(NodeId(w)),
-                            next_phase: if q == 0 { Phase::Up } else { Phase::Down },
-                        });
-                    } else {
-                        // Resolve through the hub to the receiving WI.
-                        let hub = w;
-                        let mut best_wi: Option<(usize, usize)> = None;
-                        for &u in &adj[hub] {
-                            if u == v {
-                                continue;
-                            }
-                            let up2 = is_up(hub, u);
-                            let q2 = if q == 1 {
-                                if up2 {
-                                    continue;
-                                }
-                                1
-                            } else if up2 {
-                                0
-                            } else {
-                                1
-                            };
-                            if dist[state(u, q2)] == my.saturating_sub(2 * hub_edge_weight)
-                                && best_wi.is_none_or(|(bu, bq)| (u, q2) < (bu, bq))
-                            {
-                                best_wi = Some((u, q2));
-                            }
-                        }
-                        let (u, q2) = best_wi.expect("hub on shortest path has an exit WI");
-                        entries[out] = Some(RouteEntry {
-                            hop: Hop::Wireless {
-                                channel: ChannelId(hub - n),
-                                to: NodeId(u),
-                            },
-                            next_phase: if q2 == 0 { Phase::Up } else { Phase::Down },
-                        });
-                    }
-                }
+                });
             }
         }
-
-        // A connected graph always admits legal routes from phase Up.
-        for v in 0..n {
-            for d in 0..n {
-                if entries[(v * 2) * n + d].is_none() {
-                    return Err(RoutingError::Disconnected);
-                }
-            }
-        }
-
-        Ok(RoutingTable {
-            n,
-            entries,
-            dist: dist_out,
-        })
+        dist.truncate(2 * n * n);
+        Ok(RoutingTable { n, entries, dist })
     }
 }
 
-/// Distance-only up\*/down\* evaluation with reusable scratch buffers.
+/// Bit-parallel up\*/down\* distances from every state to every switch.
 ///
-/// [`RoutingTable::up_down_weighted`] materialises a next-hop entry for
-/// every `(switch, phase, destination)` state; the per-state candidate
-/// collection, tie-break sorting, and hub resolution dominate construction
-/// cost. Placement search only needs the hop-metric *distances*, and
-/// shortest-path distances are unique values independent of tie-breaking —
-/// so an evaluator that computes just the distances returns exactly the
-/// numbers `RoutingTable::distance` would, at a fraction of the cost.
+/// Placement search and [`RoutingTable::up_down_weighted`] both need the
+/// hop-metric distance of every `(switch, phase)` state to every
+/// destination. Rather than one shortest-path search per destination, the
+/// evaluator runs one breadth-first sweep over the phase-expanded graph
+/// that carries all destinations at once: layer `k` holds, for each state,
+/// a bitset of the switches it reaches within cost `k`, built as
 ///
-/// The evaluator keeps flat scratch across calls (no per-evaluation
-/// allocation once warm) and replaces the binary heap with a Dial bucket
-/// queue: edge weights are only `1` (wire) and `hub_edge_weight` (hub), so
-/// a ring of `hub_edge_weight + 1` buckets yields monotone extraction.
+/// `R[k+1][x] = R[k][x] | OR over legal steps x -> y of R[k+1-c][y]`
+///
+/// where `c` is the step's cost (1 on a wire, `hub_edge_weight` on a hub
+/// edge). A ring of `hub_edge_weight + 1` layers is enough to read every
+/// `R[k+1-c]`. The distance from `x` to `d` is the first `k` whose
+/// `R[k][x]` contains `d`, and the sweep ends once `hub_edge_weight`
+/// consecutive layers add nothing. Shortest-path distances are unique
+/// values, so these are exactly the numbers a per-destination Dijkstra
+/// returns.
 ///
 /// Usage: construct once per topology, [`prepare`](Self::prepare) per
-/// overlay (rebuilds the extended adjacency and BFS levels), then query
-/// [`distances_into`](Self::distances_into) per destination of interest.
+/// overlay (rebuilds the extended adjacency, BFS levels and legal steps),
+/// then [`all_pairs_into`](Self::all_pairs_into). Scratch buffers are
+/// reused across overlays.
 ///
 /// # Examples
 ///
@@ -512,10 +399,13 @@ impl RoutingTable {
 /// let table = RoutingTable::up_down(&m, &WirelessOverlay::none()).unwrap();
 /// let mut eval = UpDownDistances::new(&m, 1);
 /// assert!(eval.prepare(&WirelessOverlay::none()));
-/// let mut out = vec![0u32; 16];
-/// eval.distances_into(NodeId(5), &mut out);
+/// let mut dist = vec![0u32; eval.state_count() * 16];
+/// eval.all_pairs_into(&mut dist);
 /// for s in 0..16 {
-///     assert_eq!(out[s], table.distance(NodeId(s), NodeId(5)));
+///     for d in 0..16 {
+///         // Fresh packets start in phase Up: state `s * 2`.
+///         assert_eq!(dist[s * 2 * 16 + d], table.distance(NodeId(s), NodeId(d)));
+///     }
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -530,10 +420,12 @@ pub struct UpDownDistances {
     adj: Vec<usize>,
     /// BFS levels from the spanning-tree root; per overlay.
     level: Vec<usize>,
-    /// Phase-expanded distances for the current destination.
-    dist: Vec<u32>,
-    /// Dial ring: `hub_edge_weight + 1` buckets of state ids.
-    buckets: Vec<Vec<usize>>,
+    /// Legal steps CSR over states `v * 2 + phase`; per overlay. Each
+    /// entry is `target_state << 1 | crosses_hub`.
+    step_off: Vec<usize>,
+    steps: Vec<usize>,
+    /// Ring of `hub_edge_weight + 1` reach layers, one bitset per state.
+    layers: Vec<Vec<u64>>,
     bfs: VecDeque<usize>,
 }
 
@@ -562,16 +454,18 @@ impl UpDownDistances {
             adj_off: Vec::new(),
             adj: Vec::new(),
             level: Vec::new(),
-            dist: Vec::new(),
-            buckets: vec![Vec::new(); hub_edge_weight as usize + 1],
+            step_off: Vec::new(),
+            steps: Vec::new(),
+            layers: vec![Vec::new(); hub_edge_weight as usize + 1],
             bfs: VecDeque::new(),
         }
     }
 
-    /// Rebuilds the extended adjacency and spanning-tree levels for
-    /// `overlay`. Returns `false` when the extended graph is disconnected
-    /// or empty — exactly the cases where [`RoutingTable::up_down_weighted`]
-    /// returns an error and a placement cost would be infinite.
+    /// Rebuilds the extended adjacency, spanning-tree levels and legal
+    /// steps for `overlay`. Returns `false` when the extended graph is
+    /// disconnected or empty — exactly the cases where
+    /// [`RoutingTable::up_down_weighted`] returns an error and a placement
+    /// cost would be infinite.
     pub fn prepare(&mut self, overlay: &WirelessOverlay) -> bool {
         let n = self.n;
         if n == 0 {
@@ -597,7 +491,8 @@ impl UpDownDistances {
         self.adj.clear();
         self.adj.resize(self.adj_off[total], usize::MAX);
         // Fill via per-vertex cursors; neighbour order is irrelevant to
-        // levels and distances (BFS levels are shortest hop counts).
+        // levels, distances and table entries (BFS levels are shortest hop
+        // counts, and the table builder picks minima).
         let mut cursor: Vec<usize> = self.adj_off[..total].to_vec();
         for (v, cur) in cursor.iter_mut().enumerate().take(n) {
             for &w in &self.wired_adj[self.wired_off[v]..self.wired_off[v + 1]] {
@@ -613,8 +508,10 @@ impl UpDownDistances {
             cursor[hub] += 1;
         }
 
-        // Root: highest combined degree, ties toward the lowest switch id —
-        // the same selection as `RoutingTable::up_down_weighted`.
+        // Root: highest combined degree, ties toward the lowest switch id.
+        // It must be a high-degree switch: every "crossing" route climbs
+        // toward the root, so the root's port count bounds the bandwidth
+        // of the tree's upper cut.
         let root = (0..n)
             .max_by_key(|&v| (self.adj_off[v + 1] - self.adj_off[v], usize::MAX - v))
             .expect("n > 0");
@@ -633,84 +530,112 @@ impl UpDownDistances {
                 }
             }
         }
-        visited == total
+        if visited != total {
+            return false;
+        }
+
+        // Legal steps of state (v, p): an up link (toward the root, by
+        // (level, id)) keeps phase Up and is barred in phase Down; a down
+        // link enters phase Down.
+        self.step_off.clear();
+        self.steps.clear();
+        self.step_off.push(0);
+        for v in 0..total {
+            for p in 0..2 {
+                for &w in &self.adj[self.adj_off[v]..self.adj_off[v + 1]] {
+                    let up = (self.level[w], w) < (self.level[v], v);
+                    if up && p == 1 {
+                        continue;
+                    }
+                    let to = w * 2 + usize::from(!up);
+                    self.steps.push(to << 1 | usize::from(v >= n || w >= n));
+                }
+                self.step_off.push(self.steps.len());
+            }
+        }
+        true
     }
 
-    /// Writes the hop-metric distance from every switch (fresh packet,
-    /// phase Up) to `dest` into `out[src]` — the same values
-    /// [`RoutingTable::distance`] reports for the prepared overlay.
+    /// Number of phase-expanded states of the prepared overlay: two per
+    /// switch, then two per wireless channel hub.
+    pub fn state_count(&self) -> usize {
+        2 * self.level.len()
+    }
+
+    /// Writes the hop-metric distance from every state to every switch:
+    /// `out[(v * 2 + phase) * n + dest]` with phase 0 = Up, 1 = Down,
+    /// switches `v < n` first and then the channel hubs, and `u32::MAX`
+    /// where no legal route exists. The switch rows are the values
+    /// [`RoutingTable::up_down_weighted`] stores, so phase-Up rows are
+    /// [`RoutingTable::distance`].
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != topo.len()`, if `dest` is out of range, or
-    /// if called before a successful [`prepare`](Self::prepare).
-    pub fn distances_into(&mut self, dest: NodeId, out: &mut [u32]) {
+    /// Panics if `out.len() != self.state_count() * topo.len()` (so also
+    /// if called before a successful [`prepare`](Self::prepare)).
+    pub fn all_pairs_into(&mut self, out: &mut [u32]) {
         let n = self.n;
-        assert_eq!(out.len(), n, "output slice must cover every switch");
-        let total = self.level.len();
-        assert!(total >= n && dest.index() < n, "prepare() before querying");
-        let w_hub = self.hub_edge_weight;
-        let ring = w_hub as usize + 1;
-        let state = |v: usize, p: usize| v * 2 + p;
-
-        self.dist.clear();
-        self.dist.resize(total * 2, u32::MAX);
-        for b in &mut self.buckets {
-            b.clear();
+        let states = self.state_count();
+        assert!(
+            states > 0 && out.len() == states * n,
+            "prepare() first; output must cover every state and switch"
+        );
+        let words = n.div_ceil(64);
+        let hub_w = self.hub_edge_weight as usize;
+        let ring = hub_w + 1;
+        for layer in &mut self.layers {
+            layer.clear();
+            layer.resize(states * words, 0);
         }
-        let d = dest.index();
-        self.dist[state(d, 0)] = 0;
-        self.dist[state(d, 1)] = 0;
-        self.buckets[0].push(state(d, 0));
-        self.buckets[0].push(state(d, 1));
-        let mut pending = 2usize;
-        let mut c = 0u32;
+        out.fill(u32::MAX);
+        // Layer 0: both phase states of a switch reach the switch itself.
+        for v in 0..n {
+            for s in [v * 2, v * 2 + 1] {
+                self.layers[0][s * words + v / 64] |= 1 << (v % 64);
+                out[s * n + v] = 0;
+            }
+        }
 
-        // Reverse Dijkstra over the phase-expanded graph via Dial buckets:
-        // weights are 1 or `w_hub`, so draining buckets in ring order pops
-        // states in nondecreasing cost — distances match the heap version.
-        while pending > 0 {
-            while let Some(s) = self.buckets[c as usize % ring].pop() {
-                pending -= 1;
-                if self.dist[s] != c {
-                    continue; // stale entry superseded by a shorter path
-                }
-                let (w, q) = (s / 2, s % 2);
-                for &v in &self.adj[self.adj_off[w]..self.adj_off[w + 1]] {
-                    // Predecessor states that may step v -> w into phase q
-                    // (same transition legality as the table builder).
-                    let up = (self.level[w], w) < (self.level[v], v);
-                    let preds: &[usize] = if up {
-                        if q == 0 {
-                            &[0]
-                        } else {
-                            &[]
-                        }
-                    } else if q == 1 {
-                        &[0, 1]
+        let mut k = 0usize;
+        let mut quiet = 0usize;
+        // Once `hub_w` consecutive layers add nothing, every layer the
+        // recurrence reads is unchanged, so no later layer can grow.
+        while quiet < hub_w {
+            let mut next = std::mem::take(&mut self.layers[(k + 1) % ring]);
+            let cur = &self.layers[k % ring];
+            // Hub steps read layer k + 1 - hub_w (none exists yet before
+            // the first `hub_w` layers).
+            let back = (k + 1 >= hub_w).then(|| &self.layers[(k + 1 - hub_w) % ring]);
+            let mut grew = false;
+            for s in 0..states {
+                let reach = &mut next[s * words..(s + 1) * words];
+                let had = &cur[s * words..(s + 1) * words];
+                reach.copy_from_slice(had);
+                for &e in &self.steps[self.step_off[s]..self.step_off[s + 1]] {
+                    let src = if e & 1 == 0 {
+                        cur
+                    } else if let Some(back) = back {
+                        back
                     } else {
-                        &[]
+                        continue;
                     };
-                    let nc = c + if v >= n || w >= n { w_hub } else { 1 };
-                    for &pp in preds {
-                        let ps = state(v, pp);
-                        if nc < self.dist[ps] {
-                            self.dist[ps] = nc;
-                            self.buckets[nc as usize % ring].push(ps);
-                            pending += 1;
-                        }
+                    let t = e >> 1;
+                    for (r, &x) in reach.iter_mut().zip(&src[t * words..(t + 1) * words]) {
+                        *r |= x;
+                    }
+                }
+                for (i, (&r, &h)) in reach.iter().zip(had).enumerate() {
+                    let mut fresh = r & !h;
+                    grew |= fresh != 0;
+                    while fresh != 0 {
+                        out[s * n + i * 64 + fresh.trailing_zeros() as usize] = (k + 1) as u32;
+                        fresh &= fresh - 1;
                     }
                 }
             }
-            c += 1;
-        }
-
-        for (src, slot) in out.iter_mut().enumerate() {
-            let dv = self.dist[state(src, 0)];
-            // A connected graph always admits an Up-phase route: climb the
-            // tree to the root, then descend along BFS-tree edges.
-            debug_assert_ne!(dv, u32::MAX, "connected graph has Up routes");
-            *slot = dv;
+            self.layers[(k + 1) % ring] = next;
+            quiet = if grew { 0 } else { quiet + 1 };
+            k += 1;
         }
     }
 }
@@ -927,6 +852,10 @@ mod tests {
         );
     }
 
+    /// Every switch row of the kernel (both phases) equals the table's.
+    /// The table reads the same kernel, so this checks the shared layout
+    /// and `prepare`'s per-overlay reset; `tests/routing_oracle.rs` checks
+    /// the distances against an independent search.
     fn assert_distances_match(
         topo: &Topology,
         overlay: &WirelessOverlay,
@@ -936,17 +865,12 @@ mod tests {
         let table = RoutingTable::up_down_weighted(topo, overlay, weight).unwrap();
         assert!(eval.prepare(overlay), "table built, so graph is connected");
         let n = topo.len();
-        let mut out = vec![0u32; n];
-        for d in 0..n {
-            eval.distances_into(NodeId(d), &mut out);
-            for (s, &got) in out.iter().enumerate() {
-                assert_eq!(
-                    got,
-                    table.distance(NodeId(s), NodeId(d)),
-                    "distance mismatch {s}->{d} (weight {weight})"
-                );
-            }
-        }
+        let mut got = vec![0u32; eval.state_count() * n];
+        eval.all_pairs_into(&mut got);
+        assert_eq!(got[..2 * n * n], table.dist[..], "weight {weight}");
+        assert!(got[..2 * n * n]
+            .chunks(2 * n)
+            .all(|up| !up[..n].contains(&u32::MAX)));
     }
 
     #[test]
