@@ -235,18 +235,6 @@ fn main() {
         }),
     ));
 
-    // The same report with the relaxation windows fanned out over 4 NoC
-    // worker threads — bit-identical results (see
-    // crates/core/tests/thread_invariance.rs), wall-clock scaling only on
-    // multi-core hosts.
-    let cfg4 = cfg.clone().with_sim_threads(4);
-    results.push((
-        "run_system_paper/threads4",
-        median_secs(|| {
-            std::hint::black_box(run_system(&spec, &d.workload, &cfg4, flow.power()));
-        }),
-    ));
-
     // The governed variant of the paper row: the same static run plus the
     // epoch-replay pass under a cap at 80% of the measured static peak.
     // The delta over `run_system_paper/report` is the governor's overhead

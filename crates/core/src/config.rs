@@ -82,15 +82,6 @@ pub struct PlatformConfig {
     /// Duato-style minimal adaptive routing on the upper VCs (an extension
     /// beyond the paper's router; requires `noc_vcs >= 2`).
     pub noc_adaptive: bool,
-    /// Relaxation-window lanes of [`run_system`]: any value > 1 runs a
-    /// round's (up to three) live stage windows concurrently, one
-    /// simulator lane per stage; 1 runs them one after another. A
-    /// wall-clock knob only: every value produces bit-identical results,
-    /// so this field is deliberately excluded from the configuration's
-    /// stable hash and cache keys.
-    ///
-    /// [`run_system`]: crate::system::run_system
-    pub sim_threads: usize,
     /// Off-chip memory path: [`DramConfig::ideal`] (the fixed-latency
     /// model every golden is pinned against) or [`DramConfig::banked`]
     /// (per-controller command queues and bank state, so miss traffic
@@ -122,7 +113,6 @@ impl PlatformConfig {
             noc_measure: 5_000,
             noc_vcs: 1,
             noc_adaptive: false,
-            sim_threads: 1,
             dram: DramConfig::ideal(),
         }
     }
@@ -221,14 +211,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets [`PlatformConfig::sim_threads`]: any value > 1 runs each
-    /// relaxation round's live stage windows concurrently, one lane per
-    /// stage (results are bit-identical for every value).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
     /// Sets the off-chip memory model.
     pub fn with_dram(mut self, dram: DramConfig) -> Self {
         self.dram = dram;
@@ -277,9 +259,6 @@ impl PlatformConfig {
         }
         if self.noc_adaptive && self.noc_vcs < 2 {
             return Err("adaptive routing needs at least two virtual channels".into());
-        }
-        if self.sim_threads == 0 {
-            return Err("need at least one simulation thread".into());
         }
         self.dram.validate()?;
         Ok(())

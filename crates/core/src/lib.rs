@@ -70,10 +70,7 @@ pub use experiments::ExperimentContext;
 pub use governed::{
     run_system_governed, run_system_governed_with_faults, EpochRecord, GovernedRunReport,
 };
-pub use orchestrator::ArtifactSink;
-pub use survivability::{
-    fault_sweep, fault_sweep_with_sink, FaultSweepConfig, FaultSweepPoint, FaultSweepReport,
-};
+pub use survivability::{fault_sweep, FaultSweepConfig, FaultSweepPoint, FaultSweepReport};
 pub use system::{run_system, run_system_with_faults, FaultRunReport, RunReport, SystemSpec};
 
 /// Convenient glob import.

@@ -23,25 +23,10 @@
 
 use crate::config::{PlacementStrategy, PlatformConfig};
 use crate::design_flow::{Design, DesignFlow, VfStage};
-use crate::system::{run_system, FaultRunReport, RunReport};
+use crate::system::{run_system, RunReport};
 use mapwave_harness::cache::{CacheStats, StageCache};
 use mapwave_harness::hash::{CacheKey, StableHash, StableHasher};
 use mapwave_phoenix::apps::App;
-
-/// A destination for freshly computed stage outputs — the hook through
-/// which a persistent sweep store (e.g. `mapwave-sweep`'s content-addressed
-/// artifact store) captures reports as the orchestrator produces them.
-///
-/// Implementations must be cheap and infallible from the caller's point of
-/// view: a sink that cannot persist should log/count and move on, never
-/// panic the evaluation. Sinks are only notified on *fresh* computations —
-/// cache hits were already recorded when first computed.
-pub trait ArtifactSink: Sync {
-    /// A fault-free [`RunReport`] was computed under `key`.
-    fn record_run(&self, key: CacheKey, report: &RunReport);
-    /// A [`FaultRunReport`] was computed under `key`.
-    fn record_fault_run(&self, key: CacheKey, report: &FaultRunReport);
-}
 
 impl StableHash for PlacementStrategy {
     fn stable_hash(&self, h: &mut StableHasher) {
@@ -72,10 +57,6 @@ impl StableHash for PlatformConfig {
         self.noc_measure.stable_hash(h);
         self.noc_vcs.stable_hash(h);
         self.noc_adaptive.stable_hash(h);
-        // `sim_threads` is deliberately omitted: it only changes wall-clock
-        // time, never results, so configurations differing only in thread
-        // count share cache entries.
-        //
         // The DRAM model is hashed only when banked: an ideal configuration
         // is behaviourally identical to one predating the field, so every
         // pre-existing cache entry and sweep-cell key stays valid.
@@ -226,21 +207,9 @@ pub fn vfi_mesh_run_cached(flow: &DesignFlow, design: &Design, vfi1_mesh: &RunRe
 }
 
 /// The run report of one system variant, computed once per
-/// `(config, app, variant)` triple process-wide.
-pub fn run_cached(flow: &DesignFlow, design: &Design, variant: RunVariant) -> RunReport {
-    run_cached_with_sink(flow, design, variant, None)
-}
-
-/// [`run_cached`] with an optional [`ArtifactSink`] notified whenever the
-/// report had to be *computed* (a stage-cache hit was already recorded on
-/// its first computation and is not re-emitted). The `nvfi` report that
+/// `(config, app, variant)` triple process-wide. The `nvfi` report that
 /// [`design_cached`] leaves in the cache counts as a hit.
-pub fn run_cached_with_sink(
-    flow: &DesignFlow,
-    design: &Design,
-    variant: RunVariant,
-    sink: Option<&dyn ArtifactSink>,
-) -> RunReport {
+pub fn run_cached(flow: &DesignFlow, design: &Design, variant: RunVariant) -> RunReport {
     let key = run_key(config_key(flow.config()), design.app, variant);
     if let Some(hit) = RUN_CACHE.get(key) {
         return hit;
@@ -248,9 +217,6 @@ pub fn run_cached_with_sink(
     let spec = variant.spec(flow, design);
     let report = run_system(&spec, &design.workload, flow.config(), flow.power());
     RUN_CACHE.insert(key, report.clone());
-    if let Some(sink) = sink {
-        sink.record_run(key, &report);
-    }
     report
 }
 

@@ -23,7 +23,6 @@ use mapwave_phoenix::App;
 use mapwave_vfi::assignment::reassign_for_degradation;
 
 use crate::design_flow::{DesignFlow, VfStage};
-use crate::orchestrator::{config_key, ArtifactSink};
 use crate::system::{run_system_with_faults, FaultRunReport};
 
 /// Parameters of a survivability sweep.
@@ -156,19 +155,6 @@ fn plan_for(rate: f64, seed: u64) -> FaultPlan {
 /// operating point) yields the degraded utilization profile that drives
 /// [`reassign_for_degradation`].
 pub fn fault_sweep(flow: &DesignFlow, sweep: &FaultSweepConfig) -> FaultSweepReport {
-    fault_sweep_with_sink(flow, sweep, None)
-}
-
-/// [`fault_sweep`] with an optional [`ArtifactSink`]: every measured
-/// [`FaultRunReport`] (baseline and VFI side of each point) is recorded
-/// under a stable key derived from `(config, app, rate, fault seed, side)`,
-/// so a persistent store can serve the survivability curves without
-/// re-simulating.
-pub fn fault_sweep_with_sink(
-    flow: &DesignFlow,
-    sweep: &FaultSweepConfig,
-    sink: Option<&dyn ArtifactSink>,
-) -> FaultSweepReport {
     let _span = mapwave_harness::telemetry::span("core.fault_sweep");
     let cfg = flow.config();
     let n = cfg.cores();
@@ -215,21 +201,6 @@ pub fn fault_sweep_with_sink(
             }
 
             let vfi = run_system_with_faults(&spec, &design.workload, cfg, flow.power(), &plan);
-
-            if let Some(sink) = sink {
-                let cfg_hex = config_key(cfg).to_hex();
-                let point_key = |side: &str| {
-                    mapwave_harness::hash::stable_hash_of(&(
-                        "fault-sweep",
-                        cfg_hex.as_str(),
-                        app.name(),
-                        (rate.to_bits(), sweep.fault_seed),
-                        side,
-                    ))
-                };
-                sink.record_fault_run(point_key("baseline"), &baseline);
-                sink.record_fault_run(point_key("vfi"), &vfi);
-            }
 
             let edp_saving = 1.0 - vfi.report.edp / baseline.report.edp;
             let time_penalty = vfi.report.exec_seconds / baseline.report.exec_seconds - 1.0;

@@ -23,7 +23,7 @@ use mapwave_manycore::platform::Platform;
 use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::sim::{NetworkSim, SimConfig};
 use mapwave_noc::topology::wireless::WirelessOverlay;
-use mapwave_noc::{EnergyModel, NetworkStats, NocFaultCounts, NodeId, Topology, TrafficMatrix};
+use mapwave_noc::{EnergyModel, NetworkStats, NocFaultCounts, NodeId, Topology};
 use mapwave_phoenix::runtime::{Executor, PhoenixFaults, RuntimeConfig};
 use mapwave_phoenix::stealing::StealPolicy;
 use mapwave_phoenix::task::PhaseKind;
@@ -97,27 +97,6 @@ pub struct FaultRunReport {
     /// the final relaxed execution plus NoC corruption/fallback counts
     /// accumulated over every simulated stage window.
     pub faults: FaultStats,
-}
-
-/// A simulated window's statistics and the wireless faults it observed.
-type WindowRun = (NetworkStats, NocFaultCounts);
-
-/// Runs one stage window on `sim` (which `NetworkSim::run` fully resets, so
-/// the result depends only on the window's own traffic).
-fn simulate_window(
-    sim: &mut NetworkSim<'_>,
-    traffic: &TrafficMatrix,
-    cfg: &PlatformConfig,
-) -> WindowRun {
-    let stats = sim
-        .run(
-            traffic,
-            cfg.noc_warmup,
-            cfg.noc_measure,
-            cfg.noc_measure * 10,
-        )
-        .clone();
-    (stats, sim.fault_counts())
 }
 
 /// Overwrites a stage's statistics slot in place (`clone_from` reuses the
@@ -291,32 +270,23 @@ pub(crate) fn run_system_inner(
         adaptive: cfg.noc_adaptive,
         ..SimConfig::default()
     };
-    // One simulator serves all 9 stage windows, borrowing the spec's
-    // topology/overlay/table instead of cloning them. With `sim_threads >
-    // 1` the three stage windows of a round run concurrently on one
-    // simulator per stage instead: every `NetworkSim::run` fully resets
-    // its simulator, so a window's statistics depend only on its own
-    // traffic and per-stage simulators are observably identical to the
-    // shared one.
-    let window_lanes = if cfg.sim_threads > 1 { 3 } else { 1 };
-    let mut lane_sims: Vec<NetworkSim> = (0..window_lanes)
-        .map(|_| {
-            let mut sim = NetworkSim::with_clocks_borrowed(
-                &spec.topology,
-                &spec.overlay,
-                &spec.routing,
-                EnergyModel::default_65nm(),
-                sim_cfg.clone(),
-                tile_speed.clone(),
-                tile_domain.clone(),
-            )
-            .expect("spec-consistent network");
-            if let Some(plan) = faults {
-                sim.set_faults(plan);
-            }
-            sim
-        })
-        .collect();
+    // One simulator serves every stage window, borrowing the spec's
+    // topology/overlay/table instead of cloning them. Every
+    // `NetworkSim::run` fully resets it, so a window's statistics depend
+    // only on its own traffic.
+    let mut sim = NetworkSim::with_clocks_borrowed(
+        &spec.topology,
+        &spec.overlay,
+        &spec.routing,
+        EnergyModel::default_65nm(),
+        sim_cfg,
+        tile_speed,
+        tile_domain,
+    )
+    .expect("spec-consistent network");
+    if let Some(plan) = faults {
+        sim.set_faults(plan);
+    }
     let mut noc_fault_counts = NocFaultCounts::default();
 
     // Phase-resolved NoC simulation: each stage's traffic pattern loads the
@@ -333,67 +303,27 @@ pub(crate) fn run_system_inner(
         // Each window's statistics overwrite a persistent slot in place
         // (`clone_from` reuses the histogram/link-load allocations) rather
         // than cloning a fresh copy per round.
-        let stage_traffic = [
-            &exec.phase_traffic.map,
-            &exec.phase_traffic.reduce,
-            &exec.phase_traffic.merge,
+        let stages = [
+            (&exec.phase_traffic.map, &mut map_net),
+            (&exec.phase_traffic.reduce, &mut reduce_net),
+            (&exec.phase_traffic.merge, &mut merge_net),
         ];
-        // Probe: the physical traffic of each stage that carries any.
-        let windows: Vec<Option<TrafficMatrix>> = stage_traffic
-            .iter()
-            .map(|traffic| {
-                (traffic.total_rate() > 1e-9).then(|| spec.mapping.traffic_to_tiles(traffic))
-            })
-            .collect();
-        // Run the live windows: one after another on the shared simulator,
-        // or concurrently with one lane per stage.
-        let runs: Vec<Option<WindowRun>> = if window_lanes == 1 {
-            let sim = &mut lane_sims[0];
-            windows
-                .iter()
-                .map(|w| w.as_ref().map(|t| simulate_window(sim, t, cfg)))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = lane_sims
-                    .iter_mut()
-                    .zip(&windows)
-                    .map(|(sim, w)| {
-                        w.as_ref().map(|t| {
-                            scope.spawn(move || {
-                                let run = simulate_window(sim, t, cfg);
-                                // Hand the lane's spans and counters to the
-                                // store before the thread ends. The join
-                                // below also waits for the thread-local
-                                // destructor; this keeps the hand-off
-                                // independent of how the lane is joined.
-                                mapwave_harness::telemetry::flush();
-                                run
-                            })
-                        })
-                    })
-                    .collect();
-                mapwave_harness::telemetry::count(
-                    "core.windows_parallel",
-                    handles.iter().flatten().count() as u64,
+        for (traffic, slot) in stages {
+            // Only stages that carry traffic get a window.
+            if traffic.total_rate() > 1e-9 {
+                let tiles = spec.mapping.traffic_to_tiles(traffic);
+                let stats = sim.run(
+                    &tiles,
+                    cfg.noc_warmup,
+                    cfg.noc_measure,
+                    cfg.noc_measure * 10,
                 );
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().expect("window simulation panicked")))
-                    .collect()
-            })
-        };
-        // Commit in stage order, so statistics and fault accounting are the
-        // same for every lane count.
-        let slots = [&mut map_net, &mut reduce_net, &mut merge_net];
-        for (slot, run) in slots.into_iter().zip(runs) {
-            match run {
-                None => *slot = None,
-                Some((stats, counts)) => {
-                    store_stats(slot, &stats);
-                    noc_fault_counts.flit_corruptions += counts.flit_corruptions;
-                    noc_fault_counts.wi_fallbacks += counts.wi_fallbacks;
-                }
+                store_stats(slot, stats);
+                let counts = sim.fault_counts();
+                noc_fault_counts.flit_corruptions += counts.flit_corruptions;
+                noc_fault_counts.wi_fallbacks += counts.wi_fallbacks;
+            } else {
+                *slot = None;
             }
         }
 

@@ -6,7 +6,7 @@
 //!                      [--apps A,..] [--variants V,..] [--rates R,..]
 //!                      [--workload-seeds N,..] [--fault-seed N]
 //!                      [--caps W,..] [--epoch-cycles N] [--dram ideal|banked]
-//!                      [--jobs J] [--sim-threads N] [--limit N]
+//!                      [--jobs J] [--limit N]
 //!                      [--max-attempts N] [--backoff-ms N]
 //!                      [--fail-rate R --fail-seed N]
 //! mapwave-sweep resume --store DIR [--jobs J] [--limit N] ...
@@ -45,7 +45,6 @@ struct Args {
     epoch_cycles: u64,
     dram_banked: bool,
     jobs: usize,
-    sim_threads: usize,
     limit: Option<usize>,
     max_attempts: u32,
     backoff_ms: u64,
@@ -72,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         epoch_cycles: smoke.epoch_cycles,
         dram_banked: smoke.dram_banked,
         jobs: mapwave_harness::jobs::available_parallelism(),
-        sim_threads: 1,
         limit: None,
         max_attempts: 3,
         backoff_ms: 10,
@@ -142,12 +140,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--jobs needs at least one worker".into());
                 }
             }
-            "--sim-threads" => {
-                args.sim_threads = parse_num(&value("--sim-threads", &mut it)?)?;
-                if args.sim_threads == 0 {
-                    return Err("--sim-threads needs at least one thread".into());
-                }
-            }
             "--limit" => args.limit = Some(parse_num(&value("--limit", &mut it)?)?),
             "--max-attempts" => {
                 args.max_attempts = parse_num(&value("--max-attempts", &mut it)?)?;
@@ -201,7 +193,6 @@ fn engine_options(args: &Args) -> EngineOptions {
             CellFailureModel::none()
         },
         commit_limit: args.limit,
-        sim_threads: args.sim_threads,
     }
 }
 
@@ -276,7 +267,7 @@ mapwave-sweep — persistent design-space sweeps over the mapwave evaluation
                        [--apps A,..] [--variants V,..] [--rates R,..]
                        [--workload-seeds N,..] [--fault-seed N]
                        [--caps W,..] [--epoch-cycles N] [--dram ideal|banked]
-                       [--jobs J] [--sim-threads N] [--limit N]
+                       [--jobs J] [--limit N]
                        [--max-attempts N] [--backoff-ms N]
                        [--fail-rate R --fail-seed N]
   mapwave-sweep resume --store DIR [--jobs J] [--limit N] ...

@@ -26,7 +26,7 @@ use std::io;
 
 use mapwave::design_flow::DesignFlow;
 use mapwave::governed::{run_system_governed, run_system_governed_with_faults};
-use mapwave::orchestrator::{design_cached, run_cached_with_sink, RunVariant};
+use mapwave::orchestrator::{design_cached, run_cached, RunVariant};
 use mapwave::run_system_with_faults;
 use mapwave_faults::{CellFailureModel, FaultConfig, FaultPlan};
 use mapwave_governor::GovernorConfig;
@@ -54,13 +54,6 @@ pub struct EngineOptions {
     /// Stop after committing this many cells (simulates a kill for resume
     /// tests and the CI smoke job). `None` runs to completion.
     pub commit_limit: Option<usize>,
-    /// Relaxation-window lanes *inside* each cell's system simulation
-    /// (`PlatformConfig::sim_threads`: any value > 1 runs a round's up to
-    /// three live stage windows concurrently). A wall-clock knob only —
-    /// results and cell keys are identical for every value — so prefer
-    /// raising [`EngineOptions::jobs`] first; this helps when a sweep has
-    /// fewer pending cells than cores.
-    pub sim_threads: usize,
 }
 
 impl Default for EngineOptions {
@@ -71,7 +64,6 @@ impl Default for EngineOptions {
             backoff_base_ms: 10,
             exec_faults: CellFailureModel::none(),
             commit_limit: None,
-            sim_threads: 1,
         }
     }
 }
@@ -265,7 +257,7 @@ fn execute_cell(cell: &SweepCell, opts: &EngineOptions) -> CellOutcome {
         let outcome = if injected_failure {
             None
         } else {
-            attempt_cell(cell, opts)
+            attempt_cell(cell)
         };
         match outcome {
             Some(record) => {
@@ -285,9 +277,8 @@ fn execute_cell(cell: &SweepCell, opts: &EngineOptions) -> CellOutcome {
 }
 
 /// One attempt at a cell; `None` means the attempt failed organically.
-fn attempt_cell(cell: &SweepCell, opts: &EngineOptions) -> Option<CellRecord> {
-    let cfg = cell.config().with_sim_threads(opts.sim_threads.max(1));
-    let flow = DesignFlow::new(cfg).ok()?;
+fn attempt_cell(cell: &SweepCell) -> Option<CellRecord> {
+    let flow = DesignFlow::new(cell.config()).ok()?;
     let design = design_cached(&flow, cell.app);
     let coords = CellCoords {
         label: cell.label(),
@@ -320,7 +311,7 @@ fn attempt_cell(cell: &SweepCell, opts: &EngineOptions) -> Option<CellRecord> {
         };
         Some(CellRecord::from_governed(coords, &report))
     } else if cell.fault_rate == 0.0 {
-        let report = run_cached_with_sink(&flow, &design, cell.variant, None);
+        let report = run_cached(&flow, &design, cell.variant);
         Some(CellRecord::from_run(coords, &report))
     } else {
         // Faulted cells derive their plan from the sweep's root seed via

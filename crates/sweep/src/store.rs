@@ -23,8 +23,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use mapwave::orchestrator::ArtifactSink;
-use mapwave::{FaultRunReport, RunReport};
 use mapwave_harness::hash::{CacheKey, StableHasher};
 use mapwave_harness::telemetry;
 
@@ -342,44 +340,6 @@ fn append_line(path: &Path, line: &str) -> io::Result<()> {
         .append(true)
         .open(path)?;
     writeln!(file, "{line}")
-}
-
-/// [`ArtifactSink`] implementation: freshly computed core-stage reports are
-/// captured as content-addressed side blobs (`sidecar.txt` maps stage key →
-/// blob). This is deliberately *separate* from the engine's manifest — the
-/// manifest records sweep cells only, in index order; sidecar entries
-/// arrive in whatever order the orchestrator computes stages.
-impl ArtifactSink for ArtifactStore {
-    fn record_run(&self, key: CacheKey, report: &RunReport) {
-        self.record_sidecar("run", key, &stage_summary(report));
-    }
-
-    fn record_fault_run(&self, key: CacheKey, report: &FaultRunReport) {
-        self.record_sidecar("fault-run", key, &stage_summary(&report.report));
-    }
-}
-
-/// Minimal byte-stable projection of a stage report for sidecar blobs.
-fn stage_summary(report: &RunReport) -> String {
-    format!(
-        "mapwave-stage v1\nlabel {}\nexec_seconds {:016x}\nedp {:016x}\n",
-        report.label,
-        report.exec_seconds.to_bits(),
-        report.edp.to_bits()
-    )
-}
-
-impl ArtifactStore {
-    fn record_sidecar(&self, kind: &str, key: CacheKey, text: &str) {
-        // Sinks must never panic the evaluation: failures just drop the
-        // sidecar entry (the manifest and cell blobs are unaffected).
-        if let Ok((blob, _)) = self.put_blob(text) {
-            let _ = append_line(
-                &self.root.join("sidecar.txt"),
-                &format!("{kind} {} {}", key.to_hex(), blob.to_hex()),
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -19,13 +19,11 @@ use mapwave::prelude::*;
 use mapwave::survivability::{fault_sweep, FaultSweepConfig};
 use mapwave_repro::cli;
 
-const USAGE: &str =
-    "cargo run --release --example degradation [scale] [fault_seed] [--sim-threads N] | -- --smoke";
+const USAGE: &str = "cargo run --release --example degradation [scale] [fault_seed] | -- --smoke";
 
 fn main() -> Result<(), String> {
     let smoke = cli::positional(1).as_deref() == Some("--smoke");
     cli::forbid_governor_flags(USAGE)?;
-    let threads = cli::sim_threads(USAGE)?;
 
     let (cfg, sweep) = if smoke {
         cli::expect_no_args_past(1, USAGE)?;
@@ -40,7 +38,6 @@ fn main() -> Result<(), String> {
         cli::expect_no_args_past(2, USAGE)?;
         (PlatformConfig::paper().with_scale(scale), sweep)
     };
-    let cfg = cfg.with_sim_threads(threads);
 
     eprintln!(
         "sweeping {} app(s) x {} fault rates (seed {:#x})...",

@@ -14,8 +14,7 @@ use mapwave::prelude::*;
 use mapwave_phoenix::apps::App;
 use mapwave_repro::cli;
 
-const USAGE: &str =
-    "cargo run --release --example design_space [scale] [app] [--cores N] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example design_space [scale] [app] [--cores N]";
 
 fn parse_app(name: &str) -> Option<App> {
     App::ALL
@@ -28,7 +27,6 @@ fn main() -> Result<(), String> {
     let app = cli::arg_or(2, App::WordCount, "app name", USAGE, parse_app)?;
     let cores = cli::cores(64, USAGE)?;
     cli::forbid_governor_flags(USAGE)?;
-    let threads = cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(2, USAGE)?;
 
     println!("== design space for {app} at scale {scale} on {cores} cores ==\n");
@@ -37,8 +35,7 @@ fn main() -> Result<(), String> {
     let side = cli::die_side(cores);
     let base_cfg = PlatformConfig::paper()
         .with_dims(side, side)
-        .with_scale(scale)
-        .with_sim_threads(threads);
+        .with_scale(scale);
     base_cfg
         .validate()
         .map_err(|e| format!("--cores {cores}: {e}"))?;

@@ -10,16 +10,13 @@ use mapwave::prelude::*;
 use mapwave_phoenix::apps::App;
 use mapwave_repro::cli;
 
-const USAGE: &str = "cargo run --release --example diagnose -- [scale] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example diagnose -- [scale]";
 
 fn main() -> Result<(), String> {
     let scale: f64 = cli::parsed_arg_or(1, 0.02, "scale", USAGE)?;
     cli::forbid_governor_flags(USAGE)?;
-    let threads = cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(1, USAGE)?;
-    let cfg = PlatformConfig::paper()
-        .with_scale(scale)
-        .with_sim_threads(threads);
+    let cfg = PlatformConfig::paper().with_scale(scale);
     let flow = DesignFlow::new(cfg.clone())?;
 
     for app in App::ALL {

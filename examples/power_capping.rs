@@ -30,7 +30,7 @@ use mapwave_phoenix::apps::App;
 use mapwave_repro::cli;
 
 const USAGE: &str = "cargo run --release --example power_capping [scale] [app] \
-     [--power-cap W] [--epoch-cycles N] [--dram ideal|banked] [--sim-threads N] [--cores N] \
+     [--power-cap W] [--epoch-cycles N] [--dram ideal|banked] [--cores N] \
      | -- --smoke";
 
 fn parse_app(name: &str) -> Option<App> {
@@ -41,12 +41,11 @@ fn parse_app(name: &str) -> Option<App> {
 
 fn main() -> Result<(), String> {
     let smoke = cli::positional(1).as_deref() == Some("--smoke");
-    let threads = cli::sim_threads(USAGE)?;
     let cap_flag = cli::power_cap(USAGE)?;
     let epoch = cli::epoch_cycles(GovernorConfig::DEFAULT_EPOCH_CYCLES, USAGE)?;
     let banked = cli::dram_banked(USAGE)?;
 
-    let (cfg, app, faults) = if smoke {
+    let (mut cfg, app, faults) = if smoke {
         cli::expect_no_args_past(1, USAGE)?;
         let plan = FaultPlan::build(&FaultConfig::at_rate(0.05, 0xCA9));
         (
@@ -68,7 +67,6 @@ fn main() -> Result<(), String> {
             None,
         )
     };
-    let mut cfg = cfg.with_sim_threads(threads);
     if banked {
         cfg = cfg.with_dram(DramConfig::banked());
     }

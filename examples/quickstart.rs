@@ -13,18 +13,15 @@ use mapwave::prelude::*;
 use mapwave::report;
 use mapwave_repro::cli;
 
-const USAGE: &str = "cargo run --release --example quickstart [scale] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example quickstart [scale]";
 
 fn main() -> Result<(), String> {
     let scale: f64 = cli::parsed_arg_or(1, 0.02, "scale", USAGE)?;
     cli::forbid_governor_flags(USAGE)?;
-    let threads = cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(1, USAGE)?;
 
     eprintln!("designing all six applications at scale {scale} (64 cores)...");
-    let cfg = PlatformConfig::paper()
-        .with_scale(scale)
-        .with_sim_threads(threads);
+    let cfg = PlatformConfig::paper().with_scale(scale);
     let ctx = ExperimentContext::new(cfg)?;
     println!("{}", report::full_report(&ctx));
     Ok(())

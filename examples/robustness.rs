@@ -13,19 +13,16 @@ use mapwave::experiments::headline_across_seeds;
 use mapwave::prelude::*;
 use mapwave_repro::cli;
 
-const USAGE: &str = "cargo run --release --example robustness [scale] [seeds] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example robustness [scale] [seeds]";
 
 fn main() -> Result<(), String> {
     let scale: f64 = cli::parsed_arg_or(1, 0.02, "scale", USAGE)?;
     let seeds: usize = cli::parsed_arg_or(2, 3, "seed count", USAGE)?;
     cli::forbid_governor_flags(USAGE)?;
-    let threads = cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(2, USAGE)?;
 
     eprintln!("running {seeds} seeds at scale {scale}...");
-    let cfg = PlatformConfig::paper()
-        .with_scale(scale)
-        .with_sim_threads(threads);
+    let cfg = PlatformConfig::paper().with_scale(scale);
     let stats = headline_across_seeds(&cfg, seeds)?;
 
     for (i, h) in stats.samples.iter().enumerate() {

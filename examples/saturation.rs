@@ -16,13 +16,10 @@ use mapwave_noc::sim::SimConfig;
 use mapwave_noc::topology::mesh::mesh;
 use mapwave_repro::cli;
 
-const USAGE: &str = "cargo run --release --example saturation [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example saturation";
 
 fn main() -> Result<(), String> {
-    // Accepted for interface uniformity; this example runs bare NoC
-    // windows, not the relaxation loop whose stage windows it fans out.
     cli::forbid_governor_flags(USAGE)?;
-    cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(0, USAGE)?;
     let clusters: Vec<usize> = (0..64).map(|i| (i % 8) / 4 + 2 * ((i / 8) / 4)).collect();
     let topo = SmallWorldBuilder::new(grid_positions(8, 8, 2.5), clusters)

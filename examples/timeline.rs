@@ -16,7 +16,7 @@ use mapwave_phoenix::apps::App;
 use mapwave_phoenix::runtime::{Executor, RuntimeConfig};
 use mapwave_repro::cli;
 
-const USAGE: &str = "cargo run --release --example timeline [APP] [scale] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example timeline [APP] [scale]";
 
 fn main() -> Result<(), String> {
     let app = cli::arg_or(1, App::WordCount, "app name", USAGE, |name| {
@@ -25,10 +25,7 @@ fn main() -> Result<(), String> {
             .find(|a| a.name().eq_ignore_ascii_case(name))
     })?;
     let scale: f64 = cli::parsed_arg_or(2, 0.01, "scale", USAGE)?;
-    // Accepted for interface uniformity; this example traces the runtime
-    // model only and runs no NoC simulation.
     cli::forbid_governor_flags(USAGE)?;
-    cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(2, USAGE)?;
     let width = 100;
 

@@ -68,18 +68,14 @@ fn scaled_overlay(cfg: &PlatformConfig) -> WirelessOverlay {
     WirelessOverlay::new(wis, channels).expect("valid overlay")
 }
 
-const USAGE: &str =
-    "cargo run --release --example topology_explorer [dot] [--cores N] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example topology_explorer [dot] [--cores N]";
 
 fn main() -> Result<(), String> {
     let dump_dot = cli::arg_or(1, false, "mode (expected `dot`)", USAGE, |raw| {
         (raw == "dot").then_some(true)
     })?;
     let cores = cli::cores(64, USAGE)?;
-    // Accepted for interface uniformity; this example analyses topologies
-    // as graphs and runs no NoC simulation.
     cli::forbid_governor_flags(USAGE)?;
-    cli::sim_threads(USAGE)?;
     cli::expect_no_args_past(1, USAGE)?;
 
     let side = cli::die_side(cores);

@@ -17,14 +17,11 @@ use mapwave_phoenix::apps::{word_count, App};
 use mapwave_phoenix::runtime::{Executor, RuntimeConfig};
 use mapwave_phoenix::stealing::{task_cap, StealPolicy};
 
-const USAGE: &str = "cargo run --release --example wordcount_study [scale] [--sim-threads N]";
+const USAGE: &str = "cargo run --release --example wordcount_study [scale]";
 
 fn main() -> Result<(), String> {
     let scale: f64 = mapwave_repro::cli::parsed_arg_or(1, 0.05, "scale", USAGE)?;
-    // Accepted for interface uniformity; this example exercises the task
-    // stealing model only and runs no NoC simulation.
     mapwave_repro::cli::forbid_governor_flags(USAGE)?;
-    mapwave_repro::cli::sim_threads(USAGE)?;
     mapwave_repro::cli::expect_no_args_past(1, USAGE)?;
     let cores = 64;
 

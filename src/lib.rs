@@ -39,15 +39,10 @@ pub mod cli {
     //! the default configuration on a typo — an easy way to benchmark
     //! the wrong experiment.)
     //!
-    //! Besides positional arguments, every example accepts two flags,
-    //! each of which may appear anywhere on the command line (they are
-    //! stripped before positional indexing):
+    //! Besides positional arguments, every example accepts one flag,
+    //! which may appear anywhere on the command line (flags are stripped
+    //! before positional indexing):
     //!
-    //! * `--sim-threads N` (or `--sim-threads=N`), the relaxation-window
-    //!   lane count (`PlatformConfig::sim_threads`): any value > 1 runs a
-    //!   round's (up to three) live stage windows concurrently. Defaults
-    //!   to 1 and is a wall-clock knob only: results are bit-identical for
-    //!   every value.
     //! * `--cores N` (or `--cores=N`), the die size. Must be a perfect
     //!   square with an even side (16, 64, 256, 1024, …) so the die can
     //!   be quartered into VFI quadrants; the examples default to the
@@ -70,19 +65,12 @@ pub mod cli {
     //! hard error.
 
     /// Names of the recognised flags, indexed by the `FLAG_*` constants.
-    const FLAG_NAMES: [&str; 5] = [
-        "--sim-threads",
-        "--cores",
-        "--power-cap",
-        "--epoch-cycles",
-        "--dram",
-    ];
-    const FLAG_SIM_THREADS: usize = 0;
-    const FLAG_CORES: usize = 1;
-    const FLAG_POWER_CAP: usize = 2;
-    const FLAG_EPOCH_CYCLES: usize = 3;
-    const FLAG_DRAM: usize = 4;
-    const FLAG_COUNT: usize = 5;
+    const FLAG_NAMES: [&str; 4] = ["--cores", "--power-cap", "--epoch-cycles", "--dram"];
+    const FLAG_CORES: usize = 0;
+    const FLAG_POWER_CAP: usize = 1;
+    const FLAG_EPOCH_CYCLES: usize = 2;
+    const FLAG_DRAM: usize = 3;
+    const FLAG_COUNT: usize = 4;
 
     /// The command line split into per-flag occurrence lists (each
     /// occurrence's raw value, `None` when the flag is last with no
@@ -117,26 +105,6 @@ pub mod cli {
             [Some(raw)] => Ok(Some(raw.clone())),
             [None] => Err(format!("{name} needs a value\nusage: {usage}")),
             _ => Err(format!("duplicate {name} flag\nusage: {usage}")),
-        }
-    }
-
-    /// The `--sim-threads` lane count (`PlatformConfig::sim_threads`: any
-    /// value > 1 runs a round's live stage windows concurrently): 1 when
-    /// the flag is absent, otherwise its value.
-    ///
-    /// # Errors
-    ///
-    /// A duplicate flag, a flag with no value, and a value that is not
-    /// an integer ≥ 1 all fail with a message echoing `usage`.
-    pub fn sim_threads(usage: &str) -> Result<usize, String> {
-        match flag_value(FLAG_SIM_THREADS, usage)? {
-            None => Ok(1),
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!(
-                    "invalid --sim-threads value {raw:?} (want an integer >= 1)\nusage: {usage}"
-                )),
-            },
         }
     }
 
