@@ -214,7 +214,12 @@ pub fn run_cached(flow: &DesignFlow, design: &Design, variant: RunVariant) -> Ru
     if let Some(hit) = RUN_CACHE.get(key) {
         return hit;
     }
-    let spec = variant.spec(flow, design);
+    let spec = {
+        // Min-hop mapping refinement, WI annealing and the small-world and
+        // routing builds run here, outside `core.run_system`.
+        let _span = mapwave_harness::telemetry::span_labeled("core.spec", variant.name());
+        variant.spec(flow, design)
+    };
     let report = run_system(&spec, &design.workload, flow.config(), flow.power());
     RUN_CACHE.insert(key, report.clone());
     report

@@ -1,14 +1,17 @@
 //! Histogram (HIST): per-channel colour frequency of a bitmap image.
 //!
 //! Input at scale 1 is the paper's "Medium (399 MB)" bitmap — ~133 M pixels
-//! of 3 bytes. Each Map task scans a horizontal stripe and folds every
-//! R/G/B byte into a 768-bin [`ArrayContainer`]; the key space is tiny, so
-//! Reduce and Merge are short, while the long streaming Map and the
+//! of 3 bytes. Each Map task scans a horizontal stripe and counts every
+//! R/G/B byte into its channel's 256 bins; the key space is tiny (768 bins),
+//! so Reduce and Merge are short, while the long streaming Map and the
 //! input-proportional library initialisation give Histogram its
 //! homogeneous-with-master-bottleneck utilization profile (Fig. 2d).
+//!
+//! The stripes count straight into the final bins: integer addition is
+//! associative, so summing per-stripe histograms would give the same counts.
+//! The `u64` counters cannot overflow: no bin counts more than `pixels`.
 
 use crate::apps::digest_u64s;
-use crate::container::ArrayContainer;
 use crate::task::TaskWork;
 use crate::workload::{AppWorkload, IterationWorkload, MergeSpec};
 use mapwave_harness::rng::StdRng;
@@ -54,7 +57,8 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> HistogramRun {
     let pixels = ((INPUT_BYTES * scale / 3.0) as usize).max(MAP_TASKS * 16);
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut global: ArrayContainer<u64> = ArrayContainer::new(BINS);
+    // One 256-bin array per channel: a `u8` bin index needs no bounds check.
+    let mut counts = [[0u64; 256]; 3];
     let mut map_tasks = Vec::with_capacity(MAP_TASKS);
     let per_task = pixels / MAP_TASKS;
 
@@ -62,31 +66,32 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> HistogramRun {
     for stripe in 0..MAP_TASKS {
         // Spread the division remainder one pixel per leading stripe.
         let stripe_pixels = per_task + usize::from(stripe < remainder);
-        let mut local: ArrayContainer<u64> = ArrayContainer::new(BINS);
+        let [red, green, blue] = &mut counts;
         for _ in 0..stripe_pixels {
             // A synthetic pixel: channel bytes with different distributions
-            // so the histogram has structure.
-            let r = (rng.random::<f64>().powi(2) * 255.0) as usize;
-            let g = (rng.random::<f64>() * 255.0) as usize;
-            let b = 255 - (rng.random::<f64>().powi(2) * 255.0) as usize;
-            local.emit(r, 1);
-            local.emit(256 + g, 1);
-            local.emit(512 + b, 1);
+            // so the histogram has structure. Every draw lies in [0, 1), so
+            // each scaled value lies in [0, 255) and fits a `u8`.
+            let r = rng.random::<f64>();
+            let g = rng.random::<f64>();
+            let b = rng.random::<f64>();
+            red[(r * r * 255.0) as u8 as usize] += 1;
+            green[(g * 255.0) as u8 as usize] += 1;
+            blue[255 - (b * b * 255.0) as u8 as usize] += 1;
         }
         map_tasks.push(TaskWork::new(
             stripe_pixels as f64 * CYCLES_PER_PIXEL,
             stripe_pixels as f64 * INSTR_PER_PIXEL,
             BINS,
         ));
-        global.merge(local);
     }
+    let bins: Vec<u64> = counts.into_iter().flatten().collect();
 
-    // Reduce: combining 96 sub-histograms of 768 bins, bucketised.
+    // Reduce: combining `MAP_TASKS` sub-histograms of 768 bins, bucketised.
     let items = (BINS * MAP_TASKS) as f64 / REDUCE_TASKS as f64;
     let reduce_tasks =
         vec![TaskWork::new(items * 6.0, items * 4.0, BINS / REDUCE_TASKS); REDUCE_TASKS];
 
-    let digest = digest_u64s(global.slots().iter().copied());
+    let digest = digest_u64s(bins.iter().copied());
 
     let workload = AppWorkload {
         name: "HIST",
@@ -111,7 +116,7 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> HistogramRun {
 
     HistogramRun {
         workload,
-        bins: global.into_slots(),
+        bins,
         pixels: pixels as u64,
     }
 }

@@ -52,17 +52,37 @@ pub struct KmeansRun {
     pub points: usize,
 }
 
+/// The index of the centroid nearest to `point` (the first one on a tie).
+///
+/// Four centroids' squared distances accumulate side by side, which hides the
+/// add latency of one long sum; each distance still sums in ascending
+/// dimension order and the distances are compared in centroid order, so the
+/// result is the one a centroid-by-centroid scan gives.
 fn nearest(point: &[f64], centroids: &[Vec<f64>]) -> usize {
+    const LANES: usize = 4;
+    const _: () = assert!(K.is_multiple_of(LANES), "centroids come in groups of four");
+    let n = point.len();
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let mut d = 0.0;
-        for (p, q) in point.iter().zip(centroid) {
-            d += (p - q) * (p - q);
+    for (g, group) in centroids.chunks_exact(LANES).enumerate() {
+        // Cut every centroid to the point's length so the indexing below
+        // needs no bounds checks.
+        let [c0, c1, c2, c3] = group else {
+            unreachable!("chunks_exact yields groups of four")
+        };
+        let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
+        let mut d = [0.0f64; LANES];
+        for (i, &p) in point.iter().enumerate() {
+            d[0] += (p - c0[i]) * (p - c0[i]);
+            d[1] += (p - c1[i]) * (p - c1[i]);
+            d[2] += (p - c2[i]) * (p - c2[i]);
+            d[3] += (p - c3[i]) * (p - c3[i]);
         }
-        if d < best_d {
-            best_d = d;
-            best = c;
+        for (lane, &dist) in d.iter().enumerate() {
+            if dist < best_d {
+                best_d = dist;
+                best = g * LANES + lane;
+            }
         }
     }
     best

@@ -9,7 +9,6 @@
 //! motivation for the VFI-aware steal cap).
 
 use crate::apps::digest_u64s;
-use crate::container::HashContainer;
 use crate::task::TaskWork;
 use crate::workload::{AppWorkload, IterationWorkload, MergeSpec};
 use mapwave_harness::rng::StdRng;
@@ -51,10 +50,67 @@ pub struct WordCountRun {
     pub top_word: (u32, u64),
 }
 
-/// Samples a Zipf-distributed word id using a precomputed CDF.
-fn sample_word(cdf: &[f64], rng: &mut StdRng) -> u32 {
-    let x = rng.random::<f64>() * cdf.last().copied().unwrap_or(1.0);
-    cdf.partition_point(|&c| c <= x).min(cdf.len() - 1) as u32
+/// The unnormalised Zipf CDF over the vocabulary.
+fn zipf_cdf() -> Vec<f64> {
+    let mut acc = 0.0;
+    (1..=VOCABULARY)
+        .map(|k| {
+            acc += 1.0 / (k as f64).powf(ZIPF_S);
+            acc
+        })
+        .collect()
+}
+
+/// Buckets of the [`ZipfGuide`] table. 2^16 buckets leave a few CDF entries
+/// per bucket in the Zipf tail; of 2^12, 2^14 and 2^16 buckets, 2^16
+/// generated the full-size corpus fastest.
+const GUIDE_BUCKETS: usize = 1 << 16;
+
+/// A guide table over a Zipf CDF: [`ZipfGuide::lookup`] finds a draw's word
+/// by searching only the few CDF entries that share its bucket instead of
+/// binary-searching the whole CDF.
+#[derive(Debug)]
+struct ZipfGuide<'a> {
+    cdf: &'a [f64],
+    /// Multiplier mapping a draw in `[0, cdf.last()]` to its bucket.
+    inv_width: f64,
+    /// `starts[b]` is the number of CDF entries whose bucket is below `b`;
+    /// `starts[GUIDE_BUCKETS] == cdf.len()`.
+    starts: Vec<u32>,
+}
+
+impl<'a> ZipfGuide<'a> {
+    /// Builds the guide over a nonempty, ascending, positive CDF.
+    fn new(cdf: &'a [f64]) -> Self {
+        let total = *cdf.last().expect("CDF is nonempty");
+        let mut guide = ZipfGuide {
+            cdf,
+            inv_width: GUIDE_BUCKETS as f64 / total,
+            starts: Vec::with_capacity(GUIDE_BUCKETS + 1),
+        };
+        let mut below = 0;
+        for b in 0..=GUIDE_BUCKETS {
+            while below < cdf.len() && guide.bucket(cdf[below]) < b {
+                below += 1;
+            }
+            guide.starts.push(below as u32);
+        }
+        guide
+    }
+
+    /// The bucket of `x`. It is monotone in `x`, so every CDF entry in a
+    /// lower bucket than `x`'s is `< x`, and every entry in a higher bucket
+    /// is `> x`.
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.inv_width) as usize).min(GUIDE_BUCKETS - 1)
+    }
+
+    /// `cdf.partition_point(|&c| c <= x)`, searching only `x`'s bucket.
+    fn lookup(&self, x: f64) -> usize {
+        let b = self.bucket(x);
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c <= x)
+    }
 }
 
 /// Runs Word Count at `scale` of the Table-1 input.
@@ -68,14 +124,7 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> WordCountRun {
 
     let total_words = ((INPUT_BYTES * scale / BYTES_PER_WORD) as usize).max(MAP_TASKS * 20);
 
-    // Zipf CDF over the vocabulary.
-    let mut cdf = Vec::with_capacity(VOCABULARY);
-    let mut acc = 0.0;
-    for k in 1..=VOCABULARY {
-        acc += 1.0 / (k as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
-
+    let cdf = zipf_cdf();
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Uneven chunking: each of the 100 tasks covers a slice whose size
@@ -87,33 +136,46 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> WordCountRun {
         .collect();
     let weight_sum: f64 = weights.iter().sum();
 
-    let mut global: HashContainer<u32, u64> = HashContainer::new();
+    // Dense per-word counters: one for the chunk being mapped, one for the
+    // whole corpus. A word's first count in a chunk is one more key that
+    // chunk's combiner emits.
+    let guide = ZipfGuide::new(&cdf);
+    let total = cdf[VOCABULARY - 1];
+    let mut local = vec![0u64; VOCABULARY];
+    let mut global = vec![0u64; VOCABULARY];
     let mut map_tasks = Vec::with_capacity(MAP_TASKS);
     let mut partial_keys_total = 0usize;
     let mut counted_words = 0u64;
 
     for w in &weights {
         let chunk_words = ((total_words as f64) * w / weight_sum).round() as usize;
-        let mut local: HashContainer<u32, u64> = HashContainer::new();
+        let mut keys = 0usize;
         for _ in 0..chunk_words {
-            local.emit(sample_word(&cdf, &mut rng), 1);
+            let x = rng.random::<f64>() * total;
+            let slot = &mut local[guide.lookup(x).min(VOCABULARY - 1)];
+            keys += usize::from(*slot == 0);
+            *slot += 1;
         }
         counted_words += chunk_words as u64;
-        partial_keys_total += local.len();
+        partial_keys_total += keys;
         map_tasks.push(TaskWork::new(
             chunk_words as f64 * CYCLES_PER_WORD,
             chunk_words as f64 * INSTR_PER_WORD,
-            local.len(),
+            keys,
         ));
-        global.merge(local);
+        for (g, l) in global.iter_mut().zip(&mut local) {
+            *g += std::mem::take(l);
+        }
     }
 
-    let distinct = global.len();
-    let (top_id, top_count) = global
-        .iter()
-        .map(|(&k, &v)| (k, v))
-        .max_by_key(|&(k, v)| (v, u32::MAX - k))
-        .expect("corpus is nonempty");
+    let distinct = global.iter().filter(|&&c| c > 0).count();
+    // The most frequent word; ties go to the lowest id.
+    let (mut top_id, mut top_count) = (0u32, 0u64);
+    for (id, &c) in global.iter().enumerate() {
+        if c > top_count {
+            (top_id, top_count) = (id as u32, c);
+        }
+    }
 
     // Reduce: every bucket combines the per-mapper partial containers.
     let items_per_bucket = partial_keys_total as f64 / REDUCE_TASKS as f64;
@@ -168,7 +230,7 @@ mod tests {
     #[test]
     fn counts_every_word() {
         let r = run(0.001, 1, 64);
-        // Totals are conserved: the global container sums to the word count.
+        // Totals are conserved: the global counters sum to the word count.
         assert!(r.total_words >= 2000);
         assert!(r.distinct_words > 100);
         assert!(r.top_word.1 > 0);
@@ -225,6 +287,30 @@ mod tests {
     impl WordCountRun {
         fn digest_of(&self) -> u64 {
             self.workload.digest
+        }
+    }
+
+    /// The guide finds exactly the word a full binary search finds: on both
+    /// sides of every CDF entry and every bucket edge, and for a million
+    /// seeded draws.
+    #[test]
+    fn guide_lookup_matches_partition_point() {
+        let cdf = zipf_cdf();
+        let guide = ZipfGuide::new(&cdf);
+        let check = |x: f64| {
+            let exact = cdf.partition_point(|&c| c <= x);
+            assert_eq!(guide.lookup(x), exact, "x = {x:e}");
+        };
+        let edges = (0..GUIDE_BUCKETS).map(|b| b as f64 / guide.inv_width);
+        for x in cdf.iter().copied().chain(edges) {
+            check(x.next_down());
+            check(x);
+            check(x.next_up());
+        }
+        let total = cdf[VOCABULARY - 1];
+        let mut rng = StdRng::seed_from_u64(0x21F);
+        for _ in 0..1_000_000 {
+            check(rng.random::<f64>() * total);
         }
     }
 

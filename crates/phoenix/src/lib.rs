@@ -11,7 +11,6 @@
 //! * [`runtime`] — the event-driven executor: Split/Map/Reduce/Merge
 //!   stages, library init on the master core, task stealing;
 //! * [`stealing`] — the default and the VFI-capped (Eq. 3) steal policies;
-//! * [`container`] — Phoenix++ combiner containers;
 //! * [`workload`] — workload and execution-report types.
 //!
 //! ## Quick start
@@ -31,7 +30,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod apps;
-pub mod container;
 pub mod runtime;
 pub mod stealing;
 pub mod task;

@@ -3,7 +3,6 @@
 
 use mapwave_harness::rng::{RngExt, SeedableRng, StdRng};
 use mapwave_manycore::cache::MemoryProfile;
-use mapwave_phoenix::container::{ArrayContainer, HashContainer};
 use mapwave_phoenix::prelude::*;
 use mapwave_phoenix::stealing::{caps_for_phase, task_cap};
 use mapwave_phoenix::workload::IterationWorkload;
@@ -116,48 +115,6 @@ fn task_cap_properties() {
         let caps = caps_for_phase(StealPolicy::VfiCapped, tasks, &speeds);
         assert_eq!(caps[1], usize::MAX, "case {case}");
         assert_eq!(caps[2], usize::MAX, "case {case}");
-    }
-}
-
-/// HashContainer combining is order-independent in its totals.
-#[test]
-fn hash_container_totals() {
-    let mut rng = StdRng::seed_from_u64(0xC004);
-    for case in 0..48 {
-        let len = rng.random_range(0..200usize);
-        let keys: Vec<u32> = (0..len).map(|_| rng.random_range(0..50u32)).collect();
-        let mut forward: HashContainer<u32, u64> = HashContainer::new();
-        for &k in &keys {
-            forward.emit(k, 1);
-        }
-        let mut backward: HashContainer<u32, u64> = HashContainer::new();
-        for &k in keys.iter().rev() {
-            backward.emit(k, 1);
-        }
-        let total = |c: &HashContainer<u32, u64>| -> u64 { c.iter().map(|(_, &v)| v).sum() };
-        assert_eq!(total(&forward), keys.len() as u64, "case {case}");
-        assert_eq!(total(&forward), total(&backward), "case {case}");
-        assert_eq!(forward.len(), backward.len(), "case {case}");
-    }
-}
-
-/// ArrayContainer merge equals elementwise sum.
-#[test]
-fn array_container_merge_is_sum() {
-    let mut rng = StdRng::seed_from_u64(0xC005);
-    for case in 0..48 {
-        let a: Vec<u64> = (0..8).map(|_| rng.random_range(0..100u64)).collect();
-        let b: Vec<u64> = (0..8).map(|_| rng.random_range(0..100u64)).collect();
-        let mut ca: ArrayContainer<u64> = ArrayContainer::new(8);
-        let mut cb: ArrayContainer<u64> = ArrayContainer::new(8);
-        for i in 0..8 {
-            ca.emit(i, a[i]);
-            cb.emit(i, b[i]);
-        }
-        ca.merge(cb);
-        for i in 0..8 {
-            assert_eq!(ca.slots()[i], a[i] + b[i], "case {case}");
-        }
     }
 }
 
