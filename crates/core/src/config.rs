@@ -1,6 +1,8 @@
 //! Platform configuration for the design flow and experiments.
 
 use mapwave_manycore::dram::DramConfig;
+use mapwave_noc::switch::MAX_SWITCH_SLOTS;
+use mapwave_noc::topology::small_world::DEFAULT_K_MAX;
 use mapwave_vfi::assignment::BottleneckParams;
 use mapwave_vfi::vf::VfTable;
 
@@ -217,6 +219,14 @@ impl PlatformConfig {
         self
     }
 
+    /// The most ports any switch of this platform's fabrics can have: the
+    /// small-world port cap, one connectivity-repair link per cluster
+    /// beyond the first, and the local and wireless ports. Mesh switches
+    /// have at most five.
+    fn max_switch_ports(&self) -> usize {
+        DEFAULT_K_MAX + self.clusters.saturating_sub(1) + 2
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -260,6 +270,15 @@ impl PlatformConfig {
         if self.noc_adaptive && self.noc_vcs < 2 {
             return Err("adaptive routing needs at least two virtual channels".into());
         }
+        // A switch keeps its input slots (ports × VCs) in one 64-bit mask.
+        if self.noc_vcs > MAX_SWITCH_SLOTS / self.max_switch_ports() {
+            return Err(format!(
+                "{} virtual channels on switches of up to {} ports exceed the \
+                 {MAX_SWITCH_SLOTS} input slots of a switch",
+                self.noc_vcs,
+                self.max_switch_ports()
+            ));
+        }
         self.dram.validate()?;
         Ok(())
     }
@@ -298,6 +317,19 @@ mod tests {
         assert_eq!(huge.validate(), Ok(()));
         assert_eq!(huge.cores(), 1024);
         assert_eq!(huge.wi_channels(), 12);
+    }
+
+    #[test]
+    fn vc_count_is_bounded_by_the_switch_slot_limit() {
+        // 7 capped wired ports, 3 repair links, local and wireless: 12
+        // ports, so 5 VCs (60 slots) fit in 64 and 6 (72) do not.
+        let mut cfg = PlatformConfig::paper();
+        assert_eq!(cfg.max_switch_ports(), 12);
+        cfg.noc_vcs = 5;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.noc_vcs = 6;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("64 input slots"), "{err}");
     }
 
     #[test]

@@ -293,8 +293,11 @@ pub(crate) fn run_system_inner(
     // network differently (Map's memory streaming vs Reduce's key shuffle
     // vs Merge's partition movement), so each gets its own window. The
     // executor and the network are relaxed jointly: measured latencies
-    // stretch congested stages, which lowers their offered rates — two
-    // rounds settle all the operating points used in the evaluation.
+    // stretch congested stages, which lowers their offered rates. The
+    // three damped rounds do not settle every operating point: on the
+    // scale-0.1 reference run, 19 of 28 systems change by under 2% between
+    // rounds 1 and 2, while PCA's five systems and the WiNoC systems of
+    // HIST and WC do not settle (PCA's oscillate).
     let mut map_net: Option<NetworkStats> = None;
     let mut reduce_net: Option<NetworkStats> = None;
     let mut merge_net: Option<NetworkStats> = None;

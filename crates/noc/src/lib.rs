@@ -53,7 +53,6 @@ pub mod node;
 pub mod routing;
 pub mod sim;
 pub mod stats;
-pub(crate) mod steady;
 pub mod switch;
 pub mod topology;
 pub mod traffic;

@@ -17,9 +17,7 @@
 //! taken at sweep start. Switches enroll when a flit arrives (from a
 //! source queue or an upstream switch) and drop out once they drain, so
 //! per-cycle cost is proportional to the number of in-flight flits rather
-//! than the topology size. Fractional clock accumulators of dormant
-//! switches are replayed on wake (see `NetworkSim::clock_fires`),
-//! preserving bit-identical firing sequences.
+//! than the topology size.
 //!
 //! Within a switch, the per-switch occupancy and bound-slot bitmasks of
 //! [`FabricState`] split the probes: continuing wormholes walk the
@@ -33,13 +31,19 @@
 //! and drain alike; jumped cycles are observably identical to stepped idle
 //! cycles and count against the drain budget.
 //!
+//! Every shortcut here is checked against a naive reference simulator
+//! (`crates/noc/tests/sim_oracle.rs`) that clocks every switch on every
+//! cycle, and compared field by field, bit for bit.
+//!
 //! ## Clocking and VFI
 //!
 //! Each switch belongs to a clock domain and runs at a relative speed in
 //! `(0, 1]` of the fastest domain; a switch only operates on cycles its
-//! fractional clock accumulator fires. Flits crossing clock-domain
-//! boundaries pay a mixed-clock FIFO synchronisation penalty. This models
-//! the VFI-partitioned NoC of the paper, where each island's switches are
+//! fractional clock accumulator fires. Switches of equal speed share one
+//! accumulator (a clock class), and every class ticks on every cycle,
+//! stepped or jumped. Flits crossing clock-domain boundaries pay a
+//! mixed-clock FIFO synchronisation penalty. This models the
+//! VFI-partitioned NoC of the paper, where each island's switches are
 //! clocked at the island's frequency.
 
 use crate::energy::EnergyModel;
@@ -48,7 +52,7 @@ use crate::mac::{macs_for, ChannelMac};
 use crate::node::NodeId;
 use crate::routing::{Hop, Phase, RoutingTable};
 use crate::stats::NetworkStats;
-use crate::switch::{FabricState, OutRoute, Owner, PortMap, PORT_LOCAL};
+use crate::switch::{FabricState, OutRoute, Owner, PortMap, MAX_SWITCH_SLOTS, PORT_LOCAL};
 use crate::topology::wireless::WirelessOverlay;
 use crate::topology::Topology;
 use crate::traffic::{InjectEvent, Injector, TrafficMatrix};
@@ -174,8 +178,9 @@ pub enum SimError {
     InvalidSpeeds,
     /// Clock-domain vector has the wrong length.
     InvalidDomains,
-    /// Buffer depths, packet length or VC count of zero, or adaptive
-    /// routing without at least two VCs.
+    /// Buffer depths, packet length or VC count of zero, adaptive routing
+    /// without at least two VCs, or a switch with more than 64 input slots
+    /// (ports × VCs).
     InvalidConfig,
 }
 
@@ -195,7 +200,8 @@ impl std::fmt::Display for SimError {
             SimError::InvalidConfig => write!(
                 f,
                 "buffer depths, packet length and VC count must be nonzero, \
-                 and adaptive routing needs at least two VCs"
+                 adaptive routing needs at least two VCs, and no switch may \
+                 have more than 64 input slots (ports x VCs)"
             ),
         }
     }
@@ -333,37 +339,21 @@ pub struct NetworkSim<'a> {
     src_list: Vec<u32>,
     /// Membership flags for `src_list`.
     src_listed: Vec<bool>,
-    /// Sources whose local inject slot was full at the last attempt; the
-    /// per-cycle space probe is skipped until that slot pops (the pop
-    /// site in `try_advance` clears the flag), which is the only event
-    /// that can free it.
-    src_blocked: Vec<bool>,
     /// Per-switch index into the shared clock classes. Switches with the
     /// same speed bits walk the identical accumulator sequence from the
-    /// same start, so the fractional clock is tracked once per class and
-    /// `clock_fires` is a cached lookup after the first call of a cycle.
+    /// same start, so the fractional clock is tracked once per class.
     clock_class: Vec<u32>,
     /// Distinct switch speed per clock class.
     class_speed: Vec<f64>,
-    /// Fractional clock accumulator per class, caught up to `class_next`.
+    /// Fractional clock accumulator per class.
     class_acc: Vec<f64>,
-    /// First cycle whose clock tick has not been applied per class;
-    /// classes whose switches are all dormant replay the gap on first use.
-    class_next: Vec<u64>,
-    /// Whether the class clock fired at cycle `class_next - 1`.
+    /// Whether the class clock fires on the current cycle.
     class_fires: Vec<bool>,
-    /// Whether every switch runs at full speed (one clock class at 1.0 —
-    /// class speeds are fixed at construction). The sweeps then skip the
-    /// per-switch clock-class indirection: the clock trivially fires every
-    /// cycle, and only the lazy cursor write is kept (snapshots read it),
-    /// so firing patterns and state stay bit-identical.
-    uniform_full_speed: bool,
     /// Earliest cycle at which processing switch `v` could do anything
     /// observable (`u64::MAX` when dormant). Between a switch's last
     /// processed cycle and `wake[v]`, clocking it is a proven no-op: every
     /// FIFO front is still inside a router pipeline, so `process_switch`
-    /// would mutate nothing and the lazy clock replay covers the skipped
-    /// `clock_fires` calls. A switch that saw a ready front this cycle
+    /// would mutate nothing. A switch that saw a ready front this cycle
     /// (moved *or* blocked) wakes again next cycle; pushes into `v` lower
     /// `wake[v]` to the new flit's pipeline exit.
     wake: Vec<u64>,
@@ -391,12 +381,9 @@ pub struct NetworkSim<'a> {
 
     /// Cycles advanced by stepping in the last run (telemetry).
     stepped_cycles: u64,
-    /// Cycles replayed in closed form in the last run — idle stretches
-    /// where only token-MAC rotation happened, plus drain cycles skipped
-    /// after a periodic fixpoint was proven (telemetry).
+    /// Cycles consumed by idle jumps in the last run — stretches where
+    /// only token-MAC rotation and clock ticks happened (telemetry).
     steady_cycles: u64,
-    /// Flit moves (switch and source) performed by the last step.
-    moves_last_step: u64,
     /// Work counters of the last run (telemetry).
     work: WorkCounters,
     /// Reusable buffer for the precomputed injection schedule of one run
@@ -522,15 +509,18 @@ impl<'a> NetworkSim<'a> {
         if domains.len() != n {
             return Err(SimError::InvalidDomains);
         }
+        let ports = PortMap::new(&topo, &overlay);
         if cfg.buffer_depth == 0
             || cfg.wi_buffer_depth == 0
             || cfg.packet_len == 0
             || cfg.vcs == 0
             || (cfg.adaptive && cfg.vcs < 2)
+            || topo
+                .nodes()
+                .any(|v| cfg.vcs > MAX_SWITCH_SLOTS / ports.port_count(v))
         {
             return Err(SimError::InvalidConfig);
         }
-        let ports = PortMap::new(&topo, &overlay);
         let mut caps = vec![cfg.buffer_depth; ports.total_ports()];
         for v in topo.nodes() {
             if let Some(wp) = ports.wireless_port(v) {
@@ -644,12 +634,9 @@ impl<'a> NetworkSim<'a> {
             newly_enrolled: false,
             src_list: Vec::with_capacity(n),
             src_listed: vec![false; n],
-            src_blocked: vec![false; n],
             clock_class,
             class_acc: vec![0.0; class_speed.len()],
-            class_next: vec![0; class_speed.len()],
             class_fires: vec![false; class_speed.len()],
-            uniform_full_speed: class_speed == [1.0],
             class_speed,
             wake: vec![u64::MAX; n],
             next_due: u64::MAX,
@@ -660,7 +647,6 @@ impl<'a> NetworkSim<'a> {
             faults: None,
             stepped_cycles: 0,
             steady_cycles: 0,
-            moves_last_step: 0,
             work: WorkCounters::default(),
             sched: Vec::new(),
             src_q: vec![VecDeque::new(); n],
@@ -774,16 +760,13 @@ impl<'a> NetworkSim<'a> {
         self.newly_enrolled = false;
         self.src_list.clear();
         self.src_listed.fill(false);
-        self.src_blocked.fill(false);
         self.parked.fill(false);
         self.class_acc.fill(0.0);
-        self.class_next.fill(0);
         self.class_fires.fill(false);
         self.wake.fill(u64::MAX);
         self.next_due = u64::MAX;
         self.stepped_cycles = 0;
         self.steady_cycles = 0;
-        self.moves_last_step = 0;
         self.work = WorkCounters::default();
         if let Some(fl) = &mut self.faults {
             // The plan (and fallback table) survives; the per-run hazard
@@ -871,16 +854,9 @@ impl<'a> NetworkSim<'a> {
         let end = warmup + measure;
         let drain_end = end + drain_limit;
         let mut pos = 0usize;
-        let mut detector = crate::steady::PeriodDetector::default();
         while self.now < end
             || (self.now < drain_end && self.delivered_measured < self.injected_measured)
         {
-            // A flit moved in the last step: the livelock detector's pinned
-            // state is stale. This must precede the idle jump, which
-            // overwrites `moves_last_step`.
-            if self.moves_last_step > 0 {
-                detector.reset();
-            }
             // Idle jump: no source is backlogged, no switch gained its
             // first flit, and every enrolled switch waits on a front still
             // in its router pipeline (`next_due` is never stale-high). Up
@@ -896,90 +872,22 @@ impl<'a> NetworkSim<'a> {
                     continue;
                 }
             }
-            // A drain cycle the idle jump cannot skip, after one in which
-            // nothing moved: something is due but blocked. Injection is
-            // over, so the remaining dynamics are a deterministic function
-            // of a small compact state; if that state exactly recurs with
-            // every observable counter unchanged, the drain is livelocked
-            // and every remaining cycle is a verbatim repeat — consume the
-            // rest of the budget in closed form.
-            if self.now >= end
-                && self.moves_last_step == 0
-                && detector.observe(|out| self.steady_snapshot(out))
-            {
-                self.steady_cycles += drain_end - self.now;
-                self.now = drain_end;
-                break;
-            }
             self.step(sched, &mut pos);
         }
     }
 
-    /// The compact drain-phase state consumed by the livelock detector.
-    ///
-    /// During a streak of zero-move cycles the FIFO contents, wormhole
-    /// bindings, round-robin pointers and source queues are all frozen —
-    /// everything that *can* evolve is written here, in now-relative form:
-    /// token positions, per-class fractional clock accumulators (with
-    /// their lazy replay cursors), per-switch wake offsets, the
-    /// pipeline offset of every FIFO front (a wake offset alone hides a
-    /// front still in the pipeline behind a clock that sat out or an
-    /// earlier front; a ready front is written as 0, since only
-    /// `ready_at <= now` is ever tested), and the fault
-    /// hazard counters plus the only stats field a zero-move cycle can
-    /// touch (a corrupted transfer still radiates). Including the hazard
-    /// counters is what disables detection under an *active* fault stream:
-    /// while attempts keep burning, the state never recurs; once the
-    /// stream is cycle-stable the counters freeze and detection resumes.
-    fn steady_snapshot(&self, out: &mut Vec<u64>) {
-        out.push(self.delivered_measured);
-        out.push(self.stats.flits_delivered);
-        out.push(self.stats.packets_delivered);
-        out.push(self.stats.energy.wireless_pj.to_bits());
-        for m in &self.macs {
-            out.push(m.holder().map_or(u64::MAX, |h| h.index() as u64));
-        }
-        for v in (0..self.topo.len()).filter(|&v| self.active[v / 64] & (1 << (v % 64)) != 0) {
-            let c = self.clock_class[v] as usize;
-            out.push(v as u64);
-            out.push(self.class_acc[c].to_bits());
-            out.push(self.now + 1 - self.class_next[c].min(self.now + 1));
-            out.push(match self.wake[v] {
-                u64::MAX => u64::MAX,
-                w => w.saturating_sub(self.now),
-            });
-            for slot in self.fabric.slots_of(NodeId(v)) {
-                out.push(match self.fabric.front_ready(slot) {
-                    u64::MAX => u64::MAX,
-                    r => r.saturating_sub(self.now),
-                });
-            }
-        }
-        for &s in &self.src_list {
-            out.push(s as u64);
-        }
-        if let Some(fl) = &self.faults {
-            out.extend(fl.attempts.iter().copied());
-            out.extend(fl.consec.iter().map(|&c| u64::from(c)));
-            out.extend(fl.disabled.iter().map(|&d| u64::from(d)));
-            out.push(fl.counts.flit_corruptions);
-            out.push(fl.counts.wi_fallbacks);
-        }
-    }
-
-    /// Cycles of the last run replayed in closed form (idle jumps plus
-    /// livelocked drain cycles).
+    /// Cycles of the last run consumed by idle jumps.
     pub fn steady_replayed_cycles(&self) -> u64 {
         self.steady_cycles
     }
 
     /// Advances the clock over `cycles` observably idle cycles at once.
     ///
-    /// Switch state is frozen (clock accumulators catch up lazily), but the
-    /// token MACs rotate: a channel whose holder is mid-wormhole keeps its
-    /// token, and an idle token rotates until it reaches a member that is
-    /// mid-wormhole on its wireless port — from then on that member would
-    /// have kept the token every remaining cycle.
+    /// Switch state is frozen, but the clock classes tick once per cycle
+    /// and the token MACs rotate: a channel whose holder is mid-wormhole
+    /// keeps its token, and an idle token rotates until it reaches a member
+    /// that is mid-wormhole on its wireless port — from then on that member
+    /// would have kept the token every remaining cycle.
     fn steady_jump(&mut self, cycles: u64) {
         for c in 0..self.macs.len() {
             let len = self.macs[c].len() as u64;
@@ -999,10 +907,27 @@ impl<'a> NetworkSim<'a> {
             }
             self.macs[c].advance_idle(jump);
         }
+        for _ in 0..cycles {
+            self.tick_clocks();
+        }
         self.now += cycles;
         self.steady_cycles += cycles;
-        // What an idle step would have left behind.
-        self.moves_last_step = 0;
+    }
+
+    /// Advances every clock class by one cycle: the accumulator gains the
+    /// class speed and fires when it reaches 1.
+    fn tick_clocks(&mut self) {
+        for (acc, (&speed, fires)) in self
+            .class_acc
+            .iter_mut()
+            .zip(self.class_speed.iter().zip(&mut self.class_fires))
+        {
+            *acc += speed;
+            *fires = *acc >= 1.0;
+            if *fires {
+                *acc -= 1.0;
+            }
+        }
     }
 
     /// Whether a flit (packet) is inside the measurement window.
@@ -1013,7 +938,7 @@ impl<'a> NetworkSim<'a> {
     /// One global clock cycle.
     fn step(&mut self, sched: &[InjectEvent], pos: &mut usize) {
         self.stepped_cycles += 1;
-        self.moves_last_step = 0;
+        self.tick_clocks();
 
         // 1. Packet generation into source queues, consuming this cycle's
         //    slice of the precomputed schedule (events are sorted by cycle
@@ -1047,15 +972,6 @@ impl<'a> NetworkSim<'a> {
         let mut r = 0;
         while r < src_list.len() {
             let s = src_list[r] as usize;
-            // A source that found its inject slot full stays backlogged
-            // until that slot pops; the probe below is pure, so skipping
-            // it until the pop rearms the flag changes nothing.
-            if self.src_blocked[s] {
-                src_list[keep] = s as u32;
-                keep += 1;
-                r += 1;
-                continue;
-            }
             let slot = self.fabric.slot(NodeId(s), PORT_LOCAL, self.inject_vc);
             if self.fabric.space(slot) > 0 {
                 if let Some(mut f) = self.src_q[s].pop_front() {
@@ -1064,14 +980,12 @@ impl<'a> NetworkSim<'a> {
                     f.ready_at = f.ready_at.max(self.now + self.cfg.router_delay);
                     let ready = f.ready_at;
                     self.fabric.push_back(slot, f);
-                    self.moves_last_step += 1;
+                    self.work.flit_moves += 1;
                     if self.wake[s] > ready {
                         self.wake[s] = ready;
                     }
                     self.enroll(s);
                 }
-            } else {
-                self.src_blocked[s] = true;
             }
             if self.src_q[s].is_empty() {
                 self.src_listed[s] = false;
@@ -1092,10 +1006,9 @@ impl<'a> NetworkSim<'a> {
         self.mac_used.resize(self.macs.len(), false);
 
         // 4. Switch operation, ascending over the active set (same-cycle
-        //    injections included, for router_delay = 0). A switch's clock
-        //    catches up lazily right before it is consulted, and a switch
-        //    whose `wake` lies in the future is skipped outright (clocking
-        //    it is a proven no-op). Switches that end the sweep empty are
+        //    injections included, for router_delay = 0). A switch whose
+        //    `wake` lies in the future is skipped outright (clocking it is
+        //    a proven no-op). Switches that end the sweep empty are
         //    dropped and re-enroll on arrival.
         self.sweep();
 
@@ -1105,7 +1018,6 @@ impl<'a> NetworkSim<'a> {
             mac.end_cycle(self.mac_used[c], holds_packet);
         }
 
-        self.work.flit_moves += self.moves_last_step;
         self.now += 1;
     }
 
@@ -1140,7 +1052,6 @@ impl<'a> NetworkSim<'a> {
         self.work.switch_visits += snap.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         self.newly_enrolled = false;
         self.next_due = u64::MAX;
-        let uniform = self.uniform_full_speed;
         for (w, &word) in snap.iter().enumerate() {
             let mut m = word;
             while m != 0 {
@@ -1152,20 +1063,7 @@ impl<'a> NetworkSim<'a> {
                     "enrolled switches hold flits"
                 );
                 if self.wake[v] <= self.now {
-                    // At uniform full speed the single class clock
-                    // trivially fires; keep only its lazy cursor in sync
-                    // (the writes `clock_fires` would make) and skip the
-                    // class lookup.
-                    let fires = if uniform {
-                        if self.class_next[0] <= self.now {
-                            self.class_next[0] = self.now + 1;
-                            self.class_fires[0] = true;
-                        }
-                        true
-                    } else {
-                        self.clock_fires(v)
-                    };
-                    if fires {
+                    if self.class_fires[self.clock_class[v] as usize] {
                         self.work.switches_processed += 1;
                         self.process_switch(v);
                     } else {
@@ -1183,38 +1081,6 @@ impl<'a> NetworkSim<'a> {
             }
         }
         self.active_snap = snap;
-    }
-
-    /// Catches switch `v`'s fractional clock up to the current cycle and
-    /// reports whether it fires now. Clocks are shared per speed class:
-    /// every switch with the same speed walks the identical accumulator
-    /// sequence from the same start, so the first call of a cycle replays
-    /// any dormant gap (the identical sequence of additions a per-cycle
-    /// update would have performed — firing patterns are bit-identical)
-    /// and later calls for the same class are a cached lookup.
-    fn clock_fires(&mut self, v: usize) -> bool {
-        let c = self.clock_class[v] as usize;
-        if self.class_next[c] <= self.now {
-            let from = self.class_next[c];
-            self.class_next[c] = self.now + 1;
-            let speed = self.class_speed[c];
-            if speed == 1.0 {
-                // The accumulator stays exactly 0.0 and fires every cycle.
-                self.class_fires[c] = true;
-            } else {
-                let acc = &mut self.class_acc[c];
-                let mut fires = false;
-                for _ in from..=self.now {
-                    *acc += speed;
-                    fires = *acc >= 1.0;
-                    if fires {
-                        *acc -= 1.0;
-                    }
-                }
-                self.class_fires[c] = fires;
-            }
-        }
-        self.class_fires[c]
     }
 
     /// Translates an escape-table entry into a concrete route (down-VC 0).
@@ -1338,75 +1204,50 @@ impl<'a> NetworkSim<'a> {
         let vcs = self.cfg.vcs;
         let sb = self.fabric.switch_base(NodeId(v));
         self.out_used[..ports].fill(false);
-        let masks = self.fabric.occ_masks_enabled();
 
         // Pass A: continue established wormholes. Only an occupied, bound
         // slot can move, and while `v` is processed its occupancy never
         // grows (no switch pushes into itself) and a slot's binding changes
         // only in its own probe. So the set bits of `occ & bound` are
-        // exactly the slots whose positional probe could succeed, in the
-        // same ascending order; slots that empty mid-pass are re-filtered
-        // by the fresh `front_ready` check either way.
+        // exactly the slots a positional scan could move, in the same
+        // ascending order; slots that empty mid-pass are re-filtered by the
+        // fresh `front_ready` check.
         let mut any_moved = false;
-        if masks {
-            let mut m = self.fabric.occ_mask(NodeId(v)) & self.fabric.bound_mask(NodeId(v));
-            while m != 0 {
-                let local = m.trailing_zeros() as usize;
-                m &= m - 1;
-                any_moved |= self.continue_wormhole(v, sb, local);
-            }
-        } else {
-            for local in 0..ports * vcs {
-                any_moved |= self.continue_wormhole(v, sb, local);
-            }
+        let mut m = self.fabric.occ_mask(NodeId(v)) & self.fabric.bound_mask(NodeId(v));
+        while m != 0 {
+            let local = m.trailing_zeros() as usize;
+            m &= m - 1;
+            any_moved |= self.continue_wormhole(v, sb, local);
         }
 
         // Pass B: route new head flits, round-robin over input ports
         // (escape VC first within a port, so draining traffic keeps
-        // priority over fresh adaptive traffic). The masked variant walks
-        // the occupied unbound slots (`occ & !bound`, read after Pass A
+        // priority over fresh adaptive traffic). The walk covers the
+        // occupied unbound slots (`occ & !bound`, read after Pass A
         // released its tails), rotated by whole ports so its set bits
-        // enumerate in exactly the positional scan's order: cyclic ports
-        // starting at `rr_next`, ascending VCs within a port.
+        // enumerate in a positional scan's order: cyclic ports starting at
+        // `rr_next`, ascending VCs within a port.
         let rr = self.fabric.rr_next[v] as usize;
-        if masks {
-            let w = ports * vcs;
-            let m0 = self.fabric.occ_mask(NodeId(v)) & !self.fabric.bound_mask(NodeId(v));
-            let s = rr * vcs;
-            let mut m = if s == 0 {
-                m0
-            } else {
-                let wide = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-                ((m0 >> s) | (m0 << (w - s))) & wide
-            };
-            while m != 0 {
-                let t = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let mut local = t + s;
-                if local >= w {
-                    local -= w;
-                }
-                let (p, vc) = self.split_slot(local);
-                if self.route_new_head(v, sb, p, vc) {
-                    any_moved = true;
-                    self.fabric.rr_next[v] = if p + 1 == ports { 0 } else { p as u32 + 1 };
-                }
-            }
+        let w = ports * vcs;
+        let m0 = self.fabric.occ_mask(NodeId(v)) & !self.fabric.bound_mask(NodeId(v));
+        let s = rr * vcs;
+        let mut m = if s == 0 {
+            m0
         } else {
-            let mut p = rr;
-            for _ in 0..ports {
-                for vc in 0..vcs {
-                    if !self.fabric.in_route_set(sb + p * vcs + vc)
-                        && self.route_new_head(v, sb, p, vc)
-                    {
-                        any_moved = true;
-                        self.fabric.rr_next[v] = if p + 1 == ports { 0 } else { p as u32 + 1 };
-                    }
-                }
-                p += 1;
-                if p == ports {
-                    p = 0;
-                }
+            let wide = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+            ((m0 >> s) | (m0 << (w - s))) & wide
+        };
+        while m != 0 {
+            let t = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let mut local = t + s;
+            if local >= w {
+                local -= w;
+            }
+            let (p, vc) = self.split_slot(local);
+            if self.route_new_head(v, sb, p, vc) {
+                any_moved = true;
+                self.fabric.rr_next[v] = if p + 1 == ports { 0 } else { p as u32 + 1 };
             }
         }
 
@@ -1421,28 +1262,20 @@ impl<'a> NetworkSim<'a> {
         // wireless switches never park (token rotation is not a wake
         // source, and the holder check must burn its slot every cycle),
         // and under a fault plan a blocked wireless retry still mutates
-        // hazard counters, so every ready front retries per-cycle.
+        // hazard counters, so every ready front retries per-cycle. Empty
+        // slots report `front_ready == MAX` and influence neither bound, so
+        // only the occupied slots are probed.
         let mut ready_now = false;
         let mut fut_min = u64::MAX;
-        let mut probe = |r: u64| {
+        let mut m = self.fabric.occ_mask(NodeId(v));
+        while m != 0 {
+            let local = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let r = self.fabric.front_ready(sb + local);
             if r <= self.now {
                 ready_now = true;
             } else if r < fut_min {
                 fut_min = r;
-            }
-        };
-        if masks {
-            // Empty slots report `front_ready == MAX` and influence
-            // neither bound, so only the occupied slots need probing.
-            let mut m = self.fabric.occ_mask(NodeId(v));
-            while m != 0 {
-                let local = m.trailing_zeros() as usize;
-                m &= m - 1;
-                probe(self.fabric.front_ready(sb + local));
-            }
-        } else {
-            for slot in sb..sb + ports * vcs {
-                probe(self.fabric.front_ready(slot));
             }
         }
         let parkable = self.faults.is_none() && !any_moved && self.wi_channel[v] == u32::MAX;
@@ -1604,9 +1437,7 @@ impl<'a> NetworkSim<'a> {
         let mut f = f;
         let was_full = self.fabric.space(slot) == 0;
         self.fabric.pop_front(slot);
-        if p == PORT_LOCAL && vc == self.inject_vc {
-            self.src_blocked[v] = false;
-        } else if self.faults.is_none()
+        if self.faults.is_none()
             && was_full
             && p != PORT_LOCAL
             && Some(p) != self.ports.wireless_port(NodeId(v))
@@ -1631,7 +1462,7 @@ impl<'a> NetworkSim<'a> {
                 }
             }
         }
-        self.moves_last_step += 1;
+        self.work.flit_moves += 1;
         if let Some(ph) = next_phase {
             f.phase = ph;
         }
@@ -2054,6 +1885,7 @@ mod tests {
             "packet length",
             "VC count",
             "adaptive routing",
+            "64 input slots",
         ] {
             assert!(msg.contains(cause), "{msg:?} should name {cause:?}");
         }

@@ -34,6 +34,10 @@ use crate::topology::Topology;
 /// Index of the local (core) port on every switch.
 pub const PORT_LOCAL: usize = 0;
 
+/// Most input slots (ports × VCs) one switch may have: each switch's
+/// occupancy and binding state is one `u64` bitmask.
+pub const MAX_SWITCH_SLOTS: usize = 64;
+
 /// Sentinel for ports with no wired peer (local, wireless).
 const NO_PEER: u32 = u32::MAX;
 
@@ -229,17 +233,14 @@ pub struct FabricState {
     /// `s` of switch `v` holds at least one flit. Maintained on the
     /// 0↔1 queue-length transitions of `push_back`/`pop_front`, so the
     /// per-cycle sweeps iterate set bits instead of probing every slot.
-    /// Only maintained while `masks_ok` (every switch fits in 64 bits).
     occ: Box<[u64]>,
     /// Per-switch bound-slot bitmask, laid out like `occ`: bit set iff the
     /// slot has a wormhole binding (`in_route`). Maintained by
-    /// `set_in_route` while `masks_ok`, so the switch passes can split the
-    /// occupied slots into bound (continue) and unbound (route) ones.
+    /// `set_in_route`, so the switch passes can split the occupied slots
+    /// into bound (continue) and unbound (route) ones.
     bound: Box<[u64]>,
     /// Owning switch of each slot (for the occupancy-bit updates).
     slot_sw: Box<[u32]>,
-    /// Whether every switch has ≤ 64 slots, i.e. `occ` is usable.
-    masks_ok: bool,
     vcs: usize,
 }
 
@@ -261,7 +262,8 @@ impl FabricState {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs == 0` or `caps` doesn't cover every port.
+    /// Panics if `vcs == 0`, `caps` doesn't cover every port, or a switch
+    /// has more than [`MAX_SWITCH_SLOTS`] slots.
     pub fn new(ports: &PortMap, caps: &[usize], vcs: usize) -> Self {
         assert!(vcs > 0, "need at least one virtual channel");
         assert_eq!(caps.len(), ports.total_ports(), "one capacity per port");
@@ -277,10 +279,13 @@ impl FabricState {
         }
         let total = *off.last().unwrap() as usize;
         let mut slot_sw = vec![0u32; slots];
-        let mut max_slots = 0usize;
         for v in 0..switches {
             let (lo, hi) = (sbase[v] as usize, sbase[v + 1] as usize);
-            max_slots = max_slots.max(hi - lo);
+            assert!(
+                hi - lo <= MAX_SWITCH_SLOTS,
+                "switch {v} has {} slots, more than {MAX_SWITCH_SLOTS}",
+                hi - lo
+            );
             for s in slot_sw.iter_mut().take(hi).skip(lo) {
                 *s = v as u32;
             }
@@ -289,7 +294,6 @@ impl FabricState {
             occ: vec![0; switches].into_boxed_slice(),
             bound: vec![0; switches].into_boxed_slice(),
             slot_sw: slot_sw.into_boxed_slice(),
-            masks_ok: max_slots <= 64,
             sbase,
             flits: vec![PLACEHOLDER; total].into_boxed_slice(),
             off: off.into_boxed_slice(),
@@ -367,31 +371,20 @@ impl FabricState {
         self.len[s] += 1;
         if self.len[s] == 1 {
             self.front_ready[s] = f.ready_at;
-            if self.masks_ok {
-                let sw = self.slot_sw[s] as usize;
-                self.occ[sw] |= 1 << (s as u32 - self.sbase[sw]);
-            }
+            let sw = self.slot_sw[s] as usize;
+            self.occ[sw] |= 1 << (s as u32 - self.sbase[sw]);
         }
     }
 
-    /// Whether the per-switch occupancy masks are maintained (every switch
-    /// fits its slots in 64 bits — always true for realistic radixes).
-    #[inline]
-    pub fn occ_masks_enabled(&self) -> bool {
-        self.masks_ok
-    }
-
     /// Occupancy bitmask of switch `v`: bit `i` set iff slot
-    /// `switch_base(v) + i` is nonempty. Meaningful only while
-    /// [`FabricState::occ_masks_enabled`].
+    /// `switch_base(v) + i` is nonempty.
     #[inline]
     pub fn occ_mask(&self, v: NodeId) -> u64 {
         self.occ[v.index()]
     }
 
     /// Bound-slot bitmask of switch `v`: bit `i` set iff slot
-    /// `switch_base(v) + i` has a wormhole binding. Meaningful only while
-    /// [`FabricState::occ_masks_enabled`].
+    /// `switch_base(v) + i` has a wormhole binding.
     #[inline]
     pub fn bound_mask(&self, v: NodeId) -> u64 {
         self.bound[v.index()]
@@ -400,11 +393,7 @@ impl FabricState {
     /// Whether any slot of switch `v` holds a flit.
     #[inline(always)]
     pub fn holds_flits(&self, v: NodeId) -> bool {
-        if self.masks_ok {
-            self.occ[v.index()] != 0
-        } else {
-            self.slots_of(v).any(|s| self.len[s] > 0)
-        }
+        self.occ[v.index()] != 0
     }
 
     /// `ready_at` of the front flit in slot `s`, `u64::MAX` when empty.
@@ -428,24 +417,15 @@ impl FabricState {
         })
     }
 
-    /// Whether input slot `s` is mid-wormhole (cheaper than
-    /// [`FabricState::in_route`] when the route itself is not needed).
-    #[inline]
-    pub fn in_route_set(&self, s: usize) -> bool {
-        self.in_route[s] & (1 << 31) != 0
-    }
-
     /// Binds or clears the wormhole route of input slot `s`.
     #[inline(always)]
     pub fn set_in_route(&mut self, s: usize, route: Option<OutRoute>) {
-        if self.masks_ok {
-            let sw = self.slot_sw[s] as usize;
-            let bit = 1 << (s as u32 - self.sbase[sw]);
-            if route.is_some() {
-                self.bound[sw] |= bit;
-            } else {
-                self.bound[sw] &= !bit;
-            }
+        let sw = self.slot_sw[s] as usize;
+        let bit = 1 << (s as u32 - self.sbase[sw]);
+        if route.is_some() {
+            self.bound[sw] |= bit;
+        } else {
+            self.bound[sw] &= !bit;
         }
         self.in_route[s] = match route {
             None => 0,
@@ -506,10 +486,8 @@ impl FabricState {
         };
         self.len[s] -= 1;
         self.front_ready[s] = if self.len[s] == 0 {
-            if self.masks_ok {
-                let sw = self.slot_sw[s] as usize;
-                self.occ[sw] &= !(1 << (s as u32 - self.sbase[sw]));
-            }
+            let sw = self.slot_sw[s] as usize;
+            self.occ[sw] &= !(1 << (s as u32 - self.sbase[sw]));
             u64::MAX
         } else {
             self.flits[(self.off[s] + self.head[s]) as usize].ready_at

@@ -88,6 +88,9 @@ impl std::fmt::Display for SmallWorldError {
 
 impl std::error::Error for SmallWorldError {}
 
+/// Default per-switch cap on wired ports of [`SmallWorldBuilder`].
+pub const DEFAULT_K_MAX: usize = 7;
+
 /// Builder for the cluster-aware power-law small-world wireline network.
 ///
 /// # Examples
@@ -131,7 +134,7 @@ impl SmallWorldBuilder {
             clusters,
             k_intra: 3.0,
             k_inter: 1.0,
-            k_max: 7,
+            k_max: DEFAULT_K_MAX,
             alpha: 2.0,
             inter_traffic: None,
             seed: 0,
@@ -150,8 +153,10 @@ impl SmallWorldBuilder {
         self
     }
 
-    /// Sets the per-switch port cap `k_max` (default 7). The local core port
-    /// and the wireless port are not counted.
+    /// Sets the per-switch port cap `k_max` (default [`DEFAULT_K_MAX`]). The
+    /// local core port and the wireless port are not counted. The final
+    /// connectivity repair ignores the cap; it adds at most one link per
+    /// cluster beyond the first.
     pub fn k_max(mut self, k: usize) -> Self {
         self.k_max = k;
         self

@@ -475,9 +475,12 @@ fn link_faults_fire_deterministically_and_deliver() {
 
 #[test]
 fn heavy_link_faults_trigger_wireline_fallback_on_winoc() {
-    // At a near-certain corruption rate every WI crosses the consecutive
-    // threshold quickly; packets divert to the wireline escape tree and the
-    // WiNoC keeps delivering.
+    // At a near-certain corruption rate the WIs cross the consecutive
+    // threshold quickly (8 of 12 fall back after 92 corrupted attempts) and
+    // their packets divert to the wireline escape tree. This checks only
+    // that the fallback fires and that something is delivered: the network
+    // wedges. 49 of 2,605 measured packets arrive, and 10,308 flits are
+    // still buffered when the 60,000-cycle drain budget runs out.
     let plan = mapwave_faults::FaultPlan::build(&mapwave_faults::FaultConfig::at_rate(0.95, 3));
     let sw = small_world_64();
     let overlay = winoc_overlay();

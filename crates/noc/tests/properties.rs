@@ -5,7 +5,7 @@ use mapwave_harness::rng::{RngExt, SeedableRng, StdRng};
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::prelude::*;
 use mapwave_noc::routing::{Hop, RoutingTable};
-use mapwave_noc::sim::SimConfig;
+use mapwave_noc::sim::{SimConfig, SimError};
 use mapwave_noc::topology::mesh::mesh;
 
 /// Every injected packet is delivered once the network drains:
@@ -254,12 +254,12 @@ fn simulation_is_deterministic() {
     }
 }
 
-/// A switch with more than 64 input slots has no occupancy mask, so the
-/// simulator falls back to the positional slot scan. A 40-leaf star at two
-/// VCs gives the hub 82 slots; every measured packet must still drain, and
-/// the fallback must be as deterministic as the masked path.
+/// A switch keeps its input slots (ports × VCs) in one 64-bit occupancy
+/// mask, so a wider switch is rejected at construction. A 40-leaf star at
+/// two VCs gives the hub 82 slots; at one VC (41) it is accepted and
+/// drains.
 #[test]
-fn wide_hub_takes_the_positional_scan_and_drains() {
+fn wide_hub_is_rejected() {
     let leaves = 40;
     let mut positions = vec![Position::new(0.0, 0.0)];
     positions.extend((0..leaves).map(|i| {
@@ -271,22 +271,23 @@ fn wide_hub_takes_the_positional_scan_and_drains() {
         topo.add_link(NodeId(0), NodeId(leaf)).unwrap();
     }
     let table = RoutingTable::up_down(&topo, &WirelessOverlay::none()).unwrap();
-    let cfg = SimConfig {
-        vcs: 2,
-        ..SimConfig::default()
+    let sim = |vcs| {
+        NetworkSim::new(
+            topo.clone(),
+            WirelessOverlay::none(),
+            table.clone(),
+            EnergyModel::default_65nm(),
+            SimConfig {
+                vcs,
+                ..SimConfig::default()
+            },
+        )
     };
-    let mut sim = NetworkSim::new(
-        topo,
-        WirelessOverlay::none(),
-        table,
-        EnergyModel::default_65nm(),
-        cfg,
-    )
-    .unwrap();
-    let tm = TrafficMatrix::uniform(leaves + 1, 0.01);
-    let first = sim.run(&tm, 100, 2000, 50_000).clone();
-    assert!(first.packets_delivered > 0);
-    assert_eq!(first.in_flight_at_end, 0);
-    assert_eq!(first.packets_delivered, first.packets_injected);
-    assert_eq!(&first, sim.run(&tm, 100, 2000, 50_000));
+    assert_eq!(sim(2).unwrap_err(), SimError::InvalidConfig);
+    let stats = sim(1)
+        .unwrap()
+        .run(&TrafficMatrix::uniform(leaves + 1, 0.01), 100, 2000, 50_000)
+        .clone();
+    assert!(stats.packets_delivered > 0);
+    assert_eq!(stats.in_flight_at_end, 0);
 }
