@@ -16,7 +16,6 @@
 //! stage to the given path.
 
 use mapwave::experiments::headline_across_seeds_with_jobs;
-use mapwave::orchestrator;
 use mapwave::prelude::*;
 use mapwave::report;
 use mapwave_harness::telemetry;
@@ -104,13 +103,12 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Prints the per-stage timing table and cache statistics to stderr (so
-/// stdout stays byte-identical across `--jobs` values), then writes the
-/// Chrome trace if requested.
+/// Prints the per-stage timing table to stderr (so stdout stays
+/// byte-identical across `--jobs` values), then writes the Chrome trace if
+/// requested.
 fn finish_telemetry(trace: Option<&str>) -> Result<(), String> {
     let summary = telemetry::snapshot();
     eprintln!("{}", summary.text_summary());
-    eprint!("{}", orchestrator::cache_stats_summary());
     if let Some(path) = trace {
         std::fs::write(path, summary.chrome_trace_json())
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;

@@ -21,15 +21,11 @@
 //! [`ExperimentContext::new_parallel`] executes that graph on a worker
 //! pool; because every job is deterministic and results are collected by
 //! job id, the outputs are byte-identical to the single-threaded run (and
-//! to the pre-harness serial loops). Stages are also memoised through
-//! [`crate::orchestrator`]'s content-addressed caches, so repeated
-//! evaluations of the same configuration are effectively free.
+//! to the pre-harness serial loops).
 
 use crate::config::{PlacementStrategy, PlatformConfig};
 use crate::design_flow::{Design, DesignFlow};
-use crate::orchestrator::{
-    design_with_baseline_cached, run_cached, vfi_mesh_run_cached, RunVariant,
-};
+use crate::orchestrator::{vfi_mesh_run, RunVariant};
 use crate::system::{run_system, RunReport};
 use mapwave_harness::jobs::JobGraph;
 use mapwave_phoenix::apps::App;
@@ -81,14 +77,14 @@ impl Artifact {
 fn add_app_jobs(graph: &mut JobGraph<Artifact>, flow: &Arc<DesignFlow>, app: App) {
     let design_flow = Arc::clone(flow);
     let design_id = graph.add(format!("design/{}", app.name()), vec![], move |_| {
-        Artifact::Design(Box::new(design_with_baseline_cached(&design_flow, app)))
+        Artifact::Design(Box::new(design_flow.design_with_baseline(app)))
     });
     let label = |variant: RunVariant| format!("run/{}/{}", app.name(), variant.name());
     let add_run = |graph: &mut JobGraph<Artifact>, variant: RunVariant| {
         let run_flow = Arc::clone(flow);
         graph.add(label(variant), vec![design_id], move |deps| {
             let design = deps[0].as_design();
-            Artifact::Run(Box::new(run_cached(&run_flow, design, variant)))
+            Artifact::Run(Box::new(variant.run(&run_flow, design)))
         })
     };
     let vfi1_id = add_run(graph, RunVariant::Vfi1Mesh);
@@ -98,7 +94,7 @@ fn add_app_jobs(graph: &mut JobGraph<Artifact>, flow: &Arc<DesignFlow>, app: App
         vec![design_id, vfi1_id],
         move |deps| {
             let (design, vfi1_mesh) = (deps[0].as_design(), deps[1].as_run());
-            Artifact::Run(Box::new(vfi_mesh_run_cached(&vfi_flow, design, vfi1_mesh)))
+            Artifact::Run(Box::new(vfi_mesh_run(&vfi_flow, design, vfi1_mesh)))
         },
     );
     add_run(graph, RunVariant::WinocMinHop);

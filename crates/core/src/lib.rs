@@ -18,8 +18,8 @@
 //!   time, energy and EDP;
 //! * [`experiments`] — one method per table and figure of the evaluation,
 //!   dispatched through the [`mapwave_harness`] job graph;
-//! * [`orchestrator`] — stable configuration keys and the cached
-//!   design/run stages behind that dispatch;
+//! * [`orchestrator`] — stable configuration keys, the system variants
+//!   run by that dispatch, and the sweep's design cache;
 //! * [`ablations`] — controlled one-knob studies of the design choices;
 //! * [`survivability`] — the fault-injection sweep: how much of the EDP
 //!   saving survives link errors, core degradation and task failures;

@@ -1,13 +1,12 @@
-//! Harness integration: stable configuration keys, the stage caches, and
-//! cached design/run stages for the job-graph dispatch in
-//! [`crate::experiments`].
+//! Harness integration: stable configuration keys, the system variants
+//! the evaluation runs, and the design cache behind the sweep engine.
 //!
 //! Every expensive stage of the evaluation is a pure function of the
 //! [`PlatformConfig`] plus a small set of discrete inputs (the application,
-//! the system variant). The caches therefore key semantically —
-//! `(config key, app, variant)` — instead of hashing the large derived
-//! structures ([`Design`], [`crate::system::SystemSpec`]), which is sound
-//! because those are themselves deterministic functions of the same key.
+//! the system variant). The design cache therefore keys semantically —
+//! `(config key, app)` — instead of hashing the large derived structures
+//! ([`Design`], [`crate::system::SystemSpec`]), which is sound because
+//! those are themselves deterministic functions of the same key.
 //!
 //! # Examples
 //!
@@ -27,6 +26,7 @@ use crate::system::{run_system, RunReport};
 use mapwave_harness::cache::{CacheStats, StageCache};
 use mapwave_harness::hash::{CacheKey, StableHash, StableHasher};
 use mapwave_phoenix::apps::App;
+use std::sync::Arc;
 
 impl StableHash for PlacementStrategy {
     fn stable_hash(&self, h: &mut StableHasher) {
@@ -130,55 +130,46 @@ impl RunVariant {
             }
         }
     }
+
+    /// Builds this variant's system from a design and runs it.
+    pub fn run(self, flow: &DesignFlow, design: &Design) -> RunReport {
+        let spec = {
+            // Min-hop mapping refinement, WI annealing and the small-world
+            // and routing builds run here, outside `core.run_system`.
+            let _span = mapwave_harness::telemetry::span_labeled("core.spec", self.name());
+            self.spec(flow, design)
+        };
+        run_system(&spec, &design.workload, flow.config(), flow.power())
+    }
 }
 
-static DESIGN_CACHE: StageCache<Design> = StageCache::new("design");
-static RUN_CACHE: StageCache<RunReport> = StageCache::new("run");
+/// The design cache: each `(config, app)` design with its `nvfi` run (the
+/// design flow's NVFI-mesh profiling run), computed once process-wide.
+/// The sweep engine's cells share it; the evaluation job graph passes its
+/// results on as data instead.
+static DESIGN_CACHE: StageCache<Arc<(Design, RunReport)>> = StageCache::new("design");
 
 fn design_key(cfg_key: CacheKey, app: App) -> CacheKey {
     mapwave_harness::hash::stable_hash_of(&("design", cfg_key.to_hex(), app.name()))
 }
 
-fn run_key(cfg_key: CacheKey, app: App, variant: RunVariant) -> CacheKey {
-    mapwave_harness::hash::stable_hash_of(&("run", cfg_key.to_hex(), app.name(), variant.name()))
-}
-
-/// Runs the design flow for `app` and leaves its NVFI-mesh baseline in the
-/// run cache, where the design's own `nvfi` run would be stored.
-fn fresh_design(flow: &DesignFlow, app: App, cfg_key: CacheKey) -> (Design, RunReport) {
-    let (design, nvfi) = flow.design_with_baseline(app);
-    RUN_CACHE.insert(run_key(cfg_key, app, RunVariant::Nvfi), nvfi.clone());
-    (design, nvfi)
-}
-
-/// The design for `app` under `flow`'s configuration, computed once per
-/// `(config, app)` pair process-wide. Computing it also caches the
-/// `nvfi` run (the flow's profiling run), so a later
-/// [`run_cached`]`(.., RunVariant::Nvfi)` hits.
-pub fn design_cached(flow: &DesignFlow, app: App) -> Design {
-    let cfg_key = config_key(flow.config());
-    DESIGN_CACHE.get_or_insert_with(design_key(cfg_key, app), || {
-        fresh_design(flow, app, cfg_key).0
+/// The design for `app` under `flow`'s configuration and its `nvfi` run,
+/// computed once per `(config, app)` pair process-wide.
+pub fn design_and_nvfi_cached(flow: &DesignFlow, app: App) -> Arc<(Design, RunReport)> {
+    DESIGN_CACHE.get_or_insert_with(design_key(config_key(flow.config()), app), || {
+        // Cache a fresh copy: the flow's own results lie among its freed
+        // scratch in the computing worker's allocator arena and would keep
+        // those pages resident (perfbench `sweep_faulted` on 2 workers:
+        // median peak RSS 15.1 MiB without the copy, 13.6 MiB with it).
+        let (design, nvfi) = flow.design_with_baseline(app);
+        Arc::new((design.clone(), nvfi.clone()))
     })
 }
 
-/// [`design_cached`] together with the design's `nvfi` run, handed over
-/// as data: on a design miss the NVFI report comes straight from the
-/// design flow's profiling run, with no run-cache lookup.
-pub fn design_with_baseline_cached(flow: &DesignFlow, app: App) -> (Design, RunReport) {
-    let cfg_key = config_key(flow.config());
-    let key = design_key(cfg_key, app);
-    match DESIGN_CACHE.get(key) {
-        Some(design) => {
-            let nvfi = run_cached(flow, &design, RunVariant::Nvfi);
-            (design, nvfi)
-        }
-        None => {
-            let (design, nvfi) = fresh_design(flow, app, cfg_key);
-            DESIGN_CACHE.insert(key, design.clone());
-            (design, nvfi)
-        }
-    }
+/// The design for `app` under `flow`'s configuration, computed once per
+/// `(config, app)` pair process-wide (see [`design_and_nvfi_cached`]).
+pub fn design_cached(flow: &DesignFlow, app: App) -> Design {
+    design_and_nvfi_cached(flow, app).0.clone()
 }
 
 /// Whether `design`'s VFI mesh (VFI 2) system is its VFI 1 mesh system
@@ -191,72 +182,20 @@ pub fn vfi_mesh_is_vfi1(design: &Design) -> bool {
 }
 
 /// The `vfi-mesh` run, given the same design's `vfi1-mesh` run: that
-/// report relabelled when [`vfi_mesh_is_vfi1`], a [`run_cached`] run
-/// otherwise. Either way the report is left in the run cache.
-pub fn vfi_mesh_run_cached(flow: &DesignFlow, design: &Design, vfi1_mesh: &RunReport) -> RunReport {
+/// report relabelled when [`vfi_mesh_is_vfi1`], a fresh run otherwise.
+pub fn vfi_mesh_run(flow: &DesignFlow, design: &Design, vfi1_mesh: &RunReport) -> RunReport {
     if !vfi_mesh_is_vfi1(design) {
-        return run_cached(flow, design, RunVariant::VfiMesh);
+        return RunVariant::VfiMesh.run(flow, design);
     }
-    let report = RunReport {
+    RunReport {
         label: VfStage::Vfi2.mesh_label().into(),
         ..vfi1_mesh.clone()
-    };
-    let key = run_key(config_key(flow.config()), design.app, RunVariant::VfiMesh);
-    RUN_CACHE.insert(key, report.clone());
-    report
-}
-
-/// The run report of one system variant, computed once per
-/// `(config, app, variant)` triple process-wide. The `nvfi` report that
-/// [`design_cached`] leaves in the cache counts as a hit.
-pub fn run_cached(flow: &DesignFlow, design: &Design, variant: RunVariant) -> RunReport {
-    let key = run_key(config_key(flow.config()), design.app, variant);
-    if let Some(hit) = RUN_CACHE.get(key) {
-        return hit;
     }
-    let spec = {
-        // Min-hop mapping refinement, WI annealing and the small-world and
-        // routing builds run here, outside `core.run_system`.
-        let _span = mapwave_harness::telemetry::span_labeled("core.spec", variant.name());
-        variant.spec(flow, design)
-    };
-    let report = run_system(&spec, &design.workload, flow.config(), flow.power());
-    RUN_CACHE.insert(key, report.clone());
-    report
-}
-
-/// Whether the run report of `(config, app, variant)` is in the run cache
-/// (a pure query: it counts neither a hit nor a miss).
-pub fn run_is_cached(cfg: &PlatformConfig, app: App, variant: RunVariant) -> bool {
-    RUN_CACHE.contains(run_key(config_key(cfg), app, variant))
 }
 
 /// Hit/miss statistics of every stage cache, by stage name.
 pub fn cache_stats() -> Vec<(&'static str, CacheStats)> {
-    vec![
-        (DESIGN_CACHE.name(), DESIGN_CACHE.stats()),
-        (RUN_CACHE.name(), RUN_CACHE.stats()),
-    ]
-}
-
-/// A one-line-per-stage text rendering of [`cache_stats`].
-pub fn cache_stats_summary() -> String {
-    let mut out = String::new();
-    for (name, s) in cache_stats() {
-        out.push_str(&format!(
-            "cache {name:<8} hits {:>6}  misses {:>6}  hit-rate {:>5.1}%\n",
-            s.hits,
-            s.misses,
-            s.hit_rate() * 100.0
-        ));
-    }
-    out
-}
-
-/// Empties both stage caches (statistics are kept; primarily for tests).
-pub fn clear_caches() {
-    DESIGN_CACHE.clear();
-    RUN_CACHE.clear();
+    vec![(DESIGN_CACHE.name(), DESIGN_CACHE.stats())]
 }
 
 #[cfg(test)]
@@ -354,15 +293,15 @@ mod tests {
     #[test]
     fn stage_keys_separate_namespaces() {
         let k = config_key(&PlatformConfig::small());
-        assert_ne!(
-            design_key(k, App::WordCount),
-            run_key(k, App::WordCount, RunVariant::Nvfi)
-        );
-        let runs: std::collections::BTreeSet<String> = RunVariant::ALL
+        let designs: std::collections::BTreeSet<String> = App::ALL
             .iter()
-            .map(|&v| run_key(k, App::WordCount, v).to_hex())
+            .map(|&app| design_key(k, app).to_hex())
             .collect();
-        assert_eq!(runs.len(), 5, "each variant has a distinct key");
+        assert_eq!(designs.len(), App::ALL.len(), "each app has a distinct key");
+        assert!(
+            !designs.contains(&k.to_hex()),
+            "design keys never equal the bare config key"
+        );
     }
 
     #[test]

@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn known_value_is_pinned() {
         // Guards against accidental algorithm changes silently invalidating
-        // persisted on-disk caches.
+        // the sweep-cell keys persisted in sweep stores.
         assert_eq!(
             stable_hash_of("mapwave").to_hex(),
             stable_hash_of("mapwave").to_hex()

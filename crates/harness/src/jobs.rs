@@ -36,9 +36,6 @@ pub type JobId = usize;
 
 type Work<T> = Box<dyn FnOnce(&[&T]) -> T + Send>;
 
-/// A not-yet-dispatched job: label, dependency list and work closure.
-type PendingJob<T> = Option<(String, Vec<JobId>, Work<T>)>;
-
 struct Job<T> {
     label: String,
     deps: Vec<JobId>,
@@ -110,37 +107,20 @@ impl<T: Send + Sync> JobGraph<T> {
     ///
     /// Re-raises the first panic of any job after the pool drains.
     pub fn run(self, threads: usize) -> Vec<T> {
-        let threads = threads.max(1).min(self.jobs.len().max(1));
-        if threads == 1 {
-            return self.run_serial();
-        }
-        self.run_pool(threads)
-    }
-
-    fn run_serial(self) -> Vec<T> {
-        let mut results: Vec<Option<T>> = Vec::with_capacity(self.jobs.len());
-        for job in self.jobs {
-            let out = {
-                let dep_results: Vec<&T> = job
-                    .deps
-                    .iter()
-                    .map(|&d| results[d].as_ref().expect("deps precede dependents"))
-                    .collect();
-                let _span = telemetry::span_labeled("harness.job", job.label.clone());
-                (job.work)(&dep_results)
-            };
-            telemetry::count("harness.jobs_executed", 1);
-            results.push(Some(out));
-        }
+        let (_, results) = self.execute(threads, &mut |_, _| true);
         results
             .into_iter()
-            .map(|r| r.expect("all jobs ran"))
+            .map(|slot| {
+                let arc = slot.expect("all jobs completed");
+                Arc::try_unwrap(arc)
+                    .unwrap_or_else(|_| unreachable!("dependency Arcs are dropped before drain"))
+            })
             .collect()
     }
 
-    /// Executes jobs on the pool, committing each completed job **in
-    /// insertion order** through `commit` — the checkpointing hook behind
-    /// `mapwave-sweep`'s resumable engine.
+    /// Executes jobs, committing each completed job **in insertion order**
+    /// through `commit` — the checkpointing hook behind `mapwave-sweep`'s
+    /// resumable engine.
     ///
     /// Workers complete jobs in any order, but `commit(id, &output)` is
     /// invoked on the calling thread strictly in [`JobId`] order, so an
@@ -162,41 +142,53 @@ impl<T: Send + Sync> JobGraph<T> {
         threads: usize,
         mut commit: impl FnMut(JobId, &T) -> bool,
     ) -> usize {
+        self.execute(threads, &mut commit).0
+    }
+
+    /// The one executor behind [`JobGraph::run`] and
+    /// [`JobGraph::run_checkpointed`]: returns the committed count and the
+    /// result slots (`None` for jobs abandoned by an early stop).
+    fn execute(
+        self,
+        threads: usize,
+        commit: &mut dyn FnMut(JobId, &T) -> bool,
+    ) -> (usize, Vec<Option<Arc<T>>>) {
         let n = self.jobs.len();
         let threads = threads.max(1).min(n.max(1));
         if threads == 1 {
-            let mut committed = 0;
-            let mut results: Vec<Option<T>> = Vec::with_capacity(n);
+            // Inline on the calling thread, in insertion order.
+            let mut results: Vec<Option<Arc<T>>> = Vec::with_capacity(n);
             for (id, job) in self.jobs.into_iter().enumerate() {
                 let out = {
                     let dep_results: Vec<&T> = job
                         .deps
                         .iter()
-                        .map(|&d| results[d].as_ref().expect("deps precede dependents"))
+                        .map(|&d| results[d].as_deref().expect("deps precede dependents"))
                         .collect();
-                    let _span = telemetry::span_labeled("harness.job", job.label.clone());
+                    let _span = telemetry::span_labeled("harness.job", job.label);
                     (job.work)(&dep_results)
                 };
                 telemetry::count("harness.jobs_executed", 1);
                 let go_on = commit(id, &out);
-                committed += 1;
-                results.push(Some(out));
+                results.push(Some(Arc::new(out)));
                 if !go_on {
                     break;
                 }
             }
-            return committed;
+            let committed = results.len();
+            results.resize_with(n, || None);
+            return (committed, results);
         }
-        self.run_checkpointed_pool(threads, &mut commit)
+        self.execute_pool(threads, commit)
     }
 
-    fn run_checkpointed_pool(
+    fn execute_pool(
         self,
         threads: usize,
         commit: &mut dyn FnMut(JobId, &T) -> bool,
-    ) -> usize {
+    ) -> (usize, Vec<Option<Arc<T>>>) {
         struct Exec<T> {
-            pending: Vec<PendingJob<T>>,
+            pending: Vec<Option<Job<T>>>,
             dependents: Vec<Vec<JobId>>,
             indegree: Vec<usize>,
             ready: VecDeque<JobId>,
@@ -209,18 +201,16 @@ impl<T: Send + Sync> JobGraph<T> {
         let n = self.jobs.len();
         let mut dependents = vec![Vec::new(); n];
         let mut indegree = vec![0usize; n];
-        let mut pending: Vec<PendingJob<T>> = Vec::with_capacity(n);
-        for (id, job) in self.jobs.into_iter().enumerate() {
+        for (id, job) in self.jobs.iter().enumerate() {
             indegree[id] = job.deps.len();
             for &d in &job.deps {
                 dependents[d].push(id);
             }
-            pending.push(Some((job.label, job.deps, job.work)));
         }
         let ready: VecDeque<JobId> = (0..n).filter(|&id| indegree[id] == 0).collect();
 
         let exec = Mutex::new(Exec {
-            pending,
+            pending: self.jobs.into_iter().map(Some).collect(),
             dependents,
             indegree,
             ready,
@@ -245,9 +235,9 @@ impl<T: Send + Sync> JobGraph<T> {
                             guard = cv.wait(guard).expect("job pool poisoned");
                             continue;
                         };
-                        let (label, deps, work) =
-                            guard.pending[id].take().expect("job scheduled once");
-                        let dep_arcs: Vec<Arc<T>> = deps
+                        let job = guard.pending[id].take().expect("job scheduled once");
+                        let dep_arcs: Vec<Arc<T>> = job
+                            .deps
                             .iter()
                             .map(|&d| {
                                 Arc::clone(
@@ -261,8 +251,8 @@ impl<T: Send + Sync> JobGraph<T> {
 
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
                             let dep_refs: Vec<&T> = dep_arcs.iter().map(Arc::as_ref).collect();
-                            let _span = telemetry::span_labeled("harness.job", label);
-                            work(&dep_refs)
+                            let _span = telemetry::span_labeled("harness.job", job.label);
+                            (job.work)(&dep_refs)
                         }));
                         telemetry::count("harness.jobs_executed", 1);
                         telemetry::flush();
@@ -296,148 +286,29 @@ impl<T: Send + Sync> JobGraph<T> {
             // The calling thread is the committer: it releases completed
             // jobs in insertion order, so journals written from `commit`
             // are deterministic for any worker count.
-            let mut next = 0usize;
             let mut guard = exec.lock().expect("job pool poisoned");
-            while next < n {
-                if guard.panic.is_some() {
-                    break;
-                }
-                if let Some(arc) = guard.results[next].as_ref().map(Arc::clone) {
-                    drop(guard);
-                    let go_on = commit(next, arc.as_ref());
-                    committed += 1;
-                    next += 1;
-                    guard = exec.lock().expect("job pool poisoned");
-                    if !go_on {
-                        guard.stop = true;
-                        cv.notify_all();
-                        break;
-                    }
-                } else if guard.remaining == 0 {
-                    break;
-                } else {
+            while committed < n && guard.panic.is_none() {
+                let Some(arc) = guard.results[committed].as_ref().map(Arc::clone) else {
                     guard = cv.wait(guard).expect("job pool poisoned");
+                    continue;
+                };
+                drop(guard);
+                let go_on = commit(committed, arc.as_ref());
+                committed += 1;
+                guard = exec.lock().expect("job pool poisoned");
+                if !go_on {
+                    guard.stop = true;
+                    cv.notify_all();
+                    break;
                 }
             }
-            drop(guard);
         });
 
         let mut exec = exec.into_inner().expect("job pool poisoned");
         if let Some(payload) = exec.panic.take() {
             resume_unwind(payload);
         }
-        committed
-    }
-
-    fn run_pool(self, threads: usize) -> Vec<T> {
-        struct Exec<T> {
-            pending: Vec<PendingJob<T>>,
-            dependents: Vec<Vec<JobId>>,
-            indegree: Vec<usize>,
-            ready: VecDeque<JobId>,
-            results: Vec<Option<Arc<T>>>,
-            remaining: usize,
-            panic: Option<Box<dyn std::any::Any + Send>>,
-        }
-
-        let n = self.jobs.len();
-        let mut dependents = vec![Vec::new(); n];
-        let mut indegree = vec![0usize; n];
-        let mut pending: Vec<PendingJob<T>> = Vec::with_capacity(n);
-        for (id, job) in self.jobs.into_iter().enumerate() {
-            indegree[id] = job.deps.len();
-            for &d in &job.deps {
-                dependents[d].push(id);
-            }
-            pending.push(Some((job.label, job.deps, job.work)));
-        }
-        let ready: VecDeque<JobId> = (0..n).filter(|&id| indegree[id] == 0).collect();
-
-        let exec = Mutex::new(Exec {
-            pending,
-            dependents,
-            indegree,
-            ready,
-            results: (0..n).map(|_| None).collect(),
-            remaining: n,
-            panic: None,
-        });
-        let cv = Condvar::new();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut guard = exec.lock().expect("job pool poisoned");
-                    loop {
-                        if guard.remaining == 0 || guard.panic.is_some() {
-                            cv.notify_all();
-                            break;
-                        }
-                        let Some(id) = guard.ready.pop_front() else {
-                            guard = cv.wait(guard).expect("job pool poisoned");
-                            continue;
-                        };
-                        let (label, deps, work) =
-                            guard.pending[id].take().expect("job scheduled once");
-                        let dep_arcs: Vec<Arc<T>> = deps
-                            .iter()
-                            .map(|&d| {
-                                Arc::clone(
-                                    guard.results[d]
-                                        .as_ref()
-                                        .expect("deps complete before dependents"),
-                                )
-                            })
-                            .collect();
-                        drop(guard);
-
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let dep_refs: Vec<&T> = dep_arcs.iter().map(Arc::as_ref).collect();
-                            let _span = telemetry::span_labeled("harness.job", label);
-                            work(&dep_refs)
-                        }));
-                        telemetry::count("harness.jobs_executed", 1);
-                        telemetry::flush();
-
-                        guard = exec.lock().expect("job pool poisoned");
-                        match outcome {
-                            Ok(value) => {
-                                guard.results[id] = Some(Arc::new(value));
-                                guard.remaining -= 1;
-                                let unlocked: Vec<JobId> = guard.dependents[id]
-                                    .clone()
-                                    .into_iter()
-                                    .filter(|&dep| {
-                                        guard.indegree[dep] -= 1;
-                                        guard.indegree[dep] == 0
-                                    })
-                                    .collect();
-                                guard.ready.extend(unlocked);
-                                cv.notify_all();
-                            }
-                            Err(payload) => {
-                                guard.panic.get_or_insert(payload);
-                                cv.notify_all();
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        let mut exec = exec.into_inner().expect("job pool poisoned");
-        if let Some(payload) = exec.panic.take() {
-            resume_unwind(payload);
-        }
-        exec.results
-            .into_iter()
-            .map(|slot| {
-                let arc = slot.expect("all jobs completed");
-                Arc::try_unwrap(arc)
-                    .unwrap_or_else(|_| unreachable!("dependency Arcs are dropped before drain"))
-            })
-            .collect()
+        (committed, exec.results)
     }
 }
 
@@ -465,6 +336,43 @@ mod tests {
     fn serial_runs_in_insertion_order() {
         let out = diamond().run(1);
         assert_eq!(out, vec!["r", "r-l", "r-r", "r-l+r-r"]);
+    }
+
+    /// Two independent chains added interleaved (`a0 a1 b0 b1 a2 b2`): a
+    /// breadth-first ready queue would run `a0 b0 a1 b1 a2 b2`, so only a
+    /// true inline serial loop logs insertion order.
+    #[test]
+    fn one_worker_runs_inline_in_insertion_order() {
+        type Log = Arc<Mutex<Vec<(JobId, std::thread::ThreadId)>>>;
+        fn interleaved_chains(log: &Log) -> JobGraph<JobId> {
+            let mut g: JobGraph<JobId> = JobGraph::new();
+            let add = |g: &mut JobGraph<JobId>, deps: Vec<JobId>| {
+                let log = Arc::clone(log);
+                let id = g.len();
+                g.add(format!("job/{id}"), deps, move |_| {
+                    log.lock().unwrap().push((id, std::thread::current().id()));
+                    id
+                })
+            };
+            let a0 = add(&mut g, vec![]);
+            let a1 = add(&mut g, vec![a0]);
+            let b0 = add(&mut g, vec![]);
+            let b1 = add(&mut g, vec![b0]);
+            add(&mut g, vec![a1]);
+            add(&mut g, vec![b1]);
+            g
+        }
+        let caller = std::thread::current().id();
+        let expected: Vec<(JobId, std::thread::ThreadId)> = (0..6).map(|i| (i, caller)).collect();
+
+        let log: Log = Arc::default();
+        assert_eq!(interleaved_chains(&log).run(1), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(*log.lock().unwrap(), expected, "run(1)");
+
+        let log: Log = Arc::default();
+        let committed = interleaved_chains(&log).run_checkpointed(1, |_, _| true);
+        assert_eq!(committed, 6);
+        assert_eq!(*log.lock().unwrap(), expected, "run_checkpointed(1)");
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!   scoped `std::thread` worker pool. Each job stays single-threaded and
 //!   deterministic; results are collected in job-insertion order, so a run
 //!   with N workers is byte-identical to a serial run.
-//! * [`cache`] — a content-addressed stage cache (in-memory, with an
-//!   optional plain-text on-disk layer) keyed by [`hash::StableHash`] of the
-//!   stage inputs, so repeated figures and seed sweeps reuse profiling runs
-//!   and NoC simulations instead of recomputing them.
+//! * [`cache`] — a content-addressed in-memory stage cache keyed by
+//!   [`hash::StableHash`] of the stage inputs that computes each key once,
+//!   so the cells of a sweep share one design per configuration.
 //! * [`telemetry`] — structured spans and monotonic counters with hook
 //!   points in the simulators, exported as Chrome-trace JSON or a plain-text
 //!   summary. A disabled sink costs one relaxed atomic load per hook.
@@ -29,6 +28,6 @@ pub mod jobs;
 pub mod rng;
 pub mod telemetry;
 
-pub use cache::{CacheStats, DiskCache, StageCache};
+pub use cache::{CacheStats, StageCache};
 pub use hash::{stable_hash_of, CacheKey, StableHash, StableHasher};
 pub use jobs::{available_parallelism, JobGraph, JobId};

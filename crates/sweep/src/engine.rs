@@ -26,7 +26,7 @@ use std::io;
 
 use mapwave::design_flow::DesignFlow;
 use mapwave::governed::{run_system_governed, run_system_governed_with_faults};
-use mapwave::orchestrator::{design_cached, run_cached, RunVariant};
+use mapwave::orchestrator::{design_and_nvfi_cached, RunVariant};
 use mapwave::run_system_with_faults;
 use mapwave_faults::{CellFailureModel, FaultConfig, FaultPlan};
 use mapwave_governor::GovernorConfig;
@@ -279,7 +279,8 @@ fn execute_cell(cell: &SweepCell, opts: &EngineOptions) -> CellOutcome {
 /// One attempt at a cell; `None` means the attempt failed organically.
 fn attempt_cell(cell: &SweepCell) -> Option<CellRecord> {
     let flow = DesignFlow::new(cell.config()).ok()?;
-    let design = design_cached(&flow, cell.app);
+    let designed = design_and_nvfi_cached(&flow, cell.app);
+    let (design, nvfi) = (&designed.0, &designed.1);
     let coords = CellCoords {
         label: cell.label(),
         app: cell.app.name().to_string(),
@@ -293,7 +294,7 @@ fn attempt_cell(cell: &SweepCell) -> Option<CellRecord> {
     if let Some(cap_w) = cell.power_cap_w {
         // Governed cells replay the measured run under the power cap.
         let gov = GovernorConfig::new(cap_w).with_epoch_cycles(cell.epoch_cycles);
-        let spec = cell.variant.spec(&flow, &design);
+        let spec = cell.variant.spec(&flow, design);
         let report = if cell.fault_rate == 0.0 {
             run_system_governed(&spec, &design.workload, flow.config(), flow.power(), &gov)
         } else {
@@ -311,8 +312,11 @@ fn attempt_cell(cell: &SweepCell) -> Option<CellRecord> {
         };
         Some(CellRecord::from_governed(coords, &report))
     } else if cell.fault_rate == 0.0 {
-        let report = run_cached(&flow, &design, cell.variant);
-        Some(CellRecord::from_run(coords, &report))
+        // The design flow's profiling run is the clean `nvfi` run.
+        Some(match cell.variant {
+            RunVariant::Nvfi => CellRecord::from_run(coords, nvfi),
+            variant => CellRecord::from_run(coords, &variant.run(&flow, design)),
+        })
     } else {
         // Faulted cells derive their plan from the sweep's root seed via
         // the cell's own stream, so every cell degrades independently yet
@@ -320,7 +324,7 @@ fn attempt_cell(cell: &SweepCell) -> Option<CellRecord> {
         let cfg =
             FaultConfig::at_rate(cell.fault_rate, cell.fault_seed).for_cell(cell.index as u64);
         let plan = FaultPlan::build(&cfg);
-        let spec = cell.variant.spec(&flow, &design);
+        let spec = cell.variant.spec(&flow, design);
         let report =
             run_system_with_faults(&spec, &design.workload, flow.config(), flow.power(), &plan);
         Some(CellRecord::from_fault_run(coords, &report))
