@@ -16,7 +16,7 @@
 //! * `run_system` — one WordCount WiNoC report on the 64-core paper
 //!   platform with the reused-simulator relaxation loop (current
 //!   implementation only; the pre-optimization median is recorded in
-//!   `BENCH_design_flow.json`), plus the full 256-core report
+//!   CHANGELOG.md), plus the full 256-core report
 //!   (budgeted at ≤10× the 64-core row) and a power-governed row
 //!   (same static run + the capped epoch replay) that isolates the
 //!   governor's overhead over the plain report.
@@ -29,9 +29,9 @@
 //! deliberately different (hierarchical) algorithms against the flat path
 //! they replace at scale.
 //!
-//! Prints one line per scenario; set `MAPWAVE_BENCH_JSON=<path>` to also
-//! write the medians as JSON (used to record before/after numbers in
-//! `BENCH_design_flow.json`).
+//! Prints one median line per scenario; set `MAPWAVE_BENCH_JSON=<path>` to
+//! also write every sample as JSON (the schema of `BENCH_design_flow.json`,
+//! see `mapwave_bench`).
 
 use mapwave::config::{PlacementStrategy, PlatformConfig};
 use mapwave::design_flow::DesignFlow;
@@ -39,19 +39,24 @@ use mapwave::placement::{
     anneal_wi_placement, anneal_wi_placement_reference, center_wis, WINOC_HUB_EDGE_WEIGHT,
 };
 use mapwave::system::run_system;
+use mapwave_bench::{time, Bench};
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::prelude::*;
 use mapwave_phoenix::apps::App;
 use mapwave_vfi::clustering::ClusteringProblem;
-use std::time::Instant;
+
+/// The seeded LCG stream of the equivalence tests, as values in [0, 2).
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        ((state >> 33) as f64) / (u32::MAX as f64 / 2.0)
+    }
+}
 
 /// Seeded clustering instance matching the equivalence tests.
 fn lcg_instance(n: usize, seed: u64) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        ((state >> 33) as f64) / (u32::MAX as f64 / 2.0)
-    };
+    let mut next = lcg(seed);
     let u: Vec<f64> = (0..n).map(|_| next().min(1.0)).collect();
     let f: Vec<Vec<f64>> = (0..n)
         .map(|i| {
@@ -65,11 +70,7 @@ fn lcg_instance(n: usize, seed: u64) -> (Vec<f64>, Vec<Vec<f64>>) {
 
 /// Seeded dense traffic matching the placement equivalence tests.
 fn lcg_traffic(n: usize, seed: u64) -> TrafficMatrix {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        ((state >> 33) as f64) / (u32::MAX as f64 / 2.0)
-    };
+    let mut next = lcg(seed);
     let mut traffic = TrafficMatrix::zeros(n);
     for s in 0..n {
         for d in 0..n {
@@ -84,43 +85,30 @@ fn lcg_traffic(n: usize, seed: u64) -> TrafficMatrix {
     traffic
 }
 
-/// Median wall-clock seconds per call over enough samples to spend a
-/// bounded ~second per scenario.
-fn median_secs<F: FnMut()>(mut f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    let once = start.elapsed().as_secs_f64().max(1e-6);
-    let samples = ((1.0 / once).ceil() as usize).clamp(3, 30);
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+/// Milliseconds per call of each timed sample of `f`.
+fn ms<F: FnMut()>(f: F) -> Vec<f64> {
+    time(f).into_iter().map(|s| s * 1e3).collect()
 }
 
 fn main() {
-    let mut results: Vec<(&str, f64)> = Vec::new();
+    let mut bench = Bench::new("design_flow", "ms/call");
 
     // Clustering refinement, n=64 m=4, 4 starts (the design-flow default
     // operating point for a 64-process workload).
     let (u, f) = lcg_instance(64, 7);
     let prob = ClusteringProblem::new(u, f, 4).expect("valid instance");
-    results.push((
+    bench.row(
         "cluster_refine_n64/reference",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(prob.solve_with_starts_reference(4, 7));
         }),
-    ));
-    results.push((
+    );
+    bench.row(
         "cluster_refine_n64/incremental",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(prob.solve_with_starts(4, 7));
         }),
-    ));
+    );
 
     // Beyond the paper's 64 cores the flat refinement loop is the
     // bottleneck; the multilevel path coarsens heavy talkers pairwise,
@@ -129,26 +117,18 @@ fn main() {
     for n in [256usize, 1024] {
         let (u, f) = lcg_instance(n, 11);
         let prob = ClusteringProblem::new(u, f, 4).expect("valid instance");
-        let flat = median_secs(|| {
-            std::hint::black_box(prob.solve_with_starts(4, 7));
-        });
-        let multilevel = median_secs(|| {
-            std::hint::black_box(prob.solve_multilevel_with_starts(4, 7));
-        });
-        results.push((
-            match n {
-                256 => "cluster_refine_n256/flat",
-                _ => "cluster_refine_n1024/flat",
-            },
-            flat,
-        ));
-        results.push((
-            match n {
-                256 => "cluster_refine_n256/multilevel",
-                _ => "cluster_refine_n1024/multilevel",
-            },
-            multilevel,
-        ));
+        bench.row(
+            format!("cluster_refine_n{n}/flat"),
+            ms(|| {
+                std::hint::black_box(prob.solve_with_starts(4, 7));
+            }),
+        );
+        bench.row(
+            format!("cluster_refine_n{n}/multilevel"),
+            ms(|| {
+                std::hint::black_box(prob.solve_multilevel_with_starts(4, 7));
+            }),
+        );
     }
 
     // WI annealing on an 8×8 small-world fabric, 3 WIs per quadrant over
@@ -160,20 +140,20 @@ fn main() {
         .build()
         .expect("builds");
     let traffic = lcg_traffic(64, 11);
-    results.push((
+    bench.row(
         "wi_anneal_64/reference",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(anneal_wi_placement_reference(
                 &topo, &traffic, 8, 8, 3, 3, 7,
             ));
         }),
-    ));
-    results.push((
+    );
+    bench.row(
         "wi_anneal_64/incremental",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(anneal_wi_placement(&topo, &traffic, 8, 8, 3, 3, 7));
         }),
-    ));
+    );
 
     // The same anneal on the 16×16 fabric with the scaled wireless budget
     // (6 WIs per quadrant over 6 channels): flat reference vs the
@@ -187,9 +167,9 @@ fn main() {
         .build()
         .expect("builds");
     let traffic256 = lcg_traffic(256, 11);
-    results.push((
+    bench.row(
         "wi_anneal_256/reference",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(anneal_wi_placement_reference(
                 &topo256,
                 &traffic256,
@@ -200,40 +180,39 @@ fn main() {
                 7,
             ));
         }),
-    ));
-    results.push((
+    );
+    bench.row(
         "wi_anneal_256/hierarchical",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(anneal_wi_placement(&topo256, &traffic256, 16, 16, 6, 6, 7));
         }),
-    ));
+    );
 
     // One routing-table build on the same 16×16 fabric: what `winoc_spec`
     // pays once per spec after the anneal has picked the overlay.
     let overlay256 = center_wis(16, 16, 2.5, 6, 6);
-    results.push((
+    bench.row(
         "routing_build_256",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(
                 RoutingTable::up_down_weighted(&topo256, &overlay256, WINOC_HUB_EDGE_WEIGHT)
                     .expect("routable"),
             );
         }),
-    ));
+    );
 
     // One full-system report: WordCount on the min-hop WiNoC spec of the
-    // 64-core paper platform, the heaviest single call of the
-    // figure-regeneration benches.
+    // 64-core paper platform, the heaviest single call of the evaluation.
     let cfg = PlatformConfig::paper().with_scale(0.002);
     let flow = DesignFlow::new(cfg.clone()).expect("valid platform");
     let d = flow.design(App::WordCount);
     let spec = flow.winoc_spec(&d, PlacementStrategy::MinHopCount);
-    results.push((
+    bench.row(
         "run_system_paper/report",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(run_system(&spec, &d.workload, &cfg, flow.power()));
         }),
-    ));
+    );
 
     // The governed variant of the paper row: the same static run plus the
     // epoch-replay pass under a cap at 80% of the measured static peak.
@@ -248,9 +227,9 @@ fn main() {
         &mapwave_governor::GovernorConfig::new(1e9),
     );
     let gov = mapwave_governor::GovernorConfig::new(0.8 * probe.static_peak_power_w);
-    results.push((
+    bench.row(
         "run_system_governed/report",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(mapwave::governed::run_system_governed(
                 &spec,
                 &d.workload,
@@ -259,7 +238,7 @@ fn main() {
                 &gov,
             ));
         }),
-    ));
+    );
 
     // The full 256-core report on the generated 16×16 fabric — budgeted at
     // ≤10× the 64-core `run_system_paper/report` row.
@@ -267,27 +246,12 @@ fn main() {
     let flow_l = DesignFlow::new(cfg_l.clone()).expect("valid platform");
     let d_l = flow_l.design(App::WordCount);
     let spec_l = flow_l.winoc_spec(&d_l, PlacementStrategy::MinHopCount);
-    results.push((
+    bench.row(
         "run_system_large/report",
-        median_secs(|| {
+        ms(|| {
             std::hint::black_box(run_system(&spec_l, &d_l.workload, &cfg_l, flow_l.power()));
         }),
-    ));
+    );
 
-    for (name, secs) in &results {
-        println!("{name:<34} median {:>9.3} ms/call", secs * 1e3);
-    }
-
-    if let Ok(path) = std::env::var("MAPWAVE_BENCH_JSON") {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|(k, v)| format!("    \"{k}\": {:.1}", v * 1e6))
-            .collect();
-        let json = format!(
-            "{{\n  \"unit\": \"microseconds/call (median)\",\n  \"results\": {{\n{}\n  }}\n}}\n",
-            entries.join(",\n")
-        );
-        std::fs::write(&path, json).expect("write bench json");
-        println!("wrote {path}");
-    }
+    bench.finish();
 }

@@ -9,46 +9,77 @@
 //! fabrics; their saturation rates drop with the mesh bisection bandwidth
 //! per node.
 //!
-//! Prints one line per scenario; set `MAPWAVE_BENCH_JSON=<path>` to also
-//! write the results as JSON (used to record before/after numbers in
-//! `BENCH_noc_step.json`).
+//! Prints one median line per scenario; set `MAPWAVE_BENCH_JSON=<path>` to
+//! also write every sample as JSON (the schema of `BENCH_noc_step.json`,
+//! see `mapwave_bench`).
 
+use mapwave_bench::{time, Bench};
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::prelude::*;
 use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::sim::SimConfig;
 use mapwave_noc::topology::mesh::mesh;
-use std::time::Instant;
+use mapwave_noc::Topology;
 
 const WARMUP: u64 = 500;
 const MEASURE: u64 = 5_000;
 const DRAIN: u64 = 20_000;
 
-/// Quadrant labels for an even `cols`×`rows` die (the VFI cluster shape the
-/// design flow feeds the small-world builder).
-fn quadrant_clusters(cols: usize, rows: usize) -> Vec<usize> {
-    (0..cols * rows)
-        .map(|i| (i % cols) / (cols / 2) + 2 * ((i / cols) / (rows / 2)))
-        .collect()
+/// A simulator with the default 65-nm energy model and configuration.
+fn sim(topo: Topology, overlay: WirelessOverlay, table: RoutingTable) -> NetworkSim<'static> {
+    NetworkSim::new(
+        topo,
+        overlay,
+        table,
+        EnergyModel::default_65nm(),
+        SimConfig::default(),
+    )
+    .expect("valid")
 }
 
-/// A generated WiNoC at an arbitrary even die size: small-world wireline,
+/// An XY-routed `cols`×`rows` mesh.
+fn mesh_sim(cols: usize, rows: usize) -> NetworkSim<'static> {
+    sim(
+        mesh(cols, rows, 2.5),
+        WirelessOverlay::none(),
+        RoutingTable::xy(cols, rows),
+    )
+}
+
+/// The small-world wireline of an even `cols`×`rows` die, clustered in
+/// quadrants (the VFI cluster shape the design flow feeds the builder).
+fn small_world(cols: usize, rows: usize) -> Topology {
+    let quadrants = (0..cols * rows)
+        .map(|i| (i % cols) / (cols / 2) + 2 * ((i / cols) / (rows / 2)))
+        .collect();
+    SmallWorldBuilder::new(grid_positions(cols, rows, 2.5), quadrants)
+        .alpha(1.5)
+        .seed(0xDAC_2015)
+        .build()
+        .expect("builds")
+}
+
+/// A WiNoC on [`small_world`] with hub-weight-1 up*/down* routing.
+fn winoc(
+    cols: usize,
+    rows: usize,
+    wis: Vec<WirelessInterface>,
+    channels: usize,
+) -> NetworkSim<'static> {
+    let topo = small_world(cols, rows);
+    let overlay = WirelessOverlay::new(wis, channels).expect("valid overlay");
+    let table = RoutingTable::up_down_weighted(&topo, &overlay, 1).expect("routable");
+    sim(topo, overlay, table)
+}
+
 /// `wis_per_cluster` WIs spaced on a stride-2 grid inside each quadrant,
 /// channels assigned round-robin so every channel spans all four quadrants.
-fn winoc_parametric(
+fn parametric_wis(
     cols: usize,
     rows: usize,
     wis_per_cluster: usize,
     channels: usize,
-) -> (mapwave_noc::Topology, WirelessOverlay, RoutingTable) {
-    let topo = SmallWorldBuilder::new(
-        grid_positions(cols, rows, 2.5),
-        quadrant_clusters(cols, rows),
-    )
-    .alpha(1.5)
-    .seed(0xDAC_2015)
-    .build()
-    .expect("builds");
+) -> Vec<WirelessInterface> {
     let mut wis = Vec::with_capacity(4 * wis_per_cluster);
     for q in 0..4 {
         for k in 0..wis_per_cluster {
@@ -60,19 +91,12 @@ fn winoc_parametric(
             });
         }
     }
-    let overlay = WirelessOverlay::new(wis, channels).expect("valid overlay");
-    let table = RoutingTable::up_down_weighted(&topo, &overlay, 1).expect("routable");
-    (topo, overlay, table)
+    wis
 }
 
-fn winoc() -> (mapwave_noc::Topology, WirelessOverlay, RoutingTable) {
-    let clusters: Vec<usize> = (0..64).map(|i| (i % 8) / 4 + 2 * ((i / 8) / 4)).collect();
-    let topo = SmallWorldBuilder::new(grid_positions(8, 8, 2.5), clusters)
-        .alpha(1.5)
-        .seed(0xDAC_2015)
-        .build()
-        .expect("builds");
-    let wis: Vec<WirelessInterface> = [
+/// The paper's 64-core WiNoC overlay: 12 WIs, 3 per quadrant, 3 channels.
+fn paper_wis() -> Vec<WirelessInterface> {
+    [
         (9usize, 0usize),
         (18, 1),
         (27, 2),
@@ -91,147 +115,44 @@ fn winoc() -> (mapwave_noc::Topology, WirelessOverlay, RoutingTable) {
         node: NodeId(n),
         channel: ChannelId(c),
     })
-    .collect();
-    let overlay = WirelessOverlay::new(wis, 3).expect("valid overlay");
-    let table = RoutingTable::up_down_weighted(&topo, &overlay, 1).expect("routable");
-    (topo, overlay, table)
-}
-
-fn small_world() -> (mapwave_noc::Topology, WirelessOverlay, RoutingTable) {
-    let clusters: Vec<usize> = (0..64).map(|i| (i % 8) / 4 + 2 * ((i / 8) / 4)).collect();
-    let topo = SmallWorldBuilder::new(grid_positions(8, 8, 2.5), clusters)
-        .alpha(1.5)
-        .seed(0xDAC_2015)
-        .build()
-        .expect("builds");
-    let table = RoutingTable::up_down(&topo, &WirelessOverlay::none()).expect("routable");
-    (topo, WirelessOverlay::none(), table)
-}
-
-/// Times repeated `run` windows of one prepared simulator and returns the
-/// median throughput in simulated cycles per second.
-fn cycles_per_sec(sim: &mut NetworkSim, traffic: &TrafficMatrix) -> f64 {
-    // One untimed window warms caches and sizes the sample count so each
-    // scenario spends a bounded ~second total.
-    let start = Instant::now();
-    sim.run(traffic, WARMUP, MEASURE, DRAIN);
-    let once = start.elapsed().as_secs_f64().max(1e-6);
-    let samples = ((0.8 / once).ceil() as usize).clamp(3, 40);
-
-    let mut rates: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            sim.run(traffic, WARMUP, MEASURE, DRAIN);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            sim.now() as f64 / secs
-        })
-        .collect();
-    rates.sort_by(|a, b| a.total_cmp(b));
-    rates[rates.len() / 2]
+    .collect()
 }
 
 fn main() {
-    let scenarios: Vec<(&str, NetworkSim, f64)> = {
-        let (sw_topo, sw_overlay, sw_table) = small_world();
-        let (wi_topo, wi_overlay, wi_table) = winoc();
-        let (wi256_topo, wi256_overlay, wi256_table) = winoc_parametric(16, 16, 6, 6);
-        vec![
-            (
-                "noc_step_mesh",
-                NetworkSim::new(
-                    mesh(8, 8, 2.5),
-                    WirelessOverlay::none(),
-                    RoutingTable::xy(8, 8),
-                    EnergyModel::default_65nm(),
-                    SimConfig::default(),
-                )
-                .expect("valid"),
-                0.30,
-            ),
-            (
-                "noc_step_small_world",
-                NetworkSim::new(
-                    sw_topo,
-                    sw_overlay,
-                    sw_table,
-                    EnergyModel::default_65nm(),
-                    SimConfig::default(),
-                )
-                .expect("valid"),
-                0.06,
-            ),
-            (
-                "noc_step_wireless",
-                NetworkSim::new(
-                    wi_topo,
-                    wi_overlay,
-                    wi_table,
-                    EnergyModel::default_65nm(),
-                    SimConfig::default(),
-                )
-                .expect("valid"),
-                0.06,
-            ),
-            (
-                "noc_step_mesh_256",
-                NetworkSim::new(
-                    mesh(16, 16, 2.5),
-                    WirelessOverlay::none(),
-                    RoutingTable::xy(16, 16),
-                    EnergyModel::default_65nm(),
-                    SimConfig::default(),
-                )
-                .expect("valid"),
-                0.15,
-            ),
-            (
-                "noc_step_mesh_1024",
-                NetworkSim::new(
-                    mesh(32, 32, 2.5),
-                    WirelessOverlay::none(),
-                    RoutingTable::xy(32, 32),
-                    EnergyModel::default_65nm(),
-                    SimConfig::default(),
-                )
-                .expect("valid"),
-                0.06,
-            ),
-            (
-                "noc_step_wireless_256",
-                NetworkSim::new(
-                    wi256_topo,
-                    wi256_overlay,
-                    wi256_table,
-                    EnergyModel::default_65nm(),
-                    SimConfig::default(),
-                )
-                .expect("valid"),
-                0.03,
-            ),
-        ]
+    let wireline_up_down = {
+        let topo = small_world(8, 8);
+        let table = RoutingTable::up_down(&topo, &WirelessOverlay::none()).expect("routable");
+        sim(topo, WirelessOverlay::none(), table)
     };
+    let scenarios = [
+        ("noc_step_mesh", mesh_sim(8, 8), 0.30),
+        ("noc_step_small_world", wireline_up_down, 0.06),
+        ("noc_step_wireless", winoc(8, 8, paper_wis(), 3), 0.06),
+        ("noc_step_mesh_256", mesh_sim(16, 16), 0.15),
+        ("noc_step_mesh_1024", mesh_sim(32, 32), 0.06),
+        (
+            "noc_step_wireless_256",
+            winoc(16, 16, parametric_wis(16, 16, 6, 6), 6),
+            0.03,
+        ),
+    ];
 
-    let mut results: Vec<(String, f64)> = Vec::new();
+    let mut bench = Bench::new("noc_step", "simulated cycles/s");
     for (name, mut sim, saturation_rate) in scenarios {
         let n = sim.topology().len();
         for (point, rate) in [("low", 0.005), ("saturation", saturation_rate)] {
             let tm = TrafficMatrix::uniform(n, rate);
-            let cps = cycles_per_sec(&mut sim, &tm);
-            println!("{name}/{point:<12} {:>9.2} simulated Mcycles/s", cps / 1e6);
-            results.push((format!("{name}/{point}"), cps));
+            let secs = time(|| {
+                sim.run(&tm, WARMUP, MEASURE, DRAIN);
+            });
+            // `run` resets the simulator and reseeds its injection stream,
+            // so every window simulates the same number of cycles.
+            let cycles = sim.now() as f64;
+            bench.row(
+                format!("{name}/{point}"),
+                secs.iter().map(|s| cycles / s).collect(),
+            );
         }
     }
-
-    if let Ok(path) = std::env::var("MAPWAVE_BENCH_JSON") {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|(k, v)| format!("    \"{k}\": {v:.0}"))
-            .collect();
-        let json = format!(
-            "{{\n  \"unit\": \"simulated cycles/sec\",\n  \"results\": {{\n{}\n  }}\n}}\n",
-            entries.join(",\n")
-        );
-        std::fs::write(&path, json).expect("write bench json");
-        println!("wrote {path}");
-    }
+    bench.finish();
 }

@@ -11,7 +11,14 @@
 //!   capped stealing;
 //! * [`clustering_contribution`] — the Eq. (1) clustering vs a naive
 //!   utilization-agnostic quadrant clustering;
+//! * [`adaptive_router_contribution`] — the plain wormhole router vs the
+//!   2-VC Duato-adaptive extension;
+//! * [`degree_split`] — the small-world wired with (⟨k_intra⟩,
+//!   ⟨k_inter⟩) = (3,1) vs (2,2), Section 7.2's setup study;
 //! * [`headroom_sweep`] — the V/F-selection aggressiveness frontier.
+//!
+//! `mapwave ablations` prints all of them through
+//! [`crate::report::ablations`].
 
 use crate::config::PlatformConfig;
 use crate::design_flow::{Design, DesignFlow, VfStage};
@@ -141,6 +148,33 @@ pub fn clustering_contribution(flow: &DesignFlow, design: &Design) -> Ablation {
         knob: "Eq. (1) utilization+traffic clustering",
         with_feature,
         without_feature,
+    }
+}
+
+/// The (⟨k_intra⟩, ⟨k_inter⟩) comparison behind Fig. 6's setup discussion.
+#[derive(Debug, Clone)]
+pub struct DegreeComparison {
+    /// The application evaluated.
+    pub app: App,
+    /// Network EDP of the (3, 1) configuration.
+    pub edp_31: f64,
+    /// Network EDP of the (2, 2) configuration.
+    pub edp_22: f64,
+}
+
+/// Section 7.2's degree split: network EDP of the design's WiNoC with its
+/// small-world wired at (⟨k_intra⟩, ⟨k_inter⟩) = (3,1) vs (2,2).
+pub fn degree_split(flow: &DesignFlow, design: &Design) -> DegreeComparison {
+    let run_with = |k_intra: f64, k_inter: f64| {
+        let cfg = flow.config().clone().with_degrees(k_intra, k_inter);
+        let variant = DesignFlow::new(cfg.clone()).expect("degree variant is valid");
+        let spec = variant.winoc_spec(design, cfg.placement);
+        run_system(&spec, &design.workload, &cfg, flow.power()).network_edp()
+    };
+    DegreeComparison {
+        app: design.app,
+        edp_31: run_with(3.0, 1.0),
+        edp_22: run_with(2.0, 2.0),
     }
 }
 

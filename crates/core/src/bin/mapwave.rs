@@ -4,6 +4,7 @@
 //! mapwave report   [--scale S] [--seed N] [--jobs J] [--trace F]
 //!                                               full evaluation (all tables/figures)
 //! mapwave design   <APP> [--scale S]            design-flow detail for one application
+//! mapwave ablations [--scale S]                 one-knob ablations, headroom, degree split
 //! mapwave table1 | table2 | fig2 | fig4 | fig5 | fig6 | fig7 | fig8 | headline
 //!                  [--scale S] [--jobs J]       one artefact
 //! mapwave help                                  this text
@@ -136,6 +137,8 @@ COMMANDS:
     fig7        normalized execution time per stage
     fig8        full-system EDP vs the NVFI mesh
     headline    the aggregate EDP-saving / time-penalty summary
+    ablations   one-knob ablations (WC, KMEANS, HIST), HIST headroom frontier
+                and WC/HIST degree split
     seeds       headline statistics across several workload seeds (--seeds N)
     timeline    ASCII Gantt of one APP on the NVFI and VFI platforms
     topology    graph metrics of the mesh and the designed WiNoC for APP
@@ -250,30 +253,38 @@ fn main() -> Result<(), String> {
             );
             finish_telemetry(args.trace.as_deref())
         }
+        "ablations" => {
+            println!("{}", report::ablations(&DesignFlow::new(cfg)?));
+            Ok(())
+        }
         "timeline" => {
             let app = args.app.ok_or("timeline needs an APP")?;
             let flow = DesignFlow::new(cfg.clone())?;
             let d = flow.design(app);
-            let (_, nvfi) = Executor::new(RuntimeConfig::nvfi(cfg.cores())).run_traced(&d.workload);
-            println!("== {app} on the NVFI platform ==");
-            println!(
-                "L lib-init | M map | R reduce | G merge | lower-case = stolen
-"
-            );
-            println!("{}", nvfi.render(96));
             let speeds = d.vfi2.core_speeds(&d.clustering, &cfg.vf_table);
-            let (_, vfi) = Executor::new(
-                RuntimeConfig::nvfi(cfg.cores())
-                    .with_speeds(speeds)
-                    .with_steal_policy(d.steal(VfStage::Vfi2)),
-            )
-            .run_traced(&d.workload);
-            println!(
-                "== {app} on the VFI 2 islands ({}) ==
-",
-                d.vfi2
-            );
-            println!("{}", vfi.render(96));
+            let runs = [
+                (
+                    "NVFI platform".to_string(),
+                    RuntimeConfig::nvfi(cfg.cores()),
+                ),
+                (
+                    format!("VFI 2 islands ({})", d.vfi2),
+                    RuntimeConfig::nvfi(cfg.cores())
+                        .with_speeds(speeds)
+                        .with_steal_policy(d.steal(VfStage::Vfi2)),
+                ),
+            ];
+            println!("L lib-init | M map | R reduce | G merge | lower-case = stolen");
+            for (label, runtime) in runs {
+                let (run, timeline) = Executor::new(runtime).run_traced(&d.workload);
+                println!("\n== {app} on the {label} ==\n");
+                println!("{}", timeline.render(96));
+                println!(
+                    "makespan {:.3e} ref-cycles, {} steals",
+                    run.total_cycles(),
+                    run.steals
+                );
+            }
             Ok(())
         }
         "topology" => {

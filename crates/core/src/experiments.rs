@@ -23,10 +23,11 @@
 //! job id, the outputs are byte-identical to the single-threaded run (and
 //! to the pre-harness serial loops).
 
+use crate::ablations::{degree_split, DegreeComparison};
 use crate::config::{PlacementStrategy, PlatformConfig};
 use crate::design_flow::{Design, DesignFlow};
 use crate::orchestrator::{vfi_mesh_run, RunVariant};
-use crate::system::{run_system, RunReport};
+use crate::system::RunReport;
 use mapwave_harness::jobs::JobGraph;
 use mapwave_phoenix::apps::App;
 use mapwave_phoenix::workload::PhaseBreakdown;
@@ -433,17 +434,6 @@ pub struct Fig6Row {
     pub wireless_share_min: f64,
 }
 
-/// The (⟨k_intra⟩, ⟨k_inter⟩) comparison behind Fig. 6's setup discussion.
-#[derive(Debug, Clone)]
-pub struct DegreeComparison {
-    /// The application evaluated.
-    pub app: App,
-    /// Network EDP of the (3, 1) configuration.
-    pub edp_31: f64,
-    /// Network EDP of the (2, 2) configuration.
-    pub edp_22: f64,
-}
-
 impl ExperimentContext {
     /// Fig. 6: EDP of the maximised-wireless-utilisation placement relative
     /// to the minimised-hop-count placement, per application.
@@ -466,19 +456,7 @@ impl ExperimentContext {
     /// Section 7.2's degree sweep: (⟨k_intra⟩, ⟨k_inter⟩) = (3,1) vs (2,2)
     /// network EDP for one application.
     pub fn fig6_degrees(&self, app: App) -> DegreeComparison {
-        let d = self.design(app);
-        let power = self.flow.power();
-        let run_with = |k_intra: f64, k_inter: f64| {
-            let cfg = self.flow.config().clone().with_degrees(k_intra, k_inter);
-            let flow = DesignFlow::new(cfg.clone()).expect("degree variant is valid");
-            let spec = flow.winoc_spec(d, cfg.placement);
-            run_system(&spec, &d.workload, &cfg, power).network_edp()
-        };
-        DegreeComparison {
-            app,
-            edp_31: run_with(3.0, 1.0),
-            edp_22: run_with(2.0, 2.0),
-        }
+        degree_split(&self.flow, self.design(app))
     }
 }
 
@@ -628,22 +606,9 @@ pub struct HeadlineStats {
 
 /// Runs the whole evaluation for `seeds` different workload seeds derived
 /// from `cfg.seed` and aggregates the headline metrics — reproduction
-/// claims should not hinge on one lucky corpus.
-///
-/// # Errors
-///
-/// Returns the validation message if `cfg` is inconsistent.
-///
-/// # Panics
-///
-/// Panics if `seeds == 0`.
-pub fn headline_across_seeds(cfg: &PlatformConfig, seeds: usize) -> Result<HeadlineStats, String> {
-    headline_across_seeds_with_jobs(cfg, seeds, 1)
-}
-
-/// [`headline_across_seeds`] with the whole sweep — every seed's designs
-/// and runs — flattened into one job graph executed on `jobs` workers.
-/// Output is byte-identical for any worker count.
+/// claims should not hinge on one lucky corpus. The whole sweep — every
+/// seed's designs and runs — is flattened into one job graph executed on
+/// `jobs` workers; output is byte-identical for any worker count.
 ///
 /// # Errors
 ///
@@ -787,7 +752,8 @@ mod tests {
 
     #[test]
     fn seed_sweep_aggregates() -> Result<(), String> {
-        let stats = headline_across_seeds(&PlatformConfig::small().with_scale(0.002), 2)?;
+        let stats =
+            headline_across_seeds_with_jobs(&PlatformConfig::small().with_scale(0.002), 2, 1)?;
         assert_eq!(stats.samples.len(), 2);
         assert!(stats.avg_saving_std >= 0.0);
         assert!(stats.penalty_std >= 0.0);

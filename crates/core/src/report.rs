@@ -1,10 +1,16 @@
 //! Text rendering of the experiment results — the same rows and series the
 //! paper's tables and figures report.
 
-use crate::experiments::{
-    DegreeComparison, ExperimentContext, Fig2Series, Fig4Row, Fig5Row, Fig6Row, Fig7Row, Fig8Row,
-    Headline, Table1Row, Table2Row,
+use crate::ablations::{
+    adaptive_router_contribution, clustering_contribution, degree_split, headroom_sweep,
+    steal_policy_contribution, wireless_contribution, DegreeComparison,
 };
+use crate::design_flow::DesignFlow;
+use crate::experiments::{
+    ExperimentContext, Fig2Series, Fig4Row, Fig5Row, Fig6Row, Fig7Row, Fig8Row, Headline,
+    Table1Row, Table2Row,
+};
+use mapwave_phoenix::apps::App;
 
 fn hr(width: usize) -> String {
     "-".repeat(width)
@@ -256,6 +262,44 @@ pub fn full_report(ctx: &ExperimentContext) -> String {
     out
 }
 
+/// Runs the one-knob ablations on `flow`'s platform and renders them: the
+/// four [`crate::ablations`] knobs for WC, KMEANS and HIST, the HIST
+/// headroom frontier, and the WC and HIST degree split.
+pub fn ablations(flow: &DesignFlow) -> String {
+    let mut out = String::from("Ablations: benefit = without the feature / with it.\n");
+    let mut degrees = Vec::new();
+    for app in [App::WordCount, App::Kmeans, App::Histogram] {
+        let design = flow.design(app);
+        for ablation in [
+            wireless_contribution(flow, &design),
+            steal_policy_contribution(flow, &design),
+            clustering_contribution(flow, &design),
+            adaptive_router_contribution(flow, &design),
+        ] {
+            out.push_str(&format!(
+                "{:<8} {:<40} EDP benefit {:>6.3}x  time benefit {:>6.3}x\n",
+                app.name(),
+                ablation.knob,
+                ablation.edp_benefit(),
+                ablation.time_benefit()
+            ));
+        }
+        if app != App::Kmeans {
+            degrees.push(degree_split(flow, &design));
+        }
+    }
+    out.push_str("\nheadroom frontier (HIST, VFI mesh vs NVFI mesh):\n");
+    for p in headroom_sweep(flow.config(), App::Histogram, &[0.95, 0.8, 0.65, 0.5]) {
+        out.push_str(&format!(
+            "  headroom {:>4.2}: time x{:.3}, EDP x{:.3}\n",
+            p.headroom, p.time_ratio, p.edp_ratio
+        ));
+    }
+    out.push('\n');
+    out.push_str(&fig6_degrees(&degrees));
+    out
+}
+
 /// CSV renderings of the figure series, for external plotting.
 pub mod csv {
     use super::*;
@@ -337,8 +381,8 @@ pub mod csv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlatformConfig;
     use crate::experiments::{Fig8Row, Headline};
-    use mapwave_phoenix::apps::App;
 
     #[test]
     fn fig8_renders_rows() {
@@ -396,6 +440,43 @@ mod tests {
         assert_eq!(s.trim_end().lines().count(), 1 + 8);
         assert!(s.contains("LR,vfi_mesh,map,0.600000"));
         assert!(s.contains("LR,vfi_winoc,merge,0.000000"));
+    }
+
+    #[test]
+    fn ablations_render_every_knob_frontier_point_and_degree_row() {
+        let flow = DesignFlow::new(PlatformConfig::small().with_scale(0.002)).unwrap();
+        let s = ablations(&flow);
+        let benefit_lines: Vec<&str> = s.lines().filter(|l| l.contains("EDP benefit")).collect();
+        assert_eq!(benefit_lines.len(), 12, "{s}");
+        for (i, app) in ["WC", "KMEANS", "HIST"].into_iter().enumerate() {
+            for (j, knob) in [
+                "mm-wave wireless overlay",
+                "design-time steal policy choice",
+                "Eq. (1) utilization+traffic clustering",
+                "2-VC Duato-adaptive router (extension)",
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let line = benefit_lines[4 * i + j];
+                assert!(line.starts_with(&format!("{app:<8} {knob}")), "{line}");
+            }
+        }
+        let frontier = s.split("headroom frontier").nth(1).expect("frontier block");
+        for h in ["0.95", "0.80", "0.65", "0.50"] {
+            assert_eq!(
+                frontier.matches(&format!("  headroom {h}: time x")).count(),
+                1,
+                "{s}"
+            );
+        }
+        let degrees = s.split("Degree sweep").nth(1).expect("degree block");
+        let rows: Vec<&str> = degrees.lines().skip(3).collect();
+        assert_eq!(rows.len(), 2, "{s}");
+        assert!(
+            rows[0].starts_with("WC ") && rows[1].starts_with("HIST "),
+            "{s}"
+        );
     }
 
     #[test]

@@ -40,18 +40,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when never used).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A keyed in-memory memo for one stage kind.
 ///
 /// `const`-constructible, so caches are declared as `static`s shared by
@@ -164,13 +152,6 @@ mod tests {
                 misses: 100
             }
         );
-    }
-
-    #[test]
-    fn hit_rate_is_sane() {
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        let s = CacheStats { hits: 3, misses: 1 };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
