@@ -13,6 +13,9 @@
 //!   the coarse-then-fine large-die schedule against the flat reference;
 //! * `routing_build_256` — one up*/down* routing table for the 16×16
 //!   WiNoC with its max-wireless overlay (24 WIs over 6 channels);
+//! * `mapping_refine` — min-hop thread-mapping refinement under seeded
+//!   dense traffic and Manhattan tile distances: the flat best-improvement
+//!   loop at 64 cores and the block-swap + polish hierarchy at 256;
 //! * `run_system` — one WordCount WiNoC report on the 64-core paper
 //!   platform with the reused-simulator relaxation loop (current
 //!   implementation only; the pre-optimization median is recorded in
@@ -36,14 +39,15 @@
 use mapwave::config::{PlacementStrategy, PlatformConfig};
 use mapwave::design_flow::DesignFlow;
 use mapwave::placement::{
-    anneal_wi_placement, anneal_wi_placement_reference, center_wis, WINOC_HUB_EDGE_WEIGHT,
+    anneal_wi_placement, anneal_wi_placement_reference, center_wis, initial_mapping,
+    refine_mapping_min_hop, WINOC_HUB_EDGE_WEIGHT,
 };
 use mapwave::system::run_system;
 use mapwave_bench::{time, Bench};
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::prelude::*;
 use mapwave_phoenix::apps::App;
-use mapwave_vfi::clustering::ClusteringProblem;
+use mapwave_vfi::clustering::{Clustering, ClusteringProblem};
 
 /// The seeded LCG stream of the equivalence tests, as values in [0, 2).
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -200,6 +204,32 @@ fn main() {
             );
         }),
     );
+
+    // Min-hop thread-mapping refinement: the flat path at the paper's 64
+    // cores and the hierarchical path at 256, on the traffic of the
+    // placement equivalence tests.
+    for side in [8usize, 16] {
+        let n = side * side;
+        let clustering = Clustering::grid_quadrants(side, side);
+        let traffic = lcg_traffic(n, 29);
+        let manhattan = |a: NodeId, b: NodeId| {
+            let (ac, ar) = (a.index() % side, a.index() / side);
+            let (bc, br) = (b.index() % side, b.index() / side);
+            (ac.abs_diff(bc) + ar.abs_diff(br)) as f64
+        };
+        let initial = initial_mapping(&clustering, side, side);
+        bench.row(
+            format!("mapping_refine_{n}"),
+            ms(|| {
+                std::hint::black_box(refine_mapping_min_hop(
+                    initial.clone(),
+                    &clustering,
+                    &traffic,
+                    manhattan,
+                ));
+            }),
+        );
+    }
 
     // One full-system report: WordCount on the min-hop WiNoC spec of the
     // 64-core paper platform, the heaviest single call of the evaluation.

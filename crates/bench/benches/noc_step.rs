@@ -3,8 +3,8 @@
 //! Three 64-core fabrics (mesh, small world, WiNoC) × two operating points
 //! (low injection, saturation) time full `NetworkSim::run` windows and
 //! report throughput in simulated cycles per wall-clock second — the figure
-//! of merit for the active-set scheduler, which aims to make cycle cost
-//! proportional to in-flight flits rather than topology size. Parametric
+//! of merit for the wake-calendar scheduler, which aims to make cycle cost
+//! proportional to the switches with work rather than topology size. Parametric
 //! 256-core (16×16) and 1024-core (32×32) rows cover the generated large
 //! fabrics; their saturation rates drop with the mesh bisection bandwidth
 //! per node.

@@ -3,8 +3,9 @@
 //! ```text
 //! mapwave report   [--scale S] [--seed N] [--jobs J] [--trace F]
 //!                                               full evaluation (all tables/figures)
-//! mapwave design   <APP> [--scale S]            design-flow detail for one application
-//! mapwave ablations [--scale S]                 one-knob ablations, headroom, degree split
+//! mapwave design   <APP> [--scale S] [--trace F]
+//!                                               design-flow detail for one application
+//! mapwave ablations [--scale S] [--trace F]     one-knob ablations, headroom, degree split
 //! mapwave table1 | table2 | fig2 | fig4 | fig5 | fig6 | fig7 | fig8 | headline
 //!                  [--scale S] [--jobs J]       one artefact
 //! mapwave help                                  this text
@@ -13,8 +14,9 @@
 //! `S` is the input scale relative to the paper's Table-1 dataset sizes
 //! (default 0.02); `APP` is one of HIST, KMEANS, LR, MM, PCA, WC. `--jobs`
 //! parallelises the evaluation over a worker pool with byte-identical
-//! output, and `--trace` writes a Chrome-trace JSON of every recorded
-//! stage to the given path.
+//! output; commands that build no job graph (`design`, `ablations`,
+//! `timeline`, `topology`) reject it. `--trace` writes a Chrome-trace JSON
+//! of every recorded stage to the given path, on every command.
 
 use mapwave::experiments::headline_across_seeds_with_jobs;
 use mapwave::prelude::*;
@@ -30,7 +32,8 @@ struct Args {
     scale: f64,
     seed: u64,
     seeds: usize,
-    jobs: usize,
+    /// `--jobs`, when given: commands without a job graph reject it.
+    jobs: Option<usize>,
     trace: Option<String>,
 }
 
@@ -40,7 +43,7 @@ fn parse_args() -> Result<Args, String> {
     let mut scale = 0.02;
     let mut seed = 0xDAC_2015u64;
     let mut seeds = 3usize;
-    let mut jobs = 1usize;
+    let mut jobs = None;
     let mut trace = None;
     let mut it = std::env::args().skip(1);
     if let Some(c) = it.next() {
@@ -70,14 +73,15 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad seed count: {e}"))?;
             }
             "--jobs" => {
-                jobs = it
+                let j: usize = it
                     .next()
                     .ok_or("--jobs needs a value")?
                     .parse()
                     .map_err(|e| format!("bad job count: {e}"))?;
-                if jobs == 0 {
+                if j == 0 {
                     return Err("--jobs needs at least one worker".into());
                 }
+                jobs = Some(j);
             }
             "--trace" => {
                 trace = Some(it.next().ok_or("--trace needs a file path")?);
@@ -148,13 +152,29 @@ OPTIONS:
     --scale S   input scale vs the paper's Table-1 sizes (default 0.02)
     --seed  N   workload generation seed (default 0xDAC2015)
     --jobs  J   worker threads for the evaluation job graph (default 1;
-                output is byte-identical for any J)
+                output is byte-identical for any J); report, the single
+                artefacts and seeds only
     --trace F   write a Chrome-trace JSON of all recorded stages to F
 
 APP is one of: HIST, KMEANS, LR, MM, PCA, WC.";
 
 fn main() -> Result<(), String> {
     let args = parse_args()?;
+    if matches!(args.command.as_str(), "help" | "--help" | "-h") {
+        if args.jobs.is_some() || args.trace.is_some() {
+            return Err("help takes no --jobs or --trace".into());
+        }
+        println!("{HELP}");
+        return Ok(());
+    }
+    telemetry::enable();
+    run(&args)?;
+    finish_telemetry(args.trace.as_deref())
+}
+
+/// Runs one command, printing its artefact to stdout.
+fn run(args: &Args) -> Result<(), String> {
+    let jobs = args.jobs.unwrap_or(1);
     let cfg = PlatformConfig::paper()
         .with_scale(args.scale)
         .with_seed(args.seed);
@@ -176,11 +196,10 @@ fn main() -> Result<(), String> {
         eprintln!(
             "designing & simulating all six applications at scale {} ({} worker{}) ...",
             args.scale,
-            args.jobs,
-            if args.jobs == 1 { "" } else { "s" }
+            jobs,
+            if jobs == 1 { "" } else { "s" }
         );
-        telemetry::enable();
-        let ctx = ExperimentContext::new_parallel(cfg, args.jobs)?;
+        let ctx = ExperimentContext::new_parallel(cfg, jobs)?;
         let out = match args.command.as_str() {
             "report" => report::full_report(&ctx),
             "table1" => report::table1(&ctx.table1()),
@@ -195,11 +214,14 @@ fn main() -> Result<(), String> {
             _ => unreachable!("guarded by needs_ctx"),
         };
         println!("{out}");
-        finish_telemetry(args.trace.as_deref())?;
         return Ok(());
     }
 
     match args.command.as_str() {
+        "design" | "ablations" | "timeline" | "topology" if args.jobs.is_some() => Err(format!(
+            "{} builds no job graph and takes no --jobs",
+            args.command
+        )),
         "design" => {
             let app = args
                 .app
@@ -233,8 +255,7 @@ fn main() -> Result<(), String> {
             Ok(())
         }
         "seeds" => {
-            telemetry::enable();
-            let stats = headline_across_seeds_with_jobs(&cfg, args.seeds, args.jobs)?;
+            let stats = headline_across_seeds_with_jobs(&cfg, args.seeds, jobs)?;
             for (i, h) in stats.samples.iter().enumerate() {
                 println!(
                     "seed {i}: avg saving {:>5.1}%, max {:>5.1}% ({}), worst penalty {:>+6.2}%",
@@ -251,7 +272,7 @@ fn main() -> Result<(), String> {
                 stats.penalty_mean * 100.0,
                 stats.penalty_std * 100.0
             );
-            finish_telemetry(args.trace.as_deref())
+            Ok(())
         }
         "ablations" => {
             println!("{}", report::ablations(&DesignFlow::new(cfg)?));
@@ -305,10 +326,6 @@ fn main() -> Result<(), String> {
                     spec.overlay.len()
                 );
             }
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'; try `mapwave help`")),

@@ -132,45 +132,93 @@ pub fn refine_mapping_min_hop<F: Fn(NodeId, NodeId) -> f64>(
     }
 }
 
-/// The directed O(n) swap delta shared by the flat and hierarchical paths:
-/// cost change from swapping the tiles of threads `a` and `b`, over the
-/// flattened distance (`d`) and rate (`r`) tables.
-#[inline]
-fn directed_swap_delta(
-    tile_of: impl Fn(usize) -> usize,
-    d: &[f64],
-    r: &[f64],
+/// The flattened `n × n` distance (`d[u * n + w]`) and rate
+/// (`r[i * n + j]`) tables a swap delta reads, with their transposes, so
+/// that every read of [`SwapTables::delta`] walks a row rather than a
+/// column.
+struct SwapTables {
     n: usize,
-    a: usize,
-    b: usize,
-) -> f64 {
-    let (ta, tb) = (tile_of(a), tile_of(b));
-    // Swapping threads a <-> b only changes terms involving a or b:
-    // a's traffic is re-routed from tile ta to tb and vice versa.
-    let mut delta = 0.0;
-    for t in 0..n {
-        if t == a || t == b {
-            continue;
-        }
-        let tt = tile_of(t);
-        let (rat, rta) = (r[a * n + t], r[t * n + a]);
-        if rat != 0.0 {
-            delta += rat * (d[tb * n + tt] - d[ta * n + tt]);
-        }
-        if rta != 0.0 {
-            delta += rta * (d[tt * n + tb] - d[tt * n + ta]);
-        }
-        let (rbt, rtb) = (r[b * n + t], r[t * n + b]);
-        if rbt != 0.0 {
-            delta += rbt * (d[ta * n + tt] - d[tb * n + tt]);
-        }
-        if rtb != 0.0 {
-            delta += rtb * (d[tt * n + ta] - d[tt * n + tb]);
+    d: Vec<f64>,
+    dt: Vec<f64>,
+    r: Vec<f64>,
+    rt: Vec<f64>,
+}
+
+impl SwapTables {
+    fn new(n: usize, d: Vec<f64>, r: Vec<f64>) -> Self {
+        let transpose =
+            |m: &[f64]| -> Vec<f64> { (0..n * n).map(|k| m[(k % n) * n + k / n]).collect() };
+        SwapTables {
+            n,
+            dt: transpose(&d),
+            rt: transpose(&r),
+            d,
+            r,
         }
     }
-    delta += r[a * n + b] * (d[tb * n + ta] - d[ta * n + tb]);
-    delta += r[b * n + a] * (d[ta * n + tb] - d[tb * n + ta]);
-    delta
+
+    /// The directed O(n) swap delta shared by the flat and hierarchical
+    /// paths: the cost change from swapping the tiles of threads `a` and
+    /// `b`. It reads eight rows — `a`'s and `b`'s outgoing and incoming
+    /// rates, and the distances from and to tiles `ta` and `tb` — in the
+    /// same terms and summation order as a column-walking loop over `d`
+    /// and `r` alone.
+    #[inline]
+    fn delta<'a>(&'a self, tile_of: impl Fn(usize) -> usize, a: usize, b: usize) -> f64 {
+        let n = self.n;
+        let row = |m: &'a [f64], i: usize| &m[i * n..(i + 1) * n];
+        let (ta, tb) = (tile_of(a), tile_of(b));
+        let (r_a, r_b, rt_a, rt_b) = (
+            row(&self.r, a),
+            row(&self.r, b),
+            row(&self.rt, a),
+            row(&self.rt, b),
+        );
+        let (d_ta, d_tb) = (row(&self.d, ta), row(&self.d, tb));
+        let (dt_ta, dt_tb) = (row(&self.dt, ta), row(&self.dt, tb));
+        // Swapping threads a <-> b only changes terms involving a or b:
+        // a's traffic is re-routed from tile ta to tb and vice versa.
+        let mut delta = 0.0;
+        for t in 0..n {
+            if t == a || t == b {
+                continue;
+            }
+            let tt = tile_of(t);
+            let (rat, rta) = (r_a[t], rt_a[t]);
+            if rat != 0.0 {
+                delta += rat * (d_tb[tt] - d_ta[tt]);
+            }
+            if rta != 0.0 {
+                delta += rta * (dt_tb[tt] - dt_ta[tt]);
+            }
+            let (rbt, rtb) = (r_b[t], rt_b[t]);
+            if rbt != 0.0 {
+                delta += rbt * (d_ta[tt] - d_tb[tt]);
+            }
+            if rtb != 0.0 {
+                delta += rtb * (dt_ta[tt] - dt_tb[tt]);
+            }
+        }
+        delta += r_a[b] * (d_tb[ta] - d_ta[tb]);
+        delta += r_b[a] * (d_ta[tb] - d_tb[ta]);
+        delta
+    }
+}
+
+/// The swap tables of an `n`-thread refinement: `dist` between every tile
+/// pair and the traffic rate between every thread pair.
+fn flat_tables<F: Fn(NodeId, NodeId) -> f64>(
+    n: usize,
+    traffic: &TrafficMatrix,
+    dist: F,
+) -> SwapTables {
+    let d = (0..n * n)
+        .map(|k| dist(NodeId(k / n), NodeId(k % n)))
+        .collect();
+    let r = (0..n * n)
+        .map(|k| traffic.rate(NodeId(k / n), NodeId(k % n)))
+        .collect();
+    SwapTables::new(n, d, r)
 }
 
 /// The flat (≤ [`HIER_LEAF`]) best-improvement refinement.
@@ -181,14 +229,9 @@ fn refine_mapping_min_hop_flat<F: Fn(NodeId, NodeId) -> f64>(
     dist: F,
 ) -> ThreadMapping {
     let n = mapping.len();
-    // Flat lookups: d[t*n+u] = tile distance, r[i*n+j] = traffic rate, and
-    // the within-quadrant candidate pairs (a < b) in scan order.
-    let d: Vec<f64> = (0..n * n)
-        .map(|k| dist(NodeId(k / n), NodeId(k % n)))
-        .collect();
-    let r: Vec<f64> = (0..n * n)
-        .map(|k| traffic.rate(NodeId(k / n), NodeId(k % n)))
-        .collect();
+    // Flat lookups (tile distances, traffic rates) and the within-quadrant
+    // candidate pairs (a < b) in scan order.
+    let tables = flat_tables(n, traffic, dist);
     let pairs: Vec<(usize, usize)> = (0..n)
         .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
         .filter(|&(a, b)| clustering.cluster_of(a) == clustering.cluster_of(b))
@@ -197,7 +240,7 @@ fn refine_mapping_min_hop_flat<F: Fn(NodeId, NodeId) -> f64>(
     for _ in 0..max_passes {
         let mut best: Option<(usize, usize, f64)> = None;
         for &(a, b) in &pairs {
-            let delta = directed_swap_delta(|t| mapping.tile_of(t).index(), &d, &r, n, a, b);
+            let delta = tables.delta(|t| mapping.tile_of(t).index(), a, b);
             if delta < -1e-12 && best.is_none_or(|(_, _, dd)| delta < dd) {
                 best = Some((a, b, delta));
             }
@@ -219,12 +262,8 @@ fn refine_mapping_min_hop_hier<F: Fn(NodeId, NodeId) -> f64>(
     dist: F,
 ) -> ThreadMapping {
     let n = mapping.len();
-    let d: Vec<f64> = (0..n * n)
-        .map(|k| dist(NodeId(k / n), NodeId(k % n)))
-        .collect();
-    let r: Vec<f64> = (0..n * n)
-        .map(|k| traffic.rate(NodeId(k / n), NodeId(k % n)))
-        .collect();
+    let tables = flat_tables(n, traffic, dist);
+    let (d, r) = (&tables.d, &tables.r);
 
     const BLOCK: usize = 4;
     let m = clustering.cluster_count();
@@ -304,6 +343,7 @@ fn refine_mapping_min_hop_hier<F: Fn(NodeId, NodeId) -> f64>(
             }
         }
 
+        let block_tables = SwapTables::new(nb, gd, gr);
         let gpairs: Vec<(usize, usize)> = (0..nb)
             .flat_map(|a| (a + 1..nb).map(move |b| (a, b)))
             .filter(|&(a, b)| block_cluster[a] == block_cluster[b])
@@ -313,7 +353,7 @@ fn refine_mapping_min_hop_hier<F: Fn(NodeId, NodeId) -> f64>(
         for _ in 0..2 * nb {
             let mut best: Option<(usize, usize, f64)> = None;
             for &(a, b) in &gpairs {
-                let delta = directed_swap_delta(|g| assign[g], &gd, &gr, nb, a, b);
+                let delta = block_tables.delta(|g| assign[g], a, b);
                 if delta < -1e-12 && best.is_none_or(|(_, _, dd)| delta < dd) {
                     best = Some((a, b, delta));
                 }
@@ -357,7 +397,7 @@ fn refine_mapping_min_hop_hier<F: Fn(NodeId, NodeId) -> f64>(
     for _ in 0..polish_sweeps {
         let mut improved = false;
         for &(a, b) in &pairs {
-            let delta = directed_swap_delta(|t| mapping.tile_of(t).index(), &d, &r, n, a, b);
+            let delta = tables.delta(|t| mapping.tile_of(t).index(), a, b);
             if delta < -1e-12 {
                 mapping.swap_threads(a, b);
                 improved = true;
@@ -858,24 +898,69 @@ mod tests {
         }
     }
 
+    /// Grid distance on a `side × side` die where each hop toward row 0
+    /// costs `uphill` (1.0: Manhattan). Any other `uphill` makes
+    /// `dist(a, b) != dist(b, a)` whenever the rows differ, so a kernel
+    /// that reads a distance column where it means a row gets caught.
+    fn grid_dist(side: usize, uphill: f64) -> impl Fn(NodeId, NodeId) -> f64 + Copy {
+        move |a: NodeId, b: NodeId| {
+            let (ac, ar) = (a.index() % side, a.index() / side);
+            let (bc, br) = (b.index() % side, b.index() / side);
+            let climb = if br < ar { uphill } else { 1.0 };
+            ac.abs_diff(bc) as f64 + climb * ar.abs_diff(br) as f64
+        }
+    }
+
     #[test]
     fn min_hop_refinement_matches_reference_implementation() {
         for (n_side, seed) in [(4usize, 13u64), (8, 29)] {
-            let n = n_side * n_side;
-            let clustering = quad_clustering(n_side, n_side);
-            let traffic = lcg_traffic(n, seed);
-            let dist = |a: NodeId, b: NodeId| {
-                let (ac, ar) = (a.index() % n_side, a.index() / n_side);
-                let (bc, br) = (b.index() % n_side, b.index() / n_side);
-                (ac.abs_diff(bc) + ar.abs_diff(br)) as f64
-            };
-            let initial = initial_mapping(&clustering, n_side, n_side);
-            let fast = refine_mapping_min_hop(initial.clone(), &clustering, &traffic, dist);
-            let slow = refine_mapping_min_hop_reference(initial, &clustering, &traffic, dist);
-            let fast_tiles: Vec<usize> = (0..n).map(|t| fast.tile_of(t).index()).collect();
-            let slow_tiles: Vec<usize> = (0..n).map(|t| slow.tile_of(t).index()).collect();
-            assert_eq!(fast_tiles, slow_tiles, "n={n} seed={seed}");
+            for uphill in [1.0, 1.5] {
+                let n = n_side * n_side;
+                let clustering = quad_clustering(n_side, n_side);
+                let traffic = lcg_traffic(n, seed);
+                let dist = grid_dist(n_side, uphill);
+                let initial = initial_mapping(&clustering, n_side, n_side);
+                let fast = refine_mapping_min_hop(initial.clone(), &clustering, &traffic, dist);
+                let slow = refine_mapping_min_hop_reference(initial, &clustering, &traffic, dist);
+                let fast_tiles: Vec<usize> = (0..n).map(|t| fast.tile_of(t).index()).collect();
+                let slow_tiles: Vec<usize> = (0..n).map(|t| slow.tile_of(t).index()).collect();
+                assert_eq!(fast_tiles, slow_tiles, "n={n} seed={seed} uphill={uphill}");
+            }
         }
+    }
+
+    /// Thread → tile of [`hierarchical_min_hop_matches_pinned_tiles`].
+    const PINNED_HIER_TILES: [usize; 256] = [
+        17, 18, 21, 112, 36, 55, 83, 114, 28, 12, 125, 61, 111, 95, 109, 79, 81, 65, 71, 87, 99,
+        103, 113, 34, 90, 41, 72, 26, 120, 11, 105, 107, 2, 22, 116, 38, 37, 96, 84, 85, 93, 42,
+        106, 74, 40, 8, 108, 27, 118, 3, 64, 51, 70, 48, 50, 119, 59, 13, 14, 43, 91, 62, 25, 29,
+        52, 66, 4, 49, 35, 102, 67, 101, 94, 15, 9, 92, 122, 77, 58, 121, 0, 32, 16, 80, 39, 19,
+        100, 54, 126, 31, 88, 76, 24, 63, 60, 30, 117, 1, 82, 7, 98, 69, 53, 68, 75, 47, 104, 123,
+        127, 89, 124, 73, 20, 5, 86, 33, 97, 115, 6, 23, 56, 44, 57, 46, 110, 45, 10, 78, 199, 161,
+        131, 230, 167, 163, 193, 244, 248, 217, 237, 155, 185, 201, 220, 169, 229, 176, 147, 182,
+        151, 247, 208, 133, 168, 187, 136, 222, 223, 189, 158, 204, 145, 181, 178, 150, 164, 166,
+        134, 162, 142, 188, 254, 218, 170, 239, 207, 156, 128, 195, 130, 243, 129, 149, 179, 148,
+        255, 141, 203, 219, 140, 171, 205, 157, 160, 180, 194, 227, 192, 225, 231, 144, 251, 138,
+        233, 249, 153, 173, 234, 236, 224, 197, 196, 135, 242, 228, 241, 183, 184, 172, 152, 159,
+        200, 174, 154, 186, 132, 146, 198, 213, 209, 246, 212, 214, 143, 191, 238, 206, 139, 252,
+        235, 190, 177, 226, 245, 240, 210, 165, 215, 211, 202, 250, 253, 216, 137, 221, 175, 232,
+    ];
+
+    #[test]
+    fn hierarchical_min_hop_matches_pinned_tiles() {
+        // 256 cores take the block-swap + polish path, which has no
+        // reference implementation. Under the uphill distance the block
+        // tables and the core tables are both asymmetric; the tile vector
+        // was recorded from a kernel that read `d` and `r` by column.
+        let side = 16;
+        let clustering = quad_clustering(side, side);
+        let traffic = lcg_traffic(side * side, 21);
+        let initial = initial_mapping(&clustering, side, side);
+        let refined = refine_mapping_min_hop(initial, &clustering, &traffic, grid_dist(side, 1.5));
+        let tiles: Vec<usize> = (0..side * side)
+            .map(|t| refined.tile_of(t).index())
+            .collect();
+        assert_eq!(tiles, PINNED_HIER_TILES);
     }
 
     #[test]

@@ -7,25 +7,29 @@
 //! optionally hop across token-arbitrated wireless channels, and are ejected
 //! at their destinations, accumulating latency and energy statistics.
 //!
-//! ## Active-set scheduling
+//! ## Wake-calendar scheduling
 //!
-//! A switch with no buffered flits does nothing observable when clocked:
-//! its round-robin pointer, wormhole bindings and output ownership are
-//! untouched, and no flit can move. The inner loop therefore keeps an
-//! **active set** — a bitset of the switches currently holding at least
-//! one flit — and each sweep walks, in ascending order, a snapshot of it
-//! taken at sweep start. Switches enroll when a flit arrives (from a
-//! source queue or an upstream switch) and drop out once they drain, so
-//! per-cycle cost is proportional to the number of in-flight flits rather
-//! than the topology size.
+//! A switch does nothing observable when clocked while every FIFO front it
+//! holds is still inside a router pipeline (or it holds none): its
+//! round-robin pointer, wormhole bindings and output ownership are
+//! untouched, and no flit can move. Each switch therefore carries a
+//! **wake** — the first cycle on which clocking it could matter — and the
+//! inner loop files switches by wake in a **calendar**: a timing wheel of
+//! switch bitsets, one bucket per cycle modulo the wheel size. Every
+//! finite wake lies within one router traversal of the current cycle, so
+//! the wheel (the next power of two above that horizon) never wraps onto a
+//! live bucket, and bucket `now` holds exactly the switches due now. Each
+//! sweep walks that one bucket in ascending switch order, so per-cycle
+//! cost is proportional to the switches with work rather than to the
+//! topology size or the number of in-flight flits.
 //!
 //! Within a switch, the per-switch occupancy and bound-slot bitmasks of
 //! [`FabricState`] split the probes: continuing wormholes walk the
 //! occupied bound slots, new heads the occupied unbound ones, so no probe
 //! is spent on a slot that cannot move.
 //!
-//! When no source is backlogged and every buffered flit is still in its
-//! router pipeline, the cycle loop **jumps** to the next switch wake,
+//! When no source is backlogged and no switch is due, the cycle loop
+//! **jumps** to the next switch wake (the first nonempty bucket),
 //! scheduled injection or phase end in one step, applying the idle
 //! token-MAC rotation in closed form. This one rule serves warmup, measure
 //! and drain alike; jumped cycles are observably identical to stepped idle
@@ -114,6 +118,40 @@ impl PackedRoute {
             phase,
         ))
     }
+}
+
+/// Packs the route of every reachable `(switch, phase, destination)` state
+/// of `table` into a flat `(v * 2 + phase) * n + dest` table;
+/// [`PackedRoute::NONE`] for unreachable states.
+fn packed_routes(topo: &Topology, ports: &PortMap, table: &RoutingTable) -> Vec<PackedRoute> {
+    let n = topo.len();
+    let mut packed = vec![PackedRoute::NONE; 2 * n * n];
+    for v in topo.nodes() {
+        for (pi, phase) in [(0usize, Phase::Up), (1, Phase::Down)] {
+            for d in 0..n {
+                let Some(entry) = table.try_entry(v, phase, NodeId(d)) else {
+                    continue;
+                };
+                let (out_port, wireless_to) = match entry.hop {
+                    Hop::Local => (PORT_LOCAL, None),
+                    Hop::Wire(w) => (ports.wire_port(v, w), None),
+                    Hop::Wireless { to, .. } => (
+                        ports
+                            .wireless_port(v)
+                            .expect("route uses wireless at a non-WI switch"),
+                        Some(to),
+                    ),
+                };
+                let route = OutRoute {
+                    out_port,
+                    wireless_to,
+                    down_vc: 0,
+                };
+                packed[(v.index() * 2 + pi) * n + d] = PackedRoute::pack(route, entry.next_phase);
+            }
+        }
+    }
+    packed
 }
 
 /// Tunable microarchitecture parameters of the simulated network.
@@ -327,14 +365,6 @@ pub struct NetworkSim<'a> {
     /// VC new packets are injected on (the top VC when adaptive).
     inject_vc: usize,
 
-    /// The active set: bit `v % 64` of word `v / 64` is set iff switch `v`
-    /// is enrolled (holds at least one flit).
-    active: Vec<u64>,
-    /// Copy of `active` taken at sweep start; the sweep walks it, so
-    /// switches enrolled mid-sweep wait for the next cycle.
-    active_snap: Vec<u64>,
-    /// Whether a switch enrolled since the last sweep started.
-    newly_enrolled: bool,
     /// Sources with a nonempty source queue.
     src_list: Vec<u32>,
     /// Membership flags for `src_list`.
@@ -350,17 +380,23 @@ pub struct NetworkSim<'a> {
     /// Whether the class clock fires on the current cycle.
     class_fires: Vec<bool>,
     /// Earliest cycle at which processing switch `v` could do anything
-    /// observable (`u64::MAX` when dormant). Between a switch's last
-    /// processed cycle and `wake[v]`, clocking it is a proven no-op: every
-    /// FIFO front is still inside a router pipeline, so `process_switch`
-    /// would mutate nothing. A switch that saw a ready front this cycle
-    /// (moved *or* blocked) wakes again next cycle; pushes into `v` lower
-    /// `wake[v]` to the new flit's pipeline exit.
+    /// observable (`u64::MAX` when dormant: empty, or parked with no front
+    /// in flight). Between a switch's last processed cycle and `wake[v]`,
+    /// clocking it is a proven no-op: every FIFO front is still inside a
+    /// router pipeline, so `process_switch` would mutate nothing. A switch
+    /// that saw a ready front this cycle (moved *or* blocked) wakes again
+    /// next cycle; pushes into `v` lower `wake[v]` to the new flit's
+    /// pipeline exit. Written only through [`NetworkSim::set_wake`].
     wake: Vec<u64>,
-    /// Minimum `wake` over the enrolled switches — the next cycle on which
-    /// any switch has work. May be stale-low (a wasted sweep recomputes
-    /// it), never stale-high.
-    next_due: u64,
+    /// The wake calendar: `wheel_mask + 1` buckets of `words` bitset words,
+    /// flattened `bucket * words + v / 64`. Bucket `t & wheel_mask` holds
+    /// exactly the switches with a finite `wake == t`.
+    calendar: Vec<u64>,
+    /// Calendar bucket count minus one (the count is a power of two above
+    /// the wake horizon, see [`NetworkSim::set_wake`]).
+    wheel_mask: u64,
+    /// Bitset words per calendar bucket.
+    words: usize,
 
     /// Per-cycle MAC holder snapshot.
     mac_holders: Vec<Option<NodeId>>,
@@ -395,16 +431,14 @@ pub struct NetworkSim<'a> {
 /// emitted once per [`NetworkSim::run`].
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkCounters {
-    /// Enrolled switches the sweep walked over.
-    switch_visits: u64,
-    /// Visits that clocked a due switch.
+    /// Due switches whose clock fired, so the sweep processed them.
     switches_processed: u64,
     /// Flits moved, switch to switch or source queue to injection port.
     flit_moves: u64,
     /// Head flits routed (a head blocked on its output is routed again
     /// on each retry).
     head_routes: u64,
-    /// Visits to a due switch whose clock sat out the cycle.
+    /// Due switches whose clock sat out the cycle.
     clock_gated_skips: u64,
 }
 
@@ -542,37 +576,7 @@ impl<'a> NetworkSim<'a> {
         // Precompute the full escape-route table: every reachable
         // (switch, phase, destination) state maps straight to its out-port
         // route, replacing per-flit table lookups and neighbour scans.
-        let mut escape = vec![PackedRoute::NONE; 2 * n * n];
-        for v in topo.nodes() {
-            for (pi, phase) in [(0usize, Phase::Up), (1, Phase::Down)] {
-                for d in 0..n {
-                    let Some(entry) = table.try_entry(v, phase, NodeId(d)) else {
-                        continue;
-                    };
-                    let route = match entry.hop {
-                        Hop::Local => OutRoute {
-                            out_port: PORT_LOCAL,
-                            wireless_to: None,
-                            down_vc: 0,
-                        },
-                        Hop::Wire(w) => OutRoute {
-                            out_port: ports.wire_port(v, w),
-                            wireless_to: None,
-                            down_vc: 0,
-                        },
-                        Hop::Wireless { to, .. } => OutRoute {
-                            out_port: ports
-                                .wireless_port(v)
-                                .expect("route uses wireless at a non-WI switch"),
-                            wireless_to: Some(to),
-                            down_vc: 0,
-                        },
-                    };
-                    escape[(v.index() * 2 + pi) * n + d] =
-                        PackedRoute::pack(route, entry.next_phase);
-                }
-            }
-        }
+        let escape = packed_routes(&topo, &ports, &table);
 
         // Per-port link energies and domain-crossing penalties, aligned
         // with the port map's flat CSR indices.
@@ -620,6 +624,12 @@ impl<'a> NetworkSim<'a> {
             })
             .collect();
 
+        // Every finite wake lies in `[now, now + 1 + router_delay +
+        // sync_penalty]` (see `set_wake`): a wheel with at least as many
+        // buckets as that range has cycles gives each live wake its own.
+        let wheel = (cfg.router_delay + cfg.sync_penalty + 2).next_power_of_two() as usize;
+        let words = n.div_ceil(64);
+
         Ok(NetworkSim {
             link_flits: vec![0; total_ports],
             hop_dist,
@@ -629,9 +639,6 @@ impl<'a> NetworkSim<'a> {
             switch_pj,
             wi_channel,
             inject_vc,
-            active: vec![0; n.div_ceil(64)],
-            active_snap: Vec::with_capacity(n.div_ceil(64)),
-            newly_enrolled: false,
             src_list: Vec::with_capacity(n),
             src_listed: vec![false; n],
             clock_class,
@@ -639,7 +646,9 @@ impl<'a> NetworkSim<'a> {
             class_fires: vec![false; class_speed.len()],
             class_speed,
             wake: vec![u64::MAX; n],
-            next_due: u64::MAX,
+            calendar: vec![0; wheel * words],
+            wheel_mask: wheel as u64 - 1,
+            words,
             mac_holders: Vec::with_capacity(macs.len()),
             mac_used: Vec::with_capacity(macs.len()),
             out_used: vec![false; max_ports],
@@ -702,33 +711,7 @@ impl<'a> NetworkSim<'a> {
         let n = self.topo.len();
         let wired = RoutingTable::up_down(&self.topo, &WirelessOverlay::none())
             .expect("wireline topology must be connected");
-        let mut fallback = vec![PackedRoute::NONE; 2 * n * n];
-        for v in self.topo.nodes() {
-            for (pi, phase) in [(0usize, Phase::Up), (1, Phase::Down)] {
-                for d in 0..n {
-                    let Some(entry) = wired.try_entry(v, phase, NodeId(d)) else {
-                        continue;
-                    };
-                    let route = match entry.hop {
-                        Hop::Local => OutRoute {
-                            out_port: PORT_LOCAL,
-                            wireless_to: None,
-                            down_vc: 0,
-                        },
-                        Hop::Wire(w) => OutRoute {
-                            out_port: self.ports.wire_port(v, w),
-                            wireless_to: None,
-                            down_vc: 0,
-                        },
-                        Hop::Wireless { .. } => {
-                            unreachable!("wireline-only table cannot route wireless")
-                        }
-                    };
-                    fallback[(v.index() * 2 + pi) * n + d] =
-                        PackedRoute::pack(route, entry.next_phase);
-                }
-            }
-        }
+        let fallback = packed_routes(&self.topo, &self.ports, &wired);
         self.faults = Some(NocFaults {
             plan: plan.clone(),
             fallback,
@@ -756,15 +739,13 @@ impl<'a> NetworkSim<'a> {
         self.delivered_measured = 0;
         self.stats = NetworkStats::default();
         self.link_flits.fill(0);
-        self.active.fill(0);
-        self.newly_enrolled = false;
         self.src_list.clear();
         self.src_listed.fill(false);
         self.parked.fill(false);
         self.class_acc.fill(0.0);
         self.class_fires.fill(false);
         self.wake.fill(u64::MAX);
-        self.next_due = u64::MAX;
+        self.calendar.fill(0);
         self.stepped_cycles = 0;
         self.steady_cycles = 0;
         self.work = WorkCounters::default();
@@ -838,7 +819,10 @@ impl<'a> NetworkSim<'a> {
         telemetry::count("noc.cycles_simulated", self.stepped_cycles);
         telemetry::count("noc.cycles_steady_replayed", self.steady_cycles);
         let w = self.work;
-        telemetry::count("noc.switch_visits", w.switch_visits);
+        telemetry::count(
+            "noc.switch_visits",
+            w.switches_processed + w.clock_gated_skips,
+        );
         telemetry::count("noc.switches_processed", w.switches_processed);
         telemetry::count("noc.flit_moves", w.flit_moves);
         telemetry::count("noc.head_routes", w.head_routes);
@@ -857,16 +841,14 @@ impl<'a> NetworkSim<'a> {
         while self.now < end
             || (self.now < drain_end && self.delivered_measured < self.injected_measured)
         {
-            // Idle jump: no source is backlogged, no switch gained its
-            // first flit, and every enrolled switch waits on a front still
-            // in its router pipeline (`next_due` is never stale-high). Up
+            // Idle jump: no source is backlogged and no switch is due. Up
             // to the next wake, scheduled injection or phase end, every
             // cycle is idle token-MAC bookkeeping — consume the stretch in
             // closed form.
-            if self.src_list.is_empty() && !self.newly_enrolled && self.next_due > self.now {
+            if self.src_list.is_empty() {
                 let next_event = sched.get(pos).map_or(u64::MAX, |e| e.cycle);
                 let phase_end = if self.now < end { end } else { drain_end };
-                let target = self.next_due.min(next_event).min(phase_end);
+                let target = self.next_due().min(next_event).min(phase_end);
                 if target > self.now {
                     self.steady_jump(target - self.now);
                     continue;
@@ -874,6 +856,17 @@ impl<'a> NetworkSim<'a> {
             }
             self.step(sched, &mut pos);
         }
+    }
+
+    /// The first cycle at or after `now` on which a switch is due — the
+    /// first nonempty calendar bucket — or `u64::MAX` when none is.
+    fn next_due(&self) -> u64 {
+        (self.now..=self.now + self.wheel_mask)
+            .find(|&t| {
+                let b = (t & self.wheel_mask) as usize * self.words;
+                self.calendar[b..b + self.words].iter().any(|&w| w != 0)
+            })
+            .unwrap_or(u64::MAX)
     }
 
     /// Cycles of the last run consumed by idle jumps.
@@ -965,7 +958,7 @@ impl<'a> NetworkSim<'a> {
         }
 
         // 2. Move one flit per backlogged node from the source queue into
-        //    the local input port, enrolling the switch. New packets start
+        //    the local input port, waking the switch. New packets start
         //    on the top VC (the adaptive one when adaptive routing is on).
         let mut src_list = std::mem::take(&mut self.src_list);
         let mut keep = 0;
@@ -982,9 +975,8 @@ impl<'a> NetworkSim<'a> {
                     self.fabric.push_back(slot, f);
                     self.work.flit_moves += 1;
                     if self.wake[s] > ready {
-                        self.wake[s] = ready;
+                        self.set_wake(s, ready);
                     }
-                    self.enroll(s);
                 }
             }
             if self.src_q[s].is_empty() {
@@ -1005,11 +997,8 @@ impl<'a> NetworkSim<'a> {
         self.mac_used.clear();
         self.mac_used.resize(self.macs.len(), false);
 
-        // 4. Switch operation, ascending over the active set (same-cycle
-        //    injections included, for router_delay = 0). A switch whose
-        //    `wake` lies in the future is skipped outright (clocking it is
-        //    a proven no-op). Switches that end the sweep empty are
-        //    dropped and re-enroll on arrival.
+        // 4. Switch operation, ascending over the switches due this cycle
+        //    (same-cycle injections included, for router_delay = 0).
         self.sweep();
 
         // 5. MAC bookkeeping.
@@ -1021,66 +1010,71 @@ impl<'a> NetworkSim<'a> {
         self.now += 1;
     }
 
-    /// Enrolls switch `v` in the active set (a no-op when enrolled).
+    /// Moves switch `v`'s wake to cycle `t` (`u64::MAX`: dormant) and its
+    /// calendar bit along with it. Every wake write goes through here.
+    ///
+    /// A finite wake lies in `[now, now + 1 + router_delay +
+    /// sync_penalty]`: a push readies its flit after one traversal, the
+    /// router pipeline and at most one sync penalty; an injection after
+    /// the pipeline; a parked or clock-gated switch retries now or next
+    /// cycle; and a switch's own pipeline-exit wake (`fut_min`) was set by
+    /// one of those. The wheel is sized to that horizon, so bucket
+    /// `t & wheel_mask` is never shared by two live cycles.
     #[inline(always)]
-    fn enroll(&mut self, v: usize) {
+    fn set_wake(&mut self, v: usize, t: u64) {
+        debug_assert!(
+            t == u64::MAX
+                || (self.now..=self.now + 1 + self.cfg.router_delay + self.cfg.sync_penalty)
+                    .contains(&t),
+            "wake {t} of switch {v} outside the calendar horizon at cycle {}",
+            self.now
+        );
         let (w, bit) = (v / 64, 1u64 << (v % 64));
-        if self.active[w] & bit == 0 {
-            self.active[w] |= bit;
-            self.newly_enrolled = true;
+        let old = self.wake[v];
+        if old != u64::MAX {
+            self.calendar[(old & self.wheel_mask) as usize * self.words + w] &= !bit;
         }
+        if t != u64::MAX {
+            self.calendar[(t & self.wheel_mask) as usize * self.words + w] |= bit;
+        }
+        self.wake[v] = t;
     }
 
-    /// The switch sweep: ascending over a snapshot of the active set taken
-    /// at sweep start, due switches processed, drained switches dropped.
-    /// A switch enrolled mid-sweep is left for the next cycle; its first
-    /// flit is still in the router pipeline, so it has nothing to do now.
-    ///
-    /// `next_due` is rebuilt inline: the walk folds in each kept switch's
-    /// wake right after it is processed, and the wake writes that can
-    /// touch a switch the walk has passed or will never reach (a push into
-    /// a lower-numbered or newly enrolled switch, a park rearm of a lower
-    /// wire peer — both in `try_advance`) fold their lowered value in at
-    /// the write. The result may sit below the true minimum when a push
-    /// lowers a due switch that is later processed and re-armed higher —
-    /// i.e. `next_due` stays stale-low-never-stale-high: a wasted sweep
-    /// recomputes it, and no switch with work is ever skipped.
+    /// The switch sweep: ascending over calendar bucket `now`, each due
+    /// switch processed (or, when its clock sits out the cycle, re-armed
+    /// for the next one). Processing a switch always moves its wake past
+    /// `now`, and the only wake written back to `now` mid-sweep is the park
+    /// rearm of a higher-numbered wire peer (`try_advance`), so the walk
+    /// re-reads the live word after each switch and takes its next set bit
+    /// above the one just visited.
     fn sweep(&mut self) {
-        let mut snap = std::mem::take(&mut self.active_snap);
-        snap.clear();
-        snap.extend_from_slice(&self.active);
-        self.work.switch_visits += snap.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        self.newly_enrolled = false;
-        self.next_due = u64::MAX;
-        for (w, &word) in snap.iter().enumerate() {
-            let mut m = word;
-            while m != 0 {
+        let base = (self.now & self.wheel_mask) as usize * self.words;
+        for w in 0..self.words {
+            let mut above = u64::MAX;
+            loop {
+                let m = self.calendar[base + w] & above;
+                if m == 0 {
+                    break;
+                }
                 let bit = m & m.wrapping_neg();
-                m ^= bit;
+                above = !(bit | (bit - 1));
                 let v = w * 64 + bit.trailing_zeros() as usize;
+                debug_assert_eq!(self.wake[v], self.now, "calendar bucket holds due switches");
                 debug_assert!(
                     self.fabric.holds_flits(NodeId(v)),
-                    "enrolled switches hold flits"
+                    "due switches hold flits"
                 );
-                if self.wake[v] <= self.now {
-                    if self.class_fires[self.clock_class[v] as usize] {
-                        self.work.switches_processed += 1;
-                        self.process_switch(v);
-                    } else {
-                        self.work.clock_gated_skips += 1;
-                        // The clock sat out this cycle: retry on the next
-                        // one, exactly as a per-cycle sweep would.
-                        self.wake[v] = self.now + 1;
-                    }
-                }
-                if self.fabric.holds_flits(NodeId(v)) {
-                    self.next_due = self.next_due.min(self.wake[v]);
+                if self.class_fires[self.clock_class[v] as usize] {
+                    self.work.switches_processed += 1;
+                    self.process_switch(v);
                 } else {
-                    self.active[w] &= !bit;
+                    self.work.clock_gated_skips += 1;
+                    // The clock sat out this cycle: retry on the next one,
+                    // exactly as a per-cycle sweep would.
+                    self.set_wake(v, self.now + 1);
                 }
             }
         }
-        self.active_snap = snap;
     }
 
     /// Translates an escape-table entry into a concrete route (down-VC 0).
@@ -1280,11 +1274,12 @@ impl<'a> NetworkSim<'a> {
         }
         let parkable = self.faults.is_none() && !any_moved && self.wi_channel[v] == u32::MAX;
         self.parked[v] = ready_now && parkable;
-        self.wake[v] = if ready_now && !parkable {
+        let wake = if ready_now && !parkable {
             self.now + 1
         } else {
             fut_min
         };
+        self.set_wake(v, wake);
     }
 
     /// Splits switch-local slot index `local` into `(port, vc)`; a plain
@@ -1452,13 +1447,7 @@ impl<'a> NetworkSim<'a> {
             if self.parked[u] {
                 let t = if u > v { self.now } else { self.now + 1 };
                 if self.wake[u] > t {
-                    self.wake[u] = t;
-                    if u < v {
-                        // `u` was already passed this sweep; fold its
-                        // lowered wake into `next_due`. A higher peer is
-                        // folded when the walk reaches it.
-                        self.next_due = self.next_due.min(t);
-                    }
+                    self.set_wake(u, t);
                 }
             }
         }
@@ -1509,15 +1498,8 @@ impl<'a> NetworkSim<'a> {
                 self.fabric.push_back(wslot, f);
                 let w = w.index();
                 if self.wake[w] > ready {
-                    self.wake[w] = ready;
+                    self.set_wake(w, ready);
                 }
-                // Fold the receiver's (possibly just-lowered) wake into
-                // `next_due`: the walk may have passed `w` already, or `w`
-                // may be enrolled only now and absent from the walk's
-                // snapshot. For a receiver processed later this sweep the
-                // fold is merely conservative (stale-low).
-                self.next_due = self.next_due.min(self.wake[w]);
-                self.enroll(w);
             }
         }
         self.out_used[o] = true;

@@ -2,7 +2,7 @@
 //!
 //! Each scenario pins the 128-bit [`NetworkStats::digest`] of one
 //! (topology, traffic, seed) combination, captured from the reference
-//! walk-every-switch implementation. The active-set simulator must
+//! walk-every-switch implementation. The wake-calendar simulator must
 //! reproduce every digest bit for bit — latency histograms, per-link
 //! loads, energy breakdowns and wireless shares included — so any
 //! scheduling or storage optimisation that perturbs observable behaviour
@@ -332,7 +332,7 @@ fn scenarios() -> Vec<Scenario> {
         expected: "6047f7abcfdb71acb57dc2f4f8f5221f",
     });
 
-    // 16x16 mesh: 256 switches, so the active set spans four 64-bit words
+    // 16x16 mesh: 256 switches, so a calendar bucket spans four 64-bit words
     // and flits cross word boundaries.
     v.push(Scenario {
         name: "mesh16_uniform",

@@ -1,9 +1,9 @@
 //! [`NetworkSim`] against a naive reference simulator.
 //!
 //! `NetworkSim` earns its speed with exactness-preserving shortcuts: the
-//! active-set bitset and its per-sweep snapshot, switch parking with wakes
-//! and the `next_due` fold, the idle jump, shared per-speed clock classes
-//! and the split occupancy-mask probes. The goldens pin a handful of
+//! wake calendar and its live-word sweep, switch parking with wakes, the
+//! idle jump to the first nonempty calendar bucket, shared per-speed clock
+//! classes and the split occupancy-mask probes. The goldens pin a handful of
 //! fabrics; this file keeps a simulator with none of those shortcuts and
 //! compares the whole [`NetworkStats`] of both, bit for bit, on seeded
 //! small fabrics.
@@ -630,8 +630,10 @@ fn random_case(seed: u64) -> (Net, TrafficMatrix, (u64, u64, u64)) {
         buffer_depth: rng.random_range(1..4usize),
         wi_buffer_depth: rng.random_range(1..9usize),
         packet_len: rng.random_range(1..7usize),
-        sync_penalty: rng.random_range(0..3u64),
-        router_delay: rng.random_range(0..4u64),
+        // Wake calendars of 2 to 16 buckets, so short windows wrap the
+        // wheel many times.
+        sync_penalty: rng.random_range(0..5u64),
+        router_delay: rng.random_range(0..10u64),
         vcs,
         adaptive: vcs == 2 && rng.random::<f64>() < 0.7,
         seed: rng.random_range(0..10_000u64),
@@ -766,4 +768,35 @@ fn saturated_xy_mesh_drains_match_reference() {
         assert_eq!(stats.in_flight_at_end, 0, "case {i}");
         assert_eq!(stats.packets_delivered, stats.packets_injected, "case {i}");
     }
+}
+
+/// Switch 0 of a 2×2 XY mesh ejects the traffic of switches 1 and 3, one
+/// flit per cycle, through single-flit input buffers. Switch 1 blocks on
+/// switch 0's full input and parks; when switch 0 pops that input, it
+/// rearms switch 1 for the same cycle, and the sweep must still process it
+/// — a higher-numbered switch in the bucket word it is walking.
+#[test]
+fn same_cycle_rearm_of_higher_parked_switch_matches_reference() {
+    let mut traffic = TrafficMatrix::zeros(4);
+    traffic.set(NodeId(1), NodeId(0), 0.4);
+    traffic.set(NodeId(3), NodeId(0), 0.4);
+    let net = Net {
+        topo: mesh(2, 2, 1.0),
+        overlay: WirelessOverlay::none(),
+        table: RoutingTable::xy(2, 2),
+        cfg: SimConfig {
+            buffer_depth: 1,
+            packet_len: 3,
+            sync_penalty: 0,
+            router_delay: 0,
+            seed: 5,
+            ..SimConfig::default()
+        },
+        speeds: vec![1.0; 4],
+        domains: vec![0; 4],
+        plan: None,
+    };
+    let stats = check(&net, &traffic, (20, 300, 20_000), "same-cycle rearm");
+    assert!(stats.packets_delivered > 0);
+    assert_eq!(stats.in_flight_at_end, 0);
 }
