@@ -3,20 +3,29 @@
 //! ```text
 //! mapwave report   [--scale S] [--seed N] [--jobs J] [--trace F]
 //!                                               full evaluation (all tables/figures)
-//! mapwave design   <APP> [--scale S] [--trace F]
-//!                                               design-flow detail for one application
-//! mapwave ablations [--scale S] [--trace F]     one-knob ablations, headroom, degree split
 //! mapwave table1 | table2 | fig2 | fig4 | fig5 | fig6 | fig7 | fig8 | headline
-//!                  [--scale S] [--jobs J]       one artefact
+//!                  [--scale S] [--seed N] [--jobs J] [--trace F]
+//!                                               one artefact
+//! mapwave seeds    [--scale S] [--seed N] [--seeds K] [--jobs J] [--trace F]
+//!                                               headline statistics across K workload seeds
+//! mapwave design   <APP> [--scale S] [--seed N] [--trace F]
+//!                                               design-flow detail for one application
+//! mapwave ablations [--scale S] [--seed N] [--trace F]
+//!                                               one-knob ablations, headroom, degree split
+//! mapwave timeline <APP> [--scale S] [--seed N] [--trace F]
+//!                                               ASCII Gantt on the NVFI and VFI platforms
+//! mapwave topology <APP> [--scale S] [--seed N] [--trace F]
+//!                                               graph metrics of the mesh and the WiNoC
 //! mapwave help                                  this text
 //! ```
 //!
 //! `S` is the input scale relative to the paper's Table-1 dataset sizes
-//! (default 0.02); `APP` is one of HIST, KMEANS, LR, MM, PCA, WC. `--jobs`
-//! parallelises the evaluation over a worker pool with byte-identical
-//! output; commands that build no job graph (`design`, `ablations`,
-//! `timeline`, `topology`) reject it. `--trace` writes a Chrome-trace JSON
-//! of every recorded stage to the given path, on every command.
+//! (default 0.02); `K` defaults to 3; `APP` is one of HIST, KMEANS, LR, MM,
+//! PCA, WC. `--jobs` parallelises the evaluation over a worker pool with
+//! byte-identical output; commands that build no job graph (`design`,
+//! `ablations`, `timeline`, `topology`) reject it. `--trace` writes a
+//! Chrome-trace JSON of every recorded stage to the given path, on every
+//! command.
 
 use mapwave::experiments::headline_across_seeds_with_jobs;
 use mapwave::prelude::*;
@@ -179,20 +188,9 @@ fn run(args: &Args) -> Result<(), String> {
         .with_scale(args.scale)
         .with_seed(args.seed);
 
-    let needs_ctx = matches!(
-        args.command.as_str(),
-        "report"
-            | "table1"
-            | "table2"
-            | "fig2"
-            | "fig4"
-            | "fig5"
-            | "fig6"
-            | "fig7"
-            | "fig8"
-            | "headline"
-    );
-    if needs_ctx {
+    let command = args.command.as_str();
+    let artefact = report::ARTEFACTS.iter().find(|(name, _)| *name == command);
+    if command == "report" || artefact.is_some() {
         eprintln!(
             "designing & simulating all six applications at scale {} ({} worker{}) ...",
             args.scale,
@@ -200,24 +198,15 @@ fn run(args: &Args) -> Result<(), String> {
             if jobs == 1 { "" } else { "s" }
         );
         let ctx = ExperimentContext::new_parallel(cfg, jobs)?;
-        let out = match args.command.as_str() {
-            "report" => report::full_report(&ctx),
-            "table1" => report::table1(&ctx.table1()),
-            "table2" => report::table2(&ctx.table2()),
-            "fig2" => report::fig2(&ctx.fig2()),
-            "fig4" => report::fig4(&ctx.fig4()),
-            "fig5" => report::fig5(&ctx.fig5()),
-            "fig6" => report::fig6(&ctx.fig6()),
-            "fig7" => report::fig7(&ctx.fig7()),
-            "fig8" => report::fig8(&ctx.fig8()),
-            "headline" => report::headline(&ctx.headline()),
-            _ => unreachable!("guarded by needs_ctx"),
+        let out = match artefact {
+            Some((_, render)) => render(&ctx),
+            None => report::full_report(&ctx),
         };
         println!("{out}");
         return Ok(());
     }
 
-    match args.command.as_str() {
+    match command {
         "design" | "ablations" | "timeline" | "topology" if args.jobs.is_some() => Err(format!(
             "{} builds no job graph and takes no --jobs",
             args.command
@@ -256,22 +245,7 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "seeds" => {
             let stats = headline_across_seeds_with_jobs(&cfg, args.seeds, jobs)?;
-            for (i, h) in stats.samples.iter().enumerate() {
-                println!(
-                    "seed {i}: avg saving {:>5.1}%, max {:>5.1}% ({}), worst penalty {:>+6.2}%",
-                    h.avg_edp_saving * 100.0,
-                    h.max_edp_saving * 100.0,
-                    h.best_app.name(),
-                    h.max_time_penalty * 100.0
-                );
-            }
-            println!(
-                "mean: saving {:.1}% ± {:.1}, penalty {:+.2}% ± {:.2}",
-                stats.avg_saving_mean * 100.0,
-                stats.avg_saving_std * 100.0,
-                stats.penalty_mean * 100.0,
-                stats.penalty_std * 100.0
-            );
+            print!("{}", report::seeds(&stats));
             Ok(())
         }
         "ablations" => {

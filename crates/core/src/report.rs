@@ -8,7 +8,7 @@ use crate::ablations::{
 use crate::design_flow::DesignFlow;
 use crate::experiments::{
     ExperimentContext, Fig2Series, Fig4Row, Fig5Row, Fig6Row, Fig7Row, Fig8Row, Headline,
-    Table1Row, Table2Row,
+    HeadlineStats, Table1Row, Table2Row,
 };
 use mapwave_phoenix::apps::App;
 
@@ -239,27 +239,49 @@ pub fn headline(h: &Headline) -> String {
     )
 }
 
-/// Runs every experiment in `ctx` and renders the full report.
-pub fn full_report(ctx: &ExperimentContext) -> String {
+/// Renders the per-seed headlines of a seed sweep and their mean ± std.
+pub fn seeds(stats: &HeadlineStats) -> String {
     let mut out = String::new();
-    out.push_str(&table1(&ctx.table1()));
-    out.push('\n');
-    out.push_str(&fig2(&ctx.fig2()));
-    out.push('\n');
-    out.push_str(&table2(&ctx.table2()));
-    out.push('\n');
-    out.push_str(&fig4(&ctx.fig4()));
-    out.push('\n');
-    out.push_str(&fig5(&ctx.fig5()));
-    out.push('\n');
-    out.push_str(&fig6(&ctx.fig6()));
-    out.push('\n');
-    out.push_str(&fig7(&ctx.fig7()));
-    out.push('\n');
-    out.push_str(&fig8(&ctx.fig8()));
-    out.push('\n');
-    out.push_str(&headline(&ctx.headline()));
+    for (i, h) in stats.samples.iter().enumerate() {
+        out.push_str(&format!(
+            "seed {i}: avg saving {:>5.1}%, max {:>5.1}% ({}), worst penalty {:>+6.2}%\n",
+            h.avg_edp_saving * 100.0,
+            h.max_edp_saving * 100.0,
+            h.best_app.name(),
+            h.max_time_penalty * 100.0
+        ));
+    }
+    out.push_str(&format!(
+        "mean: saving {:.1}% ± {:.1}, penalty {:+.2}% ± {:.2}\n",
+        stats.avg_saving_mean * 100.0,
+        stats.avg_saving_std * 100.0,
+        stats.penalty_mean * 100.0,
+        stats.penalty_std * 100.0
+    ));
     out
+}
+
+/// Renders one artefact of an evaluated context.
+pub type Renderer = fn(&ExperimentContext) -> String;
+
+/// The single artefacts in report order: each name is the `mapwave`
+/// command that prints it, with its renderer.
+pub const ARTEFACTS: [(&str, Renderer); 9] = [
+    ("table1", |ctx| table1(&ctx.table1())),
+    ("fig2", |ctx| fig2(&ctx.fig2())),
+    ("table2", |ctx| table2(&ctx.table2())),
+    ("fig4", |ctx| fig4(&ctx.fig4())),
+    ("fig5", |ctx| fig5(&ctx.fig5())),
+    ("fig6", |ctx| fig6(&ctx.fig6())),
+    ("fig7", |ctx| fig7(&ctx.fig7())),
+    ("fig8", |ctx| fig8(&ctx.fig8())),
+    ("headline", |ctx| headline(&ctx.headline())),
+];
+
+/// Runs every experiment in `ctx` and renders the full report: every
+/// artefact, separated by blank lines.
+pub fn full_report(ctx: &ExperimentContext) -> String {
+    ARTEFACTS.map(|(_, render)| render(ctx)).join("\n")
 }
 
 /// Runs the one-knob ablations on `flow`'s platform and renders them: the
@@ -300,84 +322,6 @@ pub fn ablations(flow: &DesignFlow) -> String {
     out
 }
 
-/// CSV renderings of the figure series, for external plotting.
-pub mod csv {
-    use super::*;
-
-    /// Fig. 2 as `app,core_rank,utilization` rows.
-    pub fn fig2(series: &[Fig2Series]) -> String {
-        let mut out = String::from("app,core_rank,utilization\n");
-        for s in series {
-            for (rank, u) in s.sorted_utilization.iter().enumerate() {
-                out.push_str(&format!("{},{},{:.6}\n", s.app.name(), rank, u));
-            }
-        }
-        out
-    }
-
-    /// Fig. 4 as `app,config,metric,value` rows.
-    pub fn fig4(rows: &[Fig4Row]) -> String {
-        let mut out = String::from("app,config,metric,value\n");
-        for r in rows {
-            for (config, time, edp) in [
-                ("VFI1", r.vfi1_time, r.vfi1_edp),
-                ("VFI2", r.vfi2_time, r.vfi2_edp),
-            ] {
-                out.push_str(&format!("{},{config},time,{time:.6}\n", r.app.name()));
-                out.push_str(&format!("{},{config},edp,{edp:.6}\n", r.app.name()));
-            }
-        }
-        out
-    }
-
-    /// Fig. 6 as `app,relative_network_edp,wl_share_max,wl_share_min` rows.
-    pub fn fig6(rows: &[Fig6Row]) -> String {
-        let mut out = String::from("app,relative_network_edp,wl_share_max,wl_share_min\n");
-        for r in rows {
-            out.push_str(&format!(
-                "{},{:.6},{:.6},{:.6}\n",
-                r.app.name(),
-                r.relative_network_edp,
-                r.wireless_share_max,
-                r.wireless_share_min
-            ));
-        }
-        out
-    }
-
-    /// Fig. 7 as `app,system,stage,normalized_time` rows.
-    pub fn fig7(rows: &[Fig7Row]) -> String {
-        let mut out = String::from("app,system,stage,normalized_time\n");
-        for r in rows {
-            for (system, p) in [("vfi_mesh", &r.vfi_mesh), ("vfi_winoc", &r.vfi_winoc)] {
-                for (stage, v) in [
-                    ("lib_init", p.lib_init),
-                    ("map", p.map),
-                    ("reduce", p.reduce),
-                    ("merge", p.merge),
-                ] {
-                    out.push_str(&format!("{},{system},{stage},{v:.6}\n", r.app.name()));
-                }
-            }
-        }
-        out
-    }
-
-    /// Fig. 8 as `app,vfi_mesh_edp,vfi_winoc_edp` rows.
-    pub fn fig8(rows: &[Fig8Row]) -> String {
-        let mut out = String::from("app,vfi_mesh_edp,vfi_winoc_edp\n");
-        for r in rows {
-            out.push_str(&format!(
-                "{},{:.6},{:.6}\n",
-                r.app.name(),
-                r.vfi_mesh_edp,
-                r.vfi_winoc_edp
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,51 +339,6 @@ mod tests {
         assert!(s.contains("KMEANS"));
         assert!(s.contains("0.420"));
         assert!(s.contains("0.340"));
-    }
-
-    #[test]
-    fn csv_fig8_shape() {
-        let rows = vec![
-            Fig8Row {
-                app: App::Kmeans,
-                vfi_mesh_edp: 0.42,
-                vfi_winoc_edp: 0.34,
-            },
-            Fig8Row {
-                app: App::WordCount,
-                vfi_mesh_edp: 0.86,
-                vfi_winoc_edp: 0.68,
-            },
-        ];
-        let s = csv::fig8(&rows);
-        let lines: Vec<&str> = s.trim_end().lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "app,vfi_mesh_edp,vfi_winoc_edp");
-        assert!(lines[1].starts_with("KMEANS,0.420000,"));
-    }
-
-    #[test]
-    fn csv_fig7_has_all_stages() {
-        use mapwave_phoenix::workload::PhaseBreakdown;
-        let rows = vec![crate::experiments::Fig7Row {
-            app: App::LinearRegression,
-            vfi_mesh: PhaseBreakdown {
-                lib_init: 0.1,
-                map: 0.6,
-                reduce: 0.1,
-                merge: 0.0,
-            },
-            vfi_winoc: PhaseBreakdown {
-                lib_init: 0.1,
-                map: 0.55,
-                reduce: 0.1,
-                merge: 0.0,
-            },
-        }];
-        let s = csv::fig7(&rows);
-        assert_eq!(s.trim_end().lines().count(), 1 + 8);
-        assert!(s.contains("LR,vfi_mesh,map,0.600000"));
-        assert!(s.contains("LR,vfi_winoc,merge,0.000000"));
     }
 
     #[test]

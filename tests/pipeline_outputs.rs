@@ -1,4 +1,4 @@
-//! Integration of the output/analysis surfaces: CSV exports, timelines,
+//! Integration of the output/analysis surfaces: the full report, timelines,
 //! graph metrics, DOT rendering and ablations over a real (small) run.
 
 use mapwave::ablations::wireless_contribution;
@@ -16,32 +16,6 @@ fn ctx() -> &'static ExperimentContext {
         ExperimentContext::new(PlatformConfig::small().with_scale(0.002))
             .expect("small config is valid")
     })
-}
-
-#[test]
-fn csv_exports_parse_back() {
-    let fig8_csv = report::csv::fig8(&ctx().fig8());
-    let mut lines = fig8_csv.lines();
-    assert_eq!(lines.next(), Some("app,vfi_mesh_edp,vfi_winoc_edp"));
-    let mut rows = 0;
-    for line in lines {
-        let cols: Vec<&str> = line.split(',').collect();
-        assert_eq!(cols.len(), 3, "{line}");
-        let mesh: f64 = cols[1].parse().expect("numeric");
-        let winoc: f64 = cols[2].parse().expect("numeric");
-        assert!(mesh > 0.0 && winoc > 0.0);
-        rows += 1;
-    }
-    assert_eq!(rows, 6);
-
-    let fig7_csv = report::csv::fig7(&ctx().fig7());
-    assert_eq!(fig7_csv.lines().count(), 1 + 6 * 2 * 4);
-    let fig2_csv = report::csv::fig2(&ctx().fig2());
-    assert_eq!(fig2_csv.lines().count(), 1 + 4 * 16);
-    let fig6_csv = report::csv::fig6(&ctx().fig6());
-    assert_eq!(fig6_csv.lines().count(), 1 + 6);
-    let fig4_csv = report::csv::fig4(&ctx().fig4());
-    assert_eq!(fig4_csv.lines().count(), 1 + 3 * 4);
 }
 
 #[test]
