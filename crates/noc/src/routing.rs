@@ -19,6 +19,25 @@
 //! has taken a down link yet), and the next hop is a function of
 //! `(current switch, phase, destination)`. This keeps per-hop decisions
 //! legal without recomputing whole paths in the router.
+//!
+//! # Storage
+//!
+//! A table over `n` switches holds `2·n²` entries and `n²` distances, so it
+//! is stored compactly: 12·n² bytes, 0.75 MiB at 256 switches.
+//!
+//! * Each entry is one `u32`: bit 31 = present (0 for an unreachable
+//!   state), bit 30 = next phase is `Down`, bits 28–29 = hop kind (0
+//!   `Local`, 1 `Wire`, 2 `Wireless`), bits 16–27 = wireless channel, bits
+//!   0–15 = target node. [`RoutingTable::next_hop`] and
+//!   [`RoutingTable::try_entry`] decode on read.
+//! * Distances are kept only for phase-Up states, the rows
+//!   [`RoutingTable::distance`] serves; the Down rows are construction
+//!   scratch.
+//!
+//! The fields bound the fabric: at most [`MAX_NODES`] switches (node id
+//! `0xFFFF` stays free as the simulator's wired-hop marker) and
+//! [`MAX_CHANNELS`] wireless channels. Larger fabrics are rejected before
+//! any table is allocated.
 
 use crate::node::NodeId;
 use crate::topology::wireless::{ChannelId, WirelessOverlay};
@@ -60,6 +79,68 @@ pub struct RouteEntry {
     pub next_phase: Phase,
 }
 
+/// Most switches a routing table (and a [`crate::NetworkSim`]) covers: node
+/// ids fit a packed entry's 16-bit node field and stay below `0xFFFF`,
+/// which the simulator's packed routes use to mark a wired hop.
+pub const MAX_NODES: usize = 0xFFFF;
+
+/// Most wireless channels a routing table covers: channel ids fit a packed
+/// entry's 12-bit channel field.
+pub const MAX_CHANNELS: usize = 1 << 12;
+
+const PRESENT: u32 = 1 << 31;
+const DOWN: u32 = 1 << 30;
+const KIND_SHIFT: u32 = 28;
+const CHANNEL_SHIFT: u32 = 16;
+const CHANNEL_MASK: u32 = 0xFFF;
+const NODE_MASK: u32 = 0xFFFF;
+
+/// Packs `entry` into the one-`u32` layout of the module doc.
+///
+/// # Panics
+///
+/// Panics if the hop's node id is not below [`MAX_NODES`] or its channel
+/// id not below [`MAX_CHANNELS`].
+fn pack(entry: RouteEntry) -> u32 {
+    let (kind, channel, node) = match entry.hop {
+        Hop::Local => (0, 0, 0),
+        Hop::Wire(w) => (1, 0, w.index()),
+        Hop::Wireless { channel, to } => (2, channel.index(), to.index()),
+    };
+    assert!(node < MAX_NODES, "node id {node} exceeds the table's limit");
+    assert!(
+        channel < MAX_CHANNELS,
+        "channel id {channel} exceeds the table's limit"
+    );
+    PRESENT
+        | (u32::from(entry.next_phase == Phase::Down) * DOWN)
+        | (kind << KIND_SHIFT)
+        | ((channel as u32) << CHANNEL_SHIFT)
+        | node as u32
+}
+
+/// Inverse of [`pack`]; `None` for an absent (unreachable) state.
+fn unpack(bits: u32) -> Option<RouteEntry> {
+    if bits & PRESENT == 0 {
+        return None;
+    }
+    let node = NodeId((bits & NODE_MASK) as usize);
+    let hop = match (bits >> KIND_SHIFT) & 3 {
+        0 => Hop::Local,
+        1 => Hop::Wire(node),
+        _ => Hop::Wireless {
+            channel: ChannelId(((bits >> CHANNEL_SHIFT) & CHANNEL_MASK) as usize),
+            to: node,
+        },
+    };
+    let next_phase = if bits & DOWN != 0 {
+        Phase::Down
+    } else {
+        Phase::Up
+    };
+    Some(RouteEntry { hop, next_phase })
+}
+
 /// Errors from routing-table construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoutingError {
@@ -67,6 +148,14 @@ pub enum RoutingError {
     Disconnected,
     /// The topology is empty.
     Empty,
+    /// The fabric has more than [`MAX_NODES`] switches or more than
+    /// [`MAX_CHANNELS`] wireless channels.
+    TooLarge {
+        /// Switches in the topology.
+        nodes: usize,
+        /// Wireless channels in the overlay.
+        channels: usize,
+    },
 }
 
 impl std::fmt::Display for RoutingError {
@@ -74,6 +163,11 @@ impl std::fmt::Display for RoutingError {
         match self {
             RoutingError::Disconnected => write!(f, "topology is not connected"),
             RoutingError::Empty => write!(f, "topology has no nodes"),
+            RoutingError::TooLarge { nodes, channels } => write!(
+                f,
+                "fabric has {nodes} switches and {channels} wireless channels; \
+                 routing tables cover at most {MAX_NODES} and {MAX_CHANNELS}"
+            ),
         }
     }
 }
@@ -98,9 +192,9 @@ impl std::error::Error for RoutingError {}
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     n: usize,
-    /// `entries[(v * 2 + phase) * n + dest]`
-    entries: Vec<Option<RouteEntry>>,
-    /// `dist[(v * 2 + phase) * n + dest]` in hop-metric units (wireless = 2).
+    /// `entries[(v * 2 + phase) * n + dest]`, packed (see the module doc).
+    entries: Vec<u32>,
+    /// `dist[v * n + dest]` from phase Up, in hop-metric units.
     dist: Vec<u32>,
 }
 
@@ -131,7 +225,7 @@ impl RoutingTable {
     /// consults states that lie on precomputed legal routes, so this fires
     /// only on misuse (e.g. fabricating a `Down` phase at an arbitrary node).
     pub fn next_hop(&self, v: NodeId, phase: Phase, dest: NodeId) -> RouteEntry {
-        self.entries[self.idx(v, phase, dest)]
+        self.try_entry(v, phase, dest)
             .unwrap_or_else(|| panic!("no route from {v} (phase {phase:?}) to {dest}"))
     }
 
@@ -139,13 +233,13 @@ impl RoutingTable {
     /// legal route (used when precomputing flat route tables, which must
     /// cover unreachable states without panicking).
     pub fn try_entry(&self, v: NodeId, phase: Phase, dest: NodeId) -> Option<RouteEntry> {
-        self.entries[self.idx(v, phase, dest)]
+        unpack(self.entries[self.idx(v, phase, dest)])
     }
 
     /// Hop-metric distance from `src` (fresh packet, phase Up) to `dest`.
     /// Wireless traversals count 2; wire hops count 1.
     pub fn distance(&self, src: NodeId, dest: NodeId) -> u32 {
-        self.dist[self.idx(src, Phase::Up, dest)]
+        self.dist[src.index() * self.n + dest.index()]
     }
 
     /// The full hop sequence from `src` to `dest` (excluding the final
@@ -188,17 +282,16 @@ impl RoutingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `cols == 0 || rows == 0`.
+    /// Panics if `cols == 0 || rows == 0`, or if the mesh has more than
+    /// [`MAX_NODES`] switches.
     pub fn xy(cols: usize, rows: usize) -> Self {
         assert!(cols > 0 && rows > 0, "mesh dimensions must be nonzero");
-        let n = cols * rows;
-        let mut entries = vec![None; n * 2 * n];
-        let mut dist = vec![0u32; n * 2 * n];
-        let mut table = RoutingTable {
-            n,
-            entries: Vec::new(),
-            dist: Vec::new(),
-        };
+        let n = cols
+            .checked_mul(rows)
+            .filter(|&n| n <= MAX_NODES)
+            .unwrap_or_else(|| panic!("a {cols}x{rows} mesh exceeds {MAX_NODES} switches"));
+        let mut entries = vec![0u32; n * 2 * n];
+        let mut dist = vec![0u32; n * n];
         for v in 0..n {
             let (vc, vr) = (v % cols, v / cols);
             for d in 0..n {
@@ -214,19 +307,16 @@ impl RoutingTable {
                 } else {
                     Hop::Wire(NodeId(v - cols))
                 };
-                let h = (vc.abs_diff(dc) + vr.abs_diff(dr)) as u32;
-                for p in 0..2 {
-                    entries[(v * 2 + p) * n + d] = Some(RouteEntry {
-                        hop,
-                        next_phase: Phase::Up,
-                    });
-                    dist[(v * 2 + p) * n + d] = h;
-                }
+                let packed = pack(RouteEntry {
+                    hop,
+                    next_phase: Phase::Up,
+                });
+                entries[v * 2 * n + d] = packed;
+                entries[(v * 2 + 1) * n + d] = packed;
+                dist[v * n + d] = (vc.abs_diff(dc) + vr.abs_diff(dr)) as u32;
             }
         }
-        table.entries = entries;
-        table.dist = dist;
-        table
+        RoutingTable { n, entries, dist }
     }
 
     /// Builds an up\*/down\* table for an arbitrary connected topology with
@@ -242,7 +332,9 @@ impl RoutingTable {
     /// [`RoutingError::Disconnected`] if some pair has no legal route (an
     /// up\*/down\* route exists between every pair whenever the graph is
     /// connected, because root-via paths are always legal);
-    /// [`RoutingError::Empty`] for an empty topology.
+    /// [`RoutingError::Empty`] for an empty topology;
+    /// [`RoutingError::TooLarge`] past [`MAX_NODES`] switches or
+    /// [`MAX_CHANNELS`] channels.
     pub fn up_down(topo: &Topology, overlay: &WirelessOverlay) -> Result<Self, RoutingError> {
         Self::up_down_weighted(topo, overlay, 1)
     }
@@ -258,7 +350,8 @@ impl RoutingTable {
     /// The extended adjacency, spanning-tree levels and every
     /// `(state, destination)` distance, hub states included, come from one
     /// [`UpDownDistances`] pass; each entry then depends only on those
-    /// distance values.
+    /// distance values, and the table keeps only the switches' phase-Up
+    /// rows.
     ///
     /// # Errors
     ///
@@ -277,12 +370,16 @@ impl RoutingTable {
         if n == 0 {
             return Err(RoutingError::Empty);
         }
+        let channels = overlay.channel_count();
+        if n > MAX_NODES || channels > MAX_CHANNELS {
+            return Err(RoutingError::TooLarge { nodes: n, channels });
+        }
         let mut eval = UpDownDistances::new(topo, hub_edge_weight);
         if !eval.prepare(overlay) {
             return Err(RoutingError::Disconnected);
         }
-        // Switch states come first, so after the hub rows are cut off this
-        // is the table's own `dist` layout.
+        // Every state's distances, `dist[s * n + dest]`: switch states
+        // `v * 2 + phase` first, then the hubs.
         let mut dist = vec![0u32; eval.state_count() * n];
         eval.all_pairs_into(&mut dist);
         // The legal steps of a state `v * 2 + p`, as (target state,
@@ -300,13 +397,13 @@ impl RoutingTable {
             }
         };
 
-        let mut entries = vec![None; n * 2 * n];
+        let mut entries = vec![0u32; n * 2 * n];
         for s in 0..2 * n {
             let v = s / 2;
             for d in 0..n {
                 let out = s * n + d;
                 if v == d {
-                    entries[out] = Some(RouteEntry {
+                    entries[out] = pack(RouteEntry {
                         hop: Hop::Local,
                         next_phase: phase(s),
                     });
@@ -333,7 +430,7 @@ impl RoutingTable {
                     .map(|(t, hub)| (hub, t))
                     .min()
                     .expect("finite distance implies a next state");
-                entries[out] = Some(if !is_hub {
+                entries[out] = pack(if !is_hub {
                     RouteEntry {
                         hop: Hop::Wire(NodeId(t / 2)),
                         next_phase: phase(t),
@@ -358,8 +455,16 @@ impl RoutingTable {
                 });
             }
         }
-        dist.truncate(2 * n * n);
-        Ok(RoutingTable { n, entries, dist })
+        // Keep the switches' phase-Up rows, in a buffer of their own.
+        let mut up = Vec::with_capacity(n * n);
+        for rows in dist.chunks_exact(2 * n).take(n) {
+            up.extend_from_slice(&rows[..n]);
+        }
+        Ok(RoutingTable {
+            n,
+            entries,
+            dist: up,
+        })
     }
 }
 
@@ -565,8 +670,8 @@ impl UpDownDistances {
     /// Writes the hop-metric distance from every state to every switch:
     /// `out[(v * 2 + phase) * n + dest]` with phase 0 = Up, 1 = Down,
     /// switches `v < n` first and then the channel hubs, and `u32::MAX`
-    /// where no legal route exists. The switch rows are the values
-    /// [`RoutingTable::up_down_weighted`] stores, so phase-Up rows are
+    /// where no legal route exists. The switches' phase-Up rows are what
+    /// [`RoutingTable::up_down_weighted`] stores as
     /// [`RoutingTable::distance`].
     ///
     /// # Panics
@@ -711,17 +816,19 @@ mod tests {
         // Down next-phases).
         let m = mesh(5, 5, 1.0);
         let t = RoutingTable::up_down(&m, &WirelessOverlay::none()).unwrap();
+        let mut reachable = 0;
         for v in 0..25 {
             for d in 0..25 {
                 if v == d {
                     continue;
                 }
-                if t.dist[(v * 2 + 1) * 25 + d] != u32::MAX {
-                    let e = t.next_hop(NodeId(v), Phase::Down, NodeId(d));
+                if let Some(e) = t.try_entry(NodeId(v), Phase::Down, NodeId(d)) {
                     assert_eq!(e.next_phase, Phase::Down);
+                    reachable += 1;
                 }
             }
         }
+        assert!(reachable > 0, "some Down states must be routable");
     }
 
     fn quadrant_clusters() -> Vec<usize> {
@@ -852,10 +959,13 @@ mod tests {
         );
     }
 
-    /// Every switch row of the kernel (both phases) equals the table's.
-    /// The table reads the same kernel, so this checks the shared layout
-    /// and `prepare`'s per-overlay reset; `tests/routing_oracle.rs` checks
-    /// the distances against an independent search.
+    /// The kernel's switch phase-Up rows equal the table's distances, its
+    /// switch phase-Down rows are finite exactly where the table has a
+    /// Down entry, and its full output (both phases, hubs included) equals
+    /// a fresh evaluator's. The table reads the same kernel, so this checks
+    /// the shared layout and `prepare`'s per-overlay reset;
+    /// `tests/routing_oracle.rs` checks the distances against an
+    /// independent search.
     fn assert_distances_match(
         topo: &Topology,
         overlay: &WirelessOverlay,
@@ -867,10 +977,23 @@ mod tests {
         let n = topo.len();
         let mut got = vec![0u32; eval.state_count() * n];
         eval.all_pairs_into(&mut got);
-        assert_eq!(got[..2 * n * n], table.dist[..], "weight {weight}");
-        assert!(got[..2 * n * n]
-            .chunks(2 * n)
-            .all(|up| !up[..n].contains(&u32::MAX)));
+        let up: Vec<u32> = (0..n)
+            .flat_map(|v| got[v * 2 * n..(v * 2 + 1) * n].iter().copied())
+            .collect();
+        assert_eq!(up, table.dist, "weight {weight}");
+        assert!(!up.contains(&u32::MAX));
+        for v in 0..n {
+            for d in 0..n {
+                let down = got[(v * 2 + 1) * n + d];
+                let entry = table.try_entry(NodeId(v), Phase::Down, NodeId(d));
+                assert_eq!(down != u32::MAX, entry.is_some(), "weight {weight}");
+            }
+        }
+        let mut fresh = UpDownDistances::new(topo, weight);
+        assert!(fresh.prepare(overlay));
+        let mut want = vec![0u32; fresh.state_count() * n];
+        fresh.all_pairs_into(&mut want);
+        assert_eq!(got, want, "weight {weight}");
     }
 
     #[test]
@@ -935,6 +1058,100 @@ mod tests {
         assert!(RoutingTable::up_down(&m, &WirelessOverlay::new(vec![], 1).unwrap()).is_err());
         let mut eval = UpDownDistances::new(&m, 1);
         assert!(!eval.prepare(&WirelessOverlay::new(vec![], 1).unwrap()));
+    }
+
+    #[test]
+    fn packed_entry_round_trips_to_the_limits() {
+        let (node, channel) = (NodeId(MAX_NODES - 1), ChannelId(MAX_CHANNELS - 1));
+        let hops = [
+            Hop::Local,
+            Hop::Wire(NodeId(0)),
+            Hop::Wire(node),
+            Hop::Wireless {
+                channel: ChannelId(0),
+                to: NodeId(0),
+            },
+            Hop::Wireless { channel, to: node },
+            Hop::Wireless {
+                channel,
+                to: NodeId(0),
+            },
+            Hop::Wireless {
+                channel: ChannelId(0),
+                to: node,
+            },
+        ];
+        for next_phase in [Phase::Up, Phase::Down] {
+            for hop in hops {
+                let entry = RouteEntry { hop, next_phase };
+                assert_eq!(unpack(pack(entry)), Some(entry));
+            }
+        }
+        assert_eq!(unpack(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 65535")]
+    fn pack_rejects_node_past_limit() {
+        pack(RouteEntry {
+            hop: Hop::Wire(NodeId(MAX_NODES)),
+            next_phase: Phase::Up,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "channel id 4096")]
+    fn pack_rejects_channel_past_limit() {
+        pack(RouteEntry {
+            hop: Hop::Wireless {
+                channel: ChannelId(MAX_CHANNELS),
+                to: NodeId(0),
+            },
+            next_phase: Phase::Down,
+        });
+    }
+
+    #[test]
+    fn table_stores_packed_entries_and_up_distances_only() {
+        let topo = SmallWorldBuilder::new(grid_positions(8, 8, 2.5), quadrant_clusters())
+            .seed(3)
+            .build()
+            .unwrap();
+        let t = RoutingTable::up_down_weighted(&topo, &paper_overlay(), 2).unwrap();
+        let n = 64;
+        // 4 B per entry and per distance, with no hub or Down rows kept
+        // allocated behind them.
+        assert_eq!(std::mem::size_of_val(&t.entries[0]), 4);
+        assert_eq!(
+            (t.entries.len(), t.entries.capacity()),
+            (2 * n * n, 2 * n * n)
+        );
+        assert_eq!((t.dist.len(), t.dist.capacity()), (n * n, n * n));
+    }
+
+    #[test]
+    fn oversized_fabric_rejected_before_allocation() {
+        let big = Topology::new(
+            vec![crate::node::Position::new(0.0, 0.0); MAX_NODES + 1],
+            crate::topology::TopologyKind::Custom,
+        );
+        assert_eq!(
+            RoutingTable::up_down(&big, &WirelessOverlay::none()),
+            Err(RoutingError::TooLarge {
+                nodes: MAX_NODES + 1,
+                channels: 0
+            })
+        );
+        let many = WirelessOverlay::new(vec![], MAX_CHANNELS + 1).unwrap();
+        assert_eq!(
+            RoutingTable::up_down(&mesh(2, 2, 1.0), &many),
+            Err(RoutingError::TooLarge {
+                nodes: 4,
+                channels: MAX_CHANNELS + 1
+            })
+        );
+        assert!(std::panic::catch_unwind(|| RoutingTable::xy(MAX_NODES + 1, 1)).is_err());
+        assert!(std::panic::catch_unwind(|| RoutingTable::xy(usize::MAX, 2)).is_err());
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::energy::EnergyModel;
 use crate::flit::{flit_sequence, Flit};
 use crate::mac::{macs_for, ChannelMac};
 use crate::node::NodeId;
-use crate::routing::{Hop, Phase, RoutingTable};
+use crate::routing::{Hop, Phase, RoutingTable, MAX_NODES};
 use crate::stats::NetworkStats;
 use crate::switch::{FabricState, OutRoute, Owner, PortMap, MAX_SWITCH_SLOTS, PORT_LOCAL};
 use crate::topology::wireless::WirelessOverlay;
@@ -75,7 +75,9 @@ use std::collections::VecDeque;
 /// routing decision is one random-index load from these tables.
 ///
 /// Layout: bit 31 = present, bit 30 = next phase is `Down`, bits 16–29 =
-/// out port, bits 0–15 = wireless target node (`0xFFFF` = wired hop).
+/// out port, bits 0–15 = wireless target node (`0xFFFF` = wired hop; node
+/// ids stay below it because [`NetworkSim`] rejects fabrics past
+/// [`MAX_NODES`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PackedRoute(u32);
 
@@ -87,7 +89,7 @@ impl PackedRoute {
         debug_assert_eq!(route.down_vc, 0, "table routes use the escape VC");
         debug_assert!(route.out_port < (1 << 14));
         let wt = route.wireless_to.map_or(0xFFFF, |w| {
-            debug_assert!(w.index() < 0xFFFF);
+            debug_assert!(w.index() < MAX_NODES);
             w.index() as u32
         });
         PackedRoute(
@@ -217,8 +219,8 @@ pub enum SimError {
     /// Clock-domain vector has the wrong length.
     InvalidDomains,
     /// Buffer depths, packet length or VC count of zero, adaptive routing
-    /// without at least two VCs, or a switch with more than 64 input slots
-    /// (ports × VCs).
+    /// without at least two VCs, a switch with more than 64 input slots
+    /// (ports × VCs), or more than [`MAX_NODES`] switches.
     InvalidConfig,
 }
 
@@ -238,8 +240,9 @@ impl std::fmt::Display for SimError {
             SimError::InvalidConfig => write!(
                 f,
                 "buffer depths, packet length and VC count must be nonzero, \
-                 adaptive routing needs at least two VCs, and no switch may \
-                 have more than 64 input slots (ports x VCs)"
+                 adaptive routing needs at least two VCs, no switch may \
+                 have more than 64 input slots (ports x VCs), and the fabric \
+                 may have at most {MAX_NODES} switches"
             ),
         }
     }
@@ -531,6 +534,10 @@ impl<'a> NetworkSim<'a> {
         domains: Vec<usize>,
     ) -> Result<Self, SimError> {
         let n = topo.len();
+        // Before the table check: no table covers a fabric this large.
+        if n > MAX_NODES {
+            return Err(SimError::InvalidConfig);
+        }
         if table.len() != n {
             return Err(SimError::TableSizeMismatch {
                 topology: n,
@@ -1868,9 +1875,27 @@ mod tests {
             "VC count",
             "adaptive routing",
             "64 input slots",
+            "at most 65535 switches",
         ] {
             assert!(msg.contains(cause), "{msg:?} should name {cause:?}");
         }
+    }
+
+    #[test]
+    fn rejects_fabric_past_node_limit() {
+        let big = Topology::new(
+            vec![crate::node::Position::new(0.0, 0.0); MAX_NODES + 1],
+            crate::topology::TopologyKind::Custom,
+        );
+        let err = NetworkSim::new(
+            big,
+            WirelessOverlay::none(),
+            RoutingTable::xy(2, 2),
+            EnergyModel::default_65nm(),
+            SimConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, SimError::InvalidConfig);
     }
 
     fn adaptive_mesh_sim(cols: usize, rows: usize) -> NetworkSim<'static> {

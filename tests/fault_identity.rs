@@ -9,6 +9,9 @@
 //!    survivability report byte for byte, and a different seed diverges;
 //! 3. **Isolated streams** — fault decisions never consume workload
 //!    randomness, so generated inputs are unperturbed by any plan.
+//!
+//! One more test drives the survivability sweep's degradation reaction
+//! (`reassign_for_degradation`) end to end.
 
 use mapwave::prelude::*;
 use mapwave::survivability::{fault_sweep, FaultSweepConfig};
@@ -87,6 +90,26 @@ fn fault_sweep_is_seed_deterministic_and_seed_sensitive() {
         a, c,
         "different fault seeds should realize different faults"
     );
+}
+
+/// The degradation reaction fires end to end: on the paper platform at
+/// scale 0.02, WC's fault-injected probe flags overloaded islands and
+/// steps them up, and the clean anchor never probes.
+#[test]
+fn fault_sweep_reassigns_wc_under_faults() {
+    let flow = DesignFlow::new(PlatformConfig::paper().with_scale(0.02)).unwrap();
+    let sweep = FaultSweepConfig {
+        apps: vec![App::WordCount],
+        rates: vec![0.0, 0.05],
+        ..FaultSweepConfig::smoke()
+    };
+    let report = fault_sweep(&flow, &sweep);
+    let reassigned: Vec<(f64, bool)> = report
+        .points
+        .iter()
+        .map(|p| (p.rate, p.reassigned))
+        .collect();
+    assert_eq!(reassigned, [(0.0, false), (0.05, true)]);
 }
 
 #[test]

@@ -208,17 +208,20 @@ fn fig8_vfi_saves_edp_and_winoc_saves_more() {
 #[test]
 fn headline_savings_are_substantial() {
     let h = ctx().headline();
-    // Paper: 33.7% average EDP saving, ≤3.22% time penalty. The calibrated
-    // simulator reproduces the direction and a substantial magnitude.
-    assert!(
-        h.avg_edp_saving > 0.10,
-        "average EDP saving {} too small",
-        h.avg_edp_saving
-    );
+    // Paper: 33.7% average EDP saving, 66.2% maximum, ≤3.22% time penalty.
+    // The bounds are the measured envelope: EXPERIMENTS.md's
+    // `mapwave headline --scale 0.01` block reads 23.7% average, 33.5%
+    // maximum (WC) and a +29.89% worst penalty; each bound allows the
+    // margin named beside it.
+    let within = |name: &str, got: f64, measured: f64, margin: f64| {
+        assert!(
+            (got - measured).abs() <= margin,
+            "{name} {got:.4} is more than {margin} from the measured {measured}"
+        );
+    };
+    within("average EDP saving", h.avg_edp_saving, 0.237, 0.03);
+    within("maximum EDP saving", h.max_edp_saving, 0.335, 0.03);
+    within("worst time penalty", h.max_time_penalty, 0.2989, 0.05);
+    assert_eq!(h.best_app, App::WordCount, "best app at scale 0.01");
     assert!(h.max_edp_saving > h.avg_edp_saving);
-    assert!(
-        h.max_time_penalty < 0.40,
-        "worst time penalty {} implausible",
-        h.max_time_penalty
-    );
 }
