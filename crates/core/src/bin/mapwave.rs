@@ -80,6 +80,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--seeds needs a value")?
                     .parse()
                     .map_err(|e| format!("bad seed count: {e}"))?;
+                if seeds == 0 {
+                    return Err("--seeds needs at least one seed".into());
+                }
             }
             "--jobs" => {
                 let j: usize = it

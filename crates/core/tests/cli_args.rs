@@ -1,6 +1,7 @@
 //! `mapwave` honours or rejects every option it is given: `--trace` writes
-//! a trace on every command, and `--jobs` is a usage error on the commands
-//! that build no job graph, instead of being accepted and ignored.
+//! a trace on every command, `--jobs` is a usage error on the commands
+//! that build no job graph, instead of being accepted and ignored, and a
+//! zero `--jobs` or `--seeds` is a usage error, not a panic.
 
 use std::process::{Command, Output};
 
@@ -30,6 +31,24 @@ fn jobs_is_a_usage_error_without_a_job_graph() {
     }
     let out = mapwave(&["help", "--jobs", "2"]);
     assert!(!out.status.success(), "help accepted --jobs");
+}
+
+#[test]
+fn zero_counts_are_usage_errors() {
+    for (flag, message) in [
+        ("--jobs", "--jobs needs at least one worker"),
+        ("--seeds", "--seeds needs at least one seed"),
+    ] {
+        let out = mapwave(&["seeds", "--scale", "0.002", flag, "0"]);
+        assert_eq!(out.status.code(), Some(1), "{flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(message),
+            "{flag} 0: unexpected stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag} 0 panicked: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} 0 ran before failing");
+    }
 }
 
 #[test]

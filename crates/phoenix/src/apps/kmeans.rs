@@ -88,6 +88,15 @@ fn nearest(point: &[f64], centroids: &[Vec<f64>]) -> usize {
     best
 }
 
+/// Draws the next point from `rng` into `point`: a blob picked uniformly,
+/// then one uniform offset per dimension around that blob's centre.
+fn draw_point(rng: &mut StdRng, truth: &[Vec<f64>], point: &mut [f64]) {
+    let c = rng.random_range(0..K);
+    for (p, &t) in point.iter_mut().zip(&truth[c]) {
+        *p = t + (rng.random::<f64>() - 0.5) * 4.0;
+    }
+}
+
 /// Runs Kmeans at `scale` of the Table-1 input.
 ///
 /// # Panics
@@ -108,16 +117,14 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> KmeansRun {
                 .collect()
         })
         .collect();
-    let points: Vec<(usize, Vec<f64>)> = (0..n)
-        .map(|_| {
-            let c = rng.random_range(0..K);
-            let p = truth[c]
-                .iter()
-                .map(|&t| t + (rng.random::<f64>() - 0.5) * 4.0)
-                .collect();
-            (c, p)
-        })
-        .collect();
+    // Both iterations read the points once, front to back, in draw order,
+    // so none is stored: keep the generator as it stands before the points,
+    // skip past them, and re-draw each point where an iteration reads it.
+    let points_rng = rng.clone();
+    let mut point = vec![0.0f64; DIM];
+    for _ in 0..n {
+        draw_point(&mut rng, &truth, &mut point);
+    }
     let mut centroids: Vec<Vec<f64>> = truth
         .iter()
         .map(|t| {
@@ -132,14 +139,16 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> KmeansRun {
     let mut iter1_tasks = Vec::with_capacity(MAP_TASKS_ITER1);
     let mut sums = vec![vec![0.0f64; DIM]; K];
     let mut counts = [0usize; K];
+    let mut points = points_rng.clone();
     for t in 0..MAP_TASKS_ITER1 {
         let start = t * n / MAP_TASKS_ITER1;
         let end = (t + 1) * n / MAP_TASKS_ITER1;
-        for i in start..end {
-            let c = nearest(&points[i].1, &centroids);
-            assignment[i] = c;
+        for slot in &mut assignment[start..end] {
+            draw_point(&mut points, &truth, &mut point);
+            let c = nearest(&point, &centroids);
+            *slot = c;
             counts[c] += 1;
-            for (s, v) in sums[c].iter_mut().zip(&points[i].1) {
+            for (s, v) in sums[c].iter_mut().zip(&point) {
                 *s += v;
             }
         }
@@ -162,15 +171,17 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> KmeansRun {
     // --- Iteration 2: converged points take the early exit ---
     let mut iter2_tasks = Vec::with_capacity(MAP_TASKS_ITER2);
     let mut changed_total = 0usize;
+    let mut points = points_rng;
     for t in 0..MAP_TASKS_ITER2 {
         let start = t * n / MAP_TASKS_ITER2;
         let end = (t + 1) * n / MAP_TASKS_ITER2;
         let mut changed = 0usize;
-        for i in start..end {
-            let c = nearest(&points[i].1, &centroids);
-            if c != assignment[i] {
+        for slot in &mut assignment[start..end] {
+            draw_point(&mut points, &truth, &mut point);
+            let c = nearest(&point, &centroids);
+            if c != *slot {
                 changed += 1;
-                assignment[i] = c;
+                *slot = c;
             }
         }
         changed_total += changed;

@@ -55,13 +55,21 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> MatrixMultRun {
     let dim = scaled_dim(scale);
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let a: Vec<f64> = (0..dim * dim).map(|_| rng.random::<f64>() - 0.5).collect();
+    // A is read once, row by row, in draw order, so it is not stored: keep
+    // the generator as it stands before A, skip past A to draw B (which the
+    // multiply reads in full for every row of A), and re-draw each row of A
+    // where the multiply reads it.
+    let mut a_rng = rng.clone();
+    for _ in 0..dim * dim {
+        rng.random::<f64>();
+    }
     let b: Vec<f64> = (0..dim * dim).map(|_| rng.random::<f64>() - 0.5).collect();
 
     let tasks = MAP_TASKS.min(dim);
     let mut map_tasks = Vec::with_capacity(tasks);
     let mut frob = 0.0f64;
     let mut row_digests = Vec::with_capacity(dim);
+    let mut a_row = vec![0.0f64; dim];
     let mut c_row = vec![0.0f64; dim];
 
     for t in 0..tasks {
@@ -76,9 +84,10 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> MatrixMultRun {
         // (mul then add, never fused), so C is bit-identical to the
         // i-j-k dot-product loop, and so are the witnesses folded in j
         // order below.
-        for i in row_start..row_end {
+        for _ in row_start..row_end {
+            a_row.fill_with(|| a_rng.random::<f64>() - 0.5);
             c_row.fill(0.0);
-            for (&aik, b_row) in a[i * dim..(i + 1) * dim].iter().zip(b.chunks_exact(dim)) {
+            for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(dim)) {
                 for (c, &bkj) in c_row.iter_mut().zip(b_row) {
                     *c += aik * bkj;
                 }

@@ -94,8 +94,18 @@ fn parse_args() -> Result<Args, String> {
                 let raw = value("--preset", &mut it)?;
                 args.preset = Preset::parse(&raw).ok_or(format!("unknown preset '{raw}'"))?;
             }
-            "--scales" => args.scales = parse_f64_list(&value("--scales", &mut it)?, "scale")?,
-            "--rates" => args.rates = parse_f64_list(&value("--rates", &mut it)?, "rate")?,
+            "--scales" => {
+                args.scales = parse_f64_list(&value("--scales", &mut it)?, "scale")?;
+                if args.scales.iter().any(|&s| !(s.is_finite() && s > 0.0)) {
+                    return Err("--scales wants finite scales > 0".into());
+                }
+            }
+            "--rates" => {
+                args.rates = parse_f64_list(&value("--rates", &mut it)?, "rate")?;
+                if !args.rates.iter().all(|&r| is_probability(r)) {
+                    return Err("--rates wants fault rates in [0, 1]".into());
+                }
+            }
             "--workload-seeds" => {
                 args.workload_seeds =
                     parse_u64_list(&value("--workload-seeds", &mut it)?, "workload seed")?
@@ -151,7 +161,10 @@ fn parse_args() -> Result<Args, String> {
             "--fail-rate" => {
                 args.fail_rate = value("--fail-rate", &mut it)?
                     .parse()
-                    .map_err(|e| format!("bad fail rate: {e}"))?
+                    .map_err(|e| format!("bad fail rate: {e}"))?;
+                if !is_probability(args.fail_rate) {
+                    return Err("--fail-rate wants a rate in [0, 1]".into());
+                }
             }
             "--fail-seed" => args.fail_seed = parse_num(&value("--fail-seed", &mut it)?)?,
             "--metric" => args.metric = value("--metric", &mut it)?,
@@ -161,6 +174,10 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+fn is_probability(rate: f64) -> bool {
+    (0.0..=1.0).contains(&rate)
 }
 
 fn parse_num<T: std::str::FromStr>(raw: &str) -> Result<T, String>
