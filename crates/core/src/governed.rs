@@ -1,21 +1,29 @@
 //! Power-capped system runs: the online DVFS governor driving an
 //! epoch-level replay of a measured execution.
 //!
-//! [`run_system_governed`] layers the [`mapwave_governor`] control loop
-//! over the static design flow without disturbing it:
+//! A governed run has two parts, and [`run_system_governed`] is simply the
+//! first followed by the second:
 //!
-//! 1. the full coupled simulation ([`run_system`]) measures the workload
-//!    on the spec exactly as today — per-core utilization, busy cycles,
-//!    phase times, network energy; every existing golden pins this run;
-//! 2. the measured execution is replayed in fixed-length epochs. Each
-//!    core's outstanding work is its measured busy time; while work
-//!    remains the core keeps its measured duty cycle, retiring work at
-//!    the speed ratio of its island's *governed* level versus its static
-//!    one, so throttled islands finish later;
-//! 3. at every epoch boundary the governor samples the previous epoch's
-//!    per-island utilization, projects chip power, and throttles/boosts
-//!    island levels to honour the cap (see the `mapwave-governor` crate
-//!    docs for the control law).
+//! 1. **The static run.** The full coupled simulation ([`run_system`], or
+//!    [`run_system_with_faults`] under a plan) measures the workload on the
+//!    spec exactly as today — per-core utilization, busy cycles, phase
+//!    times, network energy; every existing golden pins this run.
+//! 2. **The replay** ([`replay_governed`]). The measured execution is
+//!    replayed in fixed-length epochs. Each core's outstanding work is its
+//!    measured busy time; while work remains the core keeps its measured
+//!    duty cycle, retiring work at the speed ratio of its island's
+//!    *governed* level versus its static one, so throttled islands finish
+//!    later. At every epoch boundary the governor samples the previous
+//!    epoch's per-island utilization, projects chip power, and
+//!    throttles/boosts island levels to honour the cap (see the
+//!    `mapwave-governor` crate docs for the control law).
+//!
+//! The replay reads nothing but the spec, the platform and the static
+//! run's report, so a caller that already holds the static run — the
+//! sweep engine's clean cells, which share one run between the uncapped
+//! cell and every cap — replays it directly instead of simulating again.
+//! The result is bit-identical to [`run_system_governed`] on the same
+//! inputs.
 //!
 //! Measured utilization in the replay never rises epoch-over-epoch (a
 //! core's duty cycle is constant until its work drains, then zero), and
@@ -28,6 +36,9 @@
 //! [`reassign_for_degradation`]: the faulted execution's utilization
 //! profile first drives the paper's bottleneck reaction, and the reacted
 //! assignment becomes the governor's desired (boost-ceiling) levels.
+//!
+//! [`run_system`]: crate::system::run_system
+//! [`run_system_with_faults`]: crate::system::run_system_with_faults
 
 use crate::config::PlatformConfig;
 use crate::system::{run_system_inner, FaultRunReport, SystemSpec};
@@ -110,13 +121,12 @@ impl GovernedRunReport {
     }
 }
 
-/// Runs `workload` on `spec` under a chip-level power cap.
-///
-/// The static simulation is exactly [`run_system`]'s (its report is the
-/// `base` field); the governor then replays it in epochs as described in
-/// the [module docs](self). With a cap the static assignment never
-/// reaches, the governed time/energy equal the static ones and the trace
-/// records zero throttles.
+/// Runs `workload` on `spec` under a chip-level power cap: the static
+/// simulation, exactly [`run_system`]'s (its report is the `base` field),
+/// then [`replay_governed`] over it as described in the
+/// [module docs](self). With a cap the static assignment never reaches,
+/// the governed time/energy equal the static ones and the trace records
+/// zero throttles.
 ///
 /// # Panics
 ///
@@ -131,7 +141,8 @@ pub fn run_system_governed(
     power: &CorePowerModel,
     governor: &GovernorConfig,
 ) -> GovernedRunReport {
-    governed_inner(spec, workload, cfg, power, governor, None)
+    let base = run_system_inner(spec, workload, cfg, power, None);
+    replay_governed(spec, cfg, power, governor, base, None)
 }
 
 /// [`run_system_governed`] with the deterministic fault model live. The
@@ -147,20 +158,33 @@ pub fn run_system_governed_with_faults(
     governor: &GovernorConfig,
     plan: &FaultPlan,
 ) -> GovernedRunReport {
-    governed_inner(spec, workload, cfg, power, governor, Some(plan))
+    let base = run_system_inner(spec, workload, cfg, power, Some(plan));
+    replay_governed(spec, cfg, power, governor, base, Some(plan))
 }
 
-fn governed_inner(
+/// Replays `base`, a static run of `spec` on `cfg`, under the cap in
+/// `governor` (part 2 of the [module docs](self)). `plan` is the fault
+/// plan `base` ran under (`None` for a clean run); a plan that injects
+/// faults makes the degradation reaction set the desired levels.
+///
+/// Given the run [`run_system_governed`] (or
+/// [`run_system_governed_with_faults`]) would simulate, the report is
+/// bit-identical to theirs.
+///
+/// # Panics
+///
+/// Panics if the governor configuration is invalid or the spec's V/F
+/// assignment uses levels outside the platform's table.
+pub fn replay_governed(
     spec: &SystemSpec,
-    workload: &AppWorkload,
     cfg: &PlatformConfig,
     power: &CorePowerModel,
     governor: &GovernorConfig,
-    faults: Option<&FaultPlan>,
+    base: FaultRunReport,
+    plan: Option<&FaultPlan>,
 ) -> GovernedRunReport {
     let _span = mapwave_harness::telemetry::span_labeled("core.run_governed", spec.label.clone());
     governor.validate().expect("valid governor config");
-    let base = run_system_inner(spec, workload, cfg, power, faults);
     let exec = &base.report.exec;
     let table = &cfg.vf_table;
     let n = cfg.cores();
@@ -168,7 +192,7 @@ fn governed_inner(
     // Desired levels: the static assignment, or its fault-degradation
     // reaction when a plan injected faults.
     let mut reassigned = false;
-    let desired_vf: VfAssignment = match faults {
+    let desired_vf: VfAssignment = match plan {
         Some(plan) if !plan.is_none() => {
             let (reacted, analysis) = reassign_for_degradation(
                 &spec.vf,

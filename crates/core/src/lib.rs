@@ -68,7 +68,8 @@ pub use config::{PlacementStrategy, PlatformConfig};
 pub use design_flow::{Design, DesignFlow, VfStage};
 pub use experiments::ExperimentContext;
 pub use governed::{
-    run_system_governed, run_system_governed_with_faults, EpochRecord, GovernedRunReport,
+    replay_governed, run_system_governed, run_system_governed_with_faults, EpochRecord,
+    GovernedRunReport,
 };
 pub use survivability::{fault_sweep, FaultSweepConfig, FaultSweepPoint, FaultSweepReport};
 pub use system::{run_system, run_system_with_faults, FaultRunReport, RunReport, SystemSpec};
@@ -79,7 +80,7 @@ pub mod prelude {
     pub use crate::design_flow::{Design, DesignFlow, VfStage};
     pub use crate::experiments::ExperimentContext;
     pub use crate::governed::{
-        run_system_governed, run_system_governed_with_faults, GovernedRunReport,
+        replay_governed, run_system_governed, run_system_governed_with_faults, GovernedRunReport,
     };
     pub use crate::survivability::{fault_sweep, FaultSweepConfig, FaultSweepReport};
     pub use crate::system::{

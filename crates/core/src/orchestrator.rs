@@ -145,8 +145,9 @@ impl RunVariant {
 
 /// The design cache: each `(config, app)` design with its `nvfi` run (the
 /// design flow's NVFI-mesh profiling run), computed once process-wide.
-/// The sweep engine's cells share it; the evaluation job graph passes its
-/// results on as data instead.
+/// The sweep engine's design jobs fill it and hand its entries to their
+/// dependents as job data (so does the evaluation job graph, without the
+/// cache); a later lookup of the same design in the process is a hit.
 static DESIGN_CACHE: StageCache<Arc<(Design, RunReport)>> = StageCache::new("design");
 
 fn design_key(cfg_key: CacheKey, app: App) -> CacheKey {

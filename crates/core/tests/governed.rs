@@ -2,15 +2,19 @@
 //!
 //! The acceptance bar for the governed path: a cap at 80% of the static
 //! design's peak power is never exceeded in any epoch — on WordCount and
-//! PCA, clean and faulted — and two back-to-back governed runs give
-//! byte-identical reports. The DRAM side pins the boundary behaviour:
+//! PCA, clean and faulted — two back-to-back governed runs give
+//! byte-identical reports, and replaying a static run the caller already
+//! holds gives exactly the governed run's report. The DRAM side pins the
+//! boundary behaviour:
 //! `DramConfig::ideal()` is bit-identical to the pre-DRAM platform, and
 //! zero-miss workloads bypass the banked controller model entirely.
 
 use mapwave::config::PlatformConfig;
 use mapwave::design_flow::{DesignFlow, VfStage};
-use mapwave::governed::{run_system_governed, run_system_governed_with_faults, GovernedRunReport};
-use mapwave::system::run_system;
+use mapwave::governed::{
+    replay_governed, run_system_governed, run_system_governed_with_faults, GovernedRunReport,
+};
+use mapwave::system::{run_system, run_system_with_faults, FaultRunReport};
 use mapwave_faults::{FaultConfig, FaultPlan};
 use mapwave_governor::GovernorConfig;
 use mapwave_manycore::dram::DramConfig;
@@ -144,6 +148,96 @@ fn faulted_governed_run_composes_with_reassignment() {
     // reaction and carried fault activity through the base report.
     assert!(run.base.faults.injected() > 0, "plan injected nothing");
     assert!(run.cap_respected(), "generous cap trivially respected");
+}
+
+/// Every field of a governed report as `(name, bits)` pairs, `f64`s by
+/// `to_bits`, so a mismatch names the field that differs.
+fn governed_fields(r: &GovernedRunReport) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let mut f = |name: String, x: f64| out.push((name, x.to_bits()));
+    let base = &r.base.report;
+    f(format!("base.label {}", base.label), 0.0);
+    f("base.exec_seconds".into(), base.exec_seconds);
+    f("base.core_energy_j".into(), base.core_energy_j);
+    f("base.net_energy_j".into(), base.net_energy_j);
+    f("base.edp".into(), base.edp);
+    f("base.exec.phases.total".into(), base.exec.phases.total());
+    for (c, (&b, &u)) in base
+        .exec
+        .busy_cycles
+        .iter()
+        .zip(&base.exec.utilization)
+        .enumerate()
+    {
+        f(format!("base.exec.busy_cycles[{c}]"), b);
+        f(format!("base.exec.utilization[{c}]"), u);
+    }
+    f("cap_w".into(), r.cap_w);
+    f("governed_exec_seconds".into(), r.governed_exec_seconds);
+    f("governed_core_energy_j".into(), r.governed_core_energy_j);
+    f("governed_edp".into(), r.governed_edp);
+    f("static_peak_power_w".into(), r.static_peak_power_w);
+    for (k, e) in r.epochs.iter().enumerate() {
+        f(format!("epochs[{k}].levels {:?}", e.levels), 0.0);
+        f(
+            format!("epochs[{k}].projected_power_w"),
+            e.projected_power_w,
+        );
+        f(format!("epochs[{k}].measured_power_w"), e.measured_power_w);
+        f(
+            format!(
+                "epochs[{k}] throttled {} boosted {} violated {}",
+                e.throttled, e.boosted, e.violated
+            ),
+            0.0,
+        );
+    }
+    out.push((format!("base.faults {:?}", r.base.faults), 0));
+    out.push((format!("stats {:?}", r.stats), 0));
+    out.push((format!("reassigned {}", r.reassigned), 0));
+    out
+}
+
+#[test]
+fn replaying_a_supplied_static_run_equals_the_governed_run() {
+    let cfg = test_cfg();
+    let flow = DesignFlow::new(cfg.clone()).unwrap();
+    let design = flow.design(App::WordCount);
+    let spec = flow.vfi_mesh_spec(&design, VfStage::Vfi2);
+    let (workload, power) = (&design.workload, flow.power());
+    let plan = fault_plan();
+    let peak = governed(&cfg, App::WordCount, 1e6, None).static_peak_power_w;
+    let mut binding = 0;
+    for cap_w in [1e6, 0.8 * peak] {
+        let gov = GovernorConfig::new(cap_w).with_epoch_cycles(20_000);
+
+        let clean = FaultRunReport {
+            report: run_system(&spec, workload, &cfg, power),
+            faults: Default::default(),
+        };
+        let replayed = replay_governed(&spec, &cfg, power, &gov, clean, None);
+        let governed = run_system_governed(&spec, workload, &cfg, power, &gov);
+        assert!(!governed.epochs.is_empty());
+        assert_eq!(
+            governed_fields(&replayed),
+            governed_fields(&governed),
+            "clean, cap {cap_w} W"
+        );
+
+        let faulted = run_system_with_faults(&spec, workload, &cfg, power, &plan);
+        let replayed = replay_governed(&spec, &cfg, power, &gov, faulted, Some(&plan));
+        let governed = run_system_governed_with_faults(&spec, workload, &cfg, power, &gov, &plan);
+        assert!(governed.base.faults.injected() > 0, "plan injected nothing");
+        assert_eq!(
+            governed_fields(&replayed),
+            governed_fields(&governed),
+            "faulted, cap {cap_w} W"
+        );
+        if governed.stats.throttles > 0 {
+            binding += 1;
+        }
+    }
+    assert_eq!(binding, 1, "exactly the 80%-of-peak cap binds");
 }
 
 #[test]

@@ -73,6 +73,8 @@ impl<V: Clone> StageCache<V> {
     /// `compute` runs at most once per key. The map lock is **not** held
     /// while it runs, so misses on other keys proceed in parallel; callers
     /// on the same key block until its value is ready and count as hits.
+    /// A hit that found the value still being computed also counts one
+    /// `cache.wait`: that caller's thread stalled on another's work.
     pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> V {
         let slot = {
             let mut guard = self.map.lock().expect("stage cache poisoned");
@@ -83,6 +85,7 @@ impl<V: Clone> StageCache<V> {
                     .or_default(),
             )
         };
+        let ready = slot.get().is_some();
         let mut computed = false;
         let value = slot
             .get_or_init(|| {
@@ -96,6 +99,9 @@ impl<V: Clone> StageCache<V> {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count("cache.hit", 1);
+            if !ready {
+                telemetry::count("cache.wait", 1);
+            }
         }
         value
     }

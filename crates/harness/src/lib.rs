@@ -10,8 +10,8 @@
 //!   deterministic; results are collected in job-insertion order, so a run
 //!   with N workers is byte-identical to a serial run.
 //! * [`cache`] — a content-addressed in-memory stage cache keyed by
-//!   [`hash::StableHash`] of the stage inputs that computes each key once,
-//!   so the cells of a sweep share one design per configuration.
+//!   [`hash::StableHash`] of the stage inputs that computes each key once
+//!   per process (the sweep engine's designs).
 //! * [`telemetry`] — structured spans and monotonic counters with hook
 //!   points in the simulators, exported as Chrome-trace JSON or a plain-text
 //!   summary. A disabled sink costs one relaxed atomic load per hook.

@@ -39,45 +39,57 @@ fn artifact_bytes(root: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-#[test]
-fn killed_and_resumed_sweep_is_byte_identical() {
-    let spec = SweepSpec::smoke();
+/// Runs `spec` once uninterrupted and once killed (commit limit) after
+/// `limit` cells on `jobs` workers, then resumed without re-telling it the
+/// spec — and with a different worker count, which must not matter — and
+/// asserts the two stores are byte-identical.
+fn assert_kill_and_resume_is_byte_identical(
+    spec: &SweepSpec,
+    limit: usize,
+    jobs: usize,
+    tag: &str,
+) {
+    let cells = spec.cell_count();
 
     // Reference: one uninterrupted run.
-    let full_root = temp_root("full");
+    let full_root = temp_root(&format!("{tag}-full"));
     let full = SweepEngine::create(&full_root, spec.clone(), fast_opts(2)).unwrap();
     let summary = full.run().unwrap();
-    assert_eq!(summary.completed, 4);
+    assert_eq!(summary.completed, cells);
     assert_eq!(summary.pending, 0);
 
-    // Victim: killed (commit limit) after 2 cells, then resumed without
-    // re-telling it the spec — and with a different worker count, which
-    // must not matter.
-    let killed_root = temp_root("killed");
+    // Victim: the limit counts committed cells only.
+    let killed_root = temp_root(&format!("{tag}-killed"));
     let killed = SweepEngine::create(
         &killed_root,
-        spec,
+        spec.clone(),
         EngineOptions {
-            commit_limit: Some(2),
-            ..fast_opts(2)
+            commit_limit: Some(limit),
+            ..fast_opts(jobs)
         },
     )
     .unwrap();
     let first = killed.run().unwrap();
-    assert_eq!(first.completed, 2);
-    assert_eq!(first.pending, 2, "kill left work behind");
+    assert_eq!(first.completed, limit, "{tag}");
+    assert_eq!(first.pending, cells - limit, "{tag}: kill left work behind");
+    let manifest = killed.store().load_manifest().unwrap().unwrap();
+    assert_eq!(
+        manifest.entries.len(),
+        limit,
+        "{tag}: manifest after the kill"
+    );
 
     let resumed = SweepEngine::resume(&killed_root, fast_opts(4)).unwrap();
     let second = resumed.run().unwrap();
-    assert_eq!(second.completed, 2);
-    assert_eq!(second.pending, 0);
+    assert_eq!(second.completed, cells - limit, "{tag}");
+    assert_eq!(second.pending, 0, "{tag}");
 
     // Byte identity: manifest, spec, and every artifact blob.
     let full_manifest = fs::read(full_root.join("manifest.txt")).unwrap();
     let killed_manifest = fs::read(killed_root.join("manifest.txt")).unwrap();
     assert_eq!(
         full_manifest, killed_manifest,
-        "manifest of killed+resumed sweep must match the uninterrupted one"
+        "{tag}: manifest of killed+resumed sweep must match the uninterrupted one"
     );
     assert_eq!(
         fs::read(full_root.join("spec.txt")).unwrap(),
@@ -88,9 +100,12 @@ fn killed_and_resumed_sweep_is_byte_identical() {
     assert_eq!(
         full_artifacts.keys().collect::<Vec<_>>(),
         killed_artifacts.keys().collect::<Vec<_>>(),
-        "same artifact filenames (content addresses)"
+        "{tag}: same artifact filenames (content addresses)"
     );
-    assert_eq!(full_artifacts, killed_artifacts, "same artifact bytes");
+    assert_eq!(
+        full_artifacts, killed_artifacts,
+        "{tag}: same artifact bytes"
+    );
     assert!(
         !full_artifacts.is_empty(),
         "identity is vacuous without artifacts"
@@ -98,6 +113,29 @@ fn killed_and_resumed_sweep_is_byte_identical() {
 
     let _ = fs::remove_dir_all(&full_root);
     let _ = fs::remove_dir_all(&killed_root);
+}
+
+#[test]
+fn killed_and_resumed_sweep_is_byte_identical() {
+    assert_kill_and_resume_is_byte_identical(&SweepSpec::smoke(), 2, 2, "smoke");
+}
+
+/// With caps, one clean-system job serves an uncapped cell and its capped
+/// sibling (cells 0–1 share the clean `nvfi` run, cells 4–5 the clean
+/// WiNoC run). A kill between the two cells leaves the job's work done
+/// but its second cell uncommitted; the resumed sweep re-runs the job
+/// for that cell alone and must still match.
+#[test]
+fn killed_between_a_clean_system_and_its_capped_cell_resumes_byte_identically() {
+    let spec = SweepSpec {
+        power_caps: vec![6.0],
+        epoch_cycles: 20_000,
+        ..SweepSpec::smoke()
+    };
+    for (limit, jobs) in [(1, 1), (1, 2), (5, 2)] {
+        let tag = format!("capped-{limit}-jobs{jobs}");
+        assert_kill_and_resume_is_byte_identical(&spec, limit, jobs, &tag);
+    }
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! configuration CI exercises (twice, diffing the bytes for
 //! determinism).
 
-use mapwave::governed::{run_system_governed, run_system_governed_with_faults};
+use mapwave::governed::{replay_governed, run_system_governed, run_system_governed_with_faults};
 use mapwave::prelude::*;
 use mapwave_faults::{FaultConfig, FaultPlan};
 use mapwave_governor::GovernorConfig;
@@ -92,7 +92,8 @@ fn main() -> Result<(), String> {
     );
 
     let run = match &faults {
-        None => run_system_governed(&spec, &design.workload, &cfg, flow.power(), &gov),
+        // The clean capped run replays the probe's static run.
+        None => replay_governed(&spec, &cfg, flow.power(), &gov, probe.base, None),
         Some(plan) => {
             run_system_governed_with_faults(&spec, &design.workload, &cfg, flow.power(), &gov, plan)
         }
