@@ -101,11 +101,6 @@ pub struct FaultSweepReport {
 }
 
 impl FaultSweepReport {
-    /// Points belonging to one application, in rate order.
-    pub fn app_points(&self, app: App) -> impl Iterator<Item = &FaultSweepPoint> {
-        self.points.iter().filter(move |p| p.app == app)
-    }
-
     /// Renders the survivability curves as a fixed-width text table.
     ///
     /// The output is a pure function of the sweep config: same seed, same

@@ -19,6 +19,11 @@
 //!   exponential backoff, re-entering the steal queues (handled in
 //!   `mapwave-phoenix`).
 //!
+//! Every event is a simulated hardware fault inside a run. A design-space
+//! sweep gives each cell its own plan through [`FaultConfig::for_cell`]
+//! (seeded by [`cell_seed`]), so the cells degrade independently yet
+//! reproducibly; the crate models no failure of the sweep's own work.
+//!
 //! ## Determinism
 //!
 //! Decisions are *counter-hash based*: each query mixes the plan's key with
@@ -162,61 +167,6 @@ impl Default for FaultConfig {
 /// ```
 pub fn cell_seed(root: u64, cell: u64) -> u64 {
     stream_seed(root, &format!("cell/{cell}"))
-}
-
-/// A deterministic oracle for *execution-level* cell failures — the sweep
-/// engine's injectable "this work item crashed" hazard, distinct from the
-/// simulated hardware faults a [`FaultPlan`] schedules *inside* a run.
-///
-/// Decisions use the same counter-hash kernel as [`FaultPlan`]: pure in
-/// `(cell, attempt)`, order-independent, and reproducible from `(rate,
-/// seed)` alone. Unlike [`FaultPlan::task_fails`] there is **no** forced
-/// success past a retry budget — a cell that keeps failing keeps failing,
-/// which is exactly what a dead-letter queue needs to be testable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellFailureModel {
-    key: u64,
-    threshold: u64,
-}
-
-impl CellFailureModel {
-    /// A model failing each `(cell, attempt)` independently with
-    /// probability `rate`, keyed by the named `"sweep-exec"` child stream
-    /// of `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not in `[0, 1]`.
-    pub fn new(rate: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "cell failure rate must be in [0, 1]"
-        );
-        let mut stream = StdRng::seed_from_u64(stream_seed(seed, "sweep-exec"));
-        CellFailureModel {
-            key: stream.next_u64(),
-            threshold: rate_to_threshold(rate),
-        }
-    }
-
-    /// The model that never fails anything.
-    pub fn none() -> Self {
-        CellFailureModel {
-            key: 0,
-            threshold: 0,
-        }
-    }
-
-    /// Whether the model can ever fail a cell.
-    pub fn is_none(&self) -> bool {
-        self.threshold == 0
-    }
-
-    /// Whether attempt `attempt` (0-based) of cell `cell` fails.
-    #[inline]
-    pub fn attempt_fails(&self, cell: u64, attempt: u32) -> bool {
-        FaultPlan::fires(self.key, cell, u64::from(attempt), self.threshold)
-    }
 }
 
 /// Converts a probability to a strict 64-bit comparison threshold.
@@ -440,7 +390,7 @@ impl FaultStats {
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::{cell_seed, CellFailureModel, CoreEvent, FaultConfig, FaultPlan, FaultStats};
+    pub use crate::{cell_seed, CoreEvent, FaultConfig, FaultPlan, FaultStats};
 }
 
 #[cfg(test)]
@@ -564,31 +514,6 @@ mod tests {
         let va: Vec<bool> = (0..512).map(|i| a.task_fails(i, 0)).collect();
         let vc: Vec<bool> = (0..512).map(|i| c.task_fails(i, 0)).collect();
         assert_ne!(va, vc, "neighbouring cells must differ somewhere");
-    }
-
-    #[test]
-    fn cell_failure_model_is_deterministic_and_unbudgeted() {
-        let m = CellFailureModel::new(1.0, 3);
-        for attempt in 0..64 {
-            assert!(
-                m.attempt_fails(0, attempt),
-                "rate 1.0 must fail every attempt (no forced success)"
-            );
-        }
-        let none = CellFailureModel::none();
-        assert!(none.is_none());
-        assert!(!none.attempt_fails(0, 0));
-        let a = CellFailureModel::new(0.5, 11);
-        let b = CellFailureModel::new(0.5, 11);
-        assert_eq!(a, b);
-        let verdicts: Vec<bool> = (0..128).map(|c| a.attempt_fails(c, 0)).collect();
-        assert!(verdicts.iter().any(|&v| v) && verdicts.iter().any(|&v| !v));
-    }
-
-    #[test]
-    #[should_panic]
-    fn cell_failure_model_rejects_out_of_range() {
-        let _ = CellFailureModel::new(-0.1, 0);
     }
 
     #[test]

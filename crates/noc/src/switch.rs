@@ -337,12 +337,6 @@ impl FabricState {
         self.off[s + 1] - self.off[s]
     }
 
-    /// Flits queued in slot `s`.
-    #[inline]
-    pub fn queue_len(&self, s: usize) -> usize {
-        self.len[s] as usize
-    }
-
     /// The oldest flit queued in slot `s`, if any.
     #[inline(always)]
     pub fn front(&self, s: usize) -> Option<&Flit> {

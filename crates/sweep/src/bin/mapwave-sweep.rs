@@ -7,9 +7,7 @@
 //!                      [--workload-seeds N,..] [--fault-seed N]
 //!                      [--caps W,..] [--epoch-cycles N] [--dram ideal|banked]
 //!                      [--jobs J] [--limit N]
-//!                      [--max-attempts N] [--backoff-ms N]
-//!                      [--fail-rate R --fail-seed N]
-//! mapwave-sweep resume --store DIR [--jobs J] [--limit N] ...
+//! mapwave-sweep resume --store DIR [--jobs J] [--limit N]
 //! mapwave-sweep status --store DIR
 //! mapwave-sweep query  --store DIR [--metric M] [--app A] [--variant V]
 //! mapwave-sweep help
@@ -20,14 +18,13 @@
 //! loses at most the in-flight cells. `resume` re-reads the spec the store
 //! was created with — no sweep flags needed, or allowed. `query` answers
 //! purely from stored artifacts (`--metric` is one of `edp`, `energy`,
-//! `time`, `latency`, `edp-saving`). `--fail-rate`/`--fail-seed` inject
-//! deterministic engine-level cell failures for rehearsing the retry and
-//! dead-letter machinery. `--caps` adds a power-governed cell per listed
-//! chip cap (W) next to every ungoverned anchor, `--epoch-cycles` sets
-//! the governor's sampling epoch, and `--dram banked` routes L2 misses
-//! through the banked memory-controller model.
+//! `time`, `latency`, `edp-saving`, `governed-edp`). `--caps` adds a
+//! power-governed cell per listed chip cap (W) next to every ungoverned
+//! anchor, `--epoch-cycles` sets the governor's sampling epoch, and
+//! `--dram banked` routes L2 misses through the banked memory-controller
+//! model. A flag the command does not take is a usage error (exit 2),
+//! raised before any store is opened.
 
-use mapwave_faults::CellFailureModel;
 use mapwave_sweep::prelude::*;
 use mapwave_sweep::spec::{parse_app, parse_variant};
 
@@ -46,10 +43,6 @@ struct Args {
     dram_banked: bool,
     jobs: usize,
     limit: Option<usize>,
-    max_attempts: u32,
-    backoff_ms: u64,
-    fail_rate: f64,
-    fail_seed: u64,
     metric: String,
     filter_app: Option<String>,
     filter_variant: Option<String>,
@@ -72,10 +65,6 @@ fn parse_args() -> Result<Args, String> {
         dram_banked: smoke.dram_banked,
         jobs: mapwave_harness::jobs::available_parallelism(),
         limit: None,
-        max_attempts: 3,
-        backoff_ms: 10,
-        fail_rate: 0.0,
-        fail_seed: 0,
         metric: String::from("edp"),
         filter_app: None,
         filter_variant: None,
@@ -83,6 +72,9 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     if let Some(c) = it.next() {
         args.command = c;
+    }
+    if !COMMANDS.contains(&args.command.as_str()) {
+        return Err(format!("unknown command '{}' (try 'help')", args.command));
     }
     let value = |flag: &str, it: &mut dyn Iterator<Item = String>| {
         it.next().ok_or(format!("{flag} needs a value"))
@@ -102,7 +94,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--rates" => {
                 args.rates = parse_f64_list(&value("--rates", &mut it)?, "rate")?;
-                if !args.rates.iter().all(|&r| is_probability(r)) {
+                if !args.rates.iter().all(|r| (0.0..=1.0).contains(r)) {
                     return Err("--rates wants fault rates in [0, 1]".into());
                 }
             }
@@ -151,33 +143,29 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--limit" => args.limit = Some(parse_num(&value("--limit", &mut it)?)?),
-            "--max-attempts" => {
-                args.max_attempts = parse_num(&value("--max-attempts", &mut it)?)?;
-                if args.max_attempts == 0 {
-                    return Err("--max-attempts needs at least one attempt".into());
-                }
-            }
-            "--backoff-ms" => args.backoff_ms = parse_num(&value("--backoff-ms", &mut it)?)?,
-            "--fail-rate" => {
-                args.fail_rate = value("--fail-rate", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("bad fail rate: {e}"))?;
-                if !is_probability(args.fail_rate) {
-                    return Err("--fail-rate wants a rate in [0, 1]".into());
-                }
-            }
-            "--fail-seed" => args.fail_seed = parse_num(&value("--fail-seed", &mut it)?)?,
             "--metric" => args.metric = value("--metric", &mut it)?,
             "--app" => args.filter_app = Some(value("--app", &mut it)?),
             "--variant" => args.filter_variant = Some(value("--variant", &mut it)?),
             other => return Err(format!("unknown argument '{other}'")),
         }
+        if !takes(&args.command, &arg) {
+            return Err(format!("{arg} does not apply to '{}'", args.command));
+        }
     }
     Ok(args)
 }
 
-fn is_probability(rate: f64) -> bool {
-    (0.0..=1.0).contains(&rate)
+const COMMANDS: [&str; 7] = ["run", "resume", "status", "query", "help", "--help", "-h"];
+
+/// Whether `command` takes the known flag `flag`. The sweep-defining
+/// flags belong to `run` alone: `resume` reads the spec from the store.
+fn takes(command: &str, flag: &str) -> bool {
+    match flag {
+        "--store" => matches!(command, "run" | "resume" | "status" | "query"),
+        "--jobs" | "--limit" => matches!(command, "run" | "resume"),
+        "--metric" | "--app" | "--variant" => command == "query",
+        _ => command == "run",
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(raw: &str) -> Result<T, String>
@@ -202,13 +190,6 @@ fn parse_u64_list(raw: &str, what: &str) -> Result<Vec<u64>, String> {
 fn engine_options(args: &Args) -> EngineOptions {
     EngineOptions {
         jobs: args.jobs,
-        max_attempts: args.max_attempts,
-        backoff_base_ms: args.backoff_ms,
-        exec_faults: if args.fail_rate > 0.0 {
-            CellFailureModel::new(args.fail_rate, args.fail_seed)
-        } else {
-            CellFailureModel::none()
-        },
         commit_limit: args.limit,
     }
 }
@@ -273,7 +254,7 @@ fn run(args: &Args) -> Result<(), String> {
             print!("{}", HELP);
             Ok(())
         }
-        other => Err(format!("unknown command '{other}' (try 'help')")),
+        other => unreachable!("parse_args rejects command '{other}'"),
     }
 }
 
@@ -285,9 +266,7 @@ mapwave-sweep — persistent design-space sweeps over the mapwave evaluation
                        [--workload-seeds N,..] [--fault-seed N]
                        [--caps W,..] [--epoch-cycles N] [--dram ideal|banked]
                        [--jobs J] [--limit N]
-                       [--max-attempts N] [--backoff-ms N]
-                       [--fail-rate R --fail-seed N]
-  mapwave-sweep resume --store DIR [--jobs J] [--limit N] ...
+  mapwave-sweep resume --store DIR [--jobs J] [--limit N]
   mapwave-sweep status --store DIR
   mapwave-sweep query  --store DIR [--metric M] [--app A] [--variant V]
 

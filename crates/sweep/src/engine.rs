@@ -22,19 +22,13 @@
 //!   uncapped and capped siblings run under different plans and share no
 //!   run.
 //!
-//! Reliability model, per cell:
-//!
-//! * up to [`EngineOptions::max_attempts`] attempts, with linear backoff
-//!   between them ([`EngineOptions::backoff_base_ms`] × attempt number);
-//! * an attempt can fail *organically* (the design flow rejects the
-//!   configuration) or via the injected [`CellFailureModel`] — the
-//!   engine-level failure hook that lets tests and CI rehearse crashes
-//!   deterministically (`mapwave_faults` cell streams make the same cell
-//!   fail the same way on every machine);
-//! * a cell that exhausts its attempts is **dead-lettered**: recorded in
-//!   the manifest with its attempt count, never retried by `resume`, and
-//!   surfaced by `status`/`query` so the sweep completes instead of
-//!   wedging.
+//! Each cell is decided in one attempt: the attempt either reads what its
+//! design or clean-system job produced or re-runs a deterministic
+//! simulation, so a second attempt could only repeat the first. A cell
+//! whose configuration the design flow rejects ([`DesignFlow::new`]
+//! returns `Err`) is **dead-lettered**: recorded in the manifest (with an
+//! attempt count of 1), never re-run by `resume`, and surfaced by
+//! `status`/`query`, so the sweep completes instead of wedging.
 //!
 //! Commit order is the resume-identity linchpin: results are committed
 //! strictly in cell-index order by the calling thread (see
@@ -54,7 +48,7 @@ use mapwave::design_flow::{Design, DesignFlow};
 use mapwave::governed::{replay_governed, run_system_governed_with_faults};
 use mapwave::orchestrator::{config_key, design_and_nvfi_cached, RunVariant};
 use mapwave::{run_system, run_system_with_faults, FaultRunReport, RunReport};
-use mapwave_faults::{CellFailureModel, FaultConfig, FaultPlan, FaultStats};
+use mapwave_faults::{FaultConfig, FaultPlan, FaultStats};
 use mapwave_governor::GovernorConfig;
 use mapwave_harness::hash::CacheKey;
 use mapwave_harness::jobs::{JobGraph, JobId};
@@ -69,15 +63,6 @@ use crate::store::{ArtifactStore, CellState, ManifestEntry};
 pub struct EngineOptions {
     /// Worker threads for cell execution.
     pub jobs: usize,
-    /// Attempts per cell before dead-lettering (≥ 1).
-    pub max_attempts: u32,
-    /// Base of the linear inter-attempt backoff in milliseconds
-    /// (attempt *n* sleeps `n × backoff_base_ms`; `0` disables sleeping,
-    /// which tests use).
-    pub backoff_base_ms: u64,
-    /// Injected engine-level failures (deterministic; see
-    /// [`CellFailureModel`]). [`CellFailureModel::none`] for production.
-    pub exec_faults: CellFailureModel,
     /// Stop after committing this many cells (simulates a kill for resume
     /// tests and the CI smoke job). `None` runs to completion.
     pub commit_limit: Option<usize>,
@@ -87,26 +72,9 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             jobs: mapwave_harness::jobs::available_parallelism(),
-            max_attempts: 3,
-            backoff_base_ms: 10,
-            exec_faults: CellFailureModel::none(),
             commit_limit: None,
         }
     }
-}
-
-/// Outcome of one executed cell (before it is committed).
-enum CellOutcome {
-    /// Completed; the encoded record is ready to persist.
-    Done {
-        /// Encoded [`CellRecord`] bytes.
-        encoded: String,
-    },
-    /// Every attempt failed.
-    Failed {
-        /// Attempts made.
-        attempts: u32,
-    },
 }
 
 /// Summary of one [`SweepEngine::run`] call.
@@ -211,7 +179,7 @@ impl SweepEngine {
             });
         }
 
-        let graph = build_graph(pending, &self.opts);
+        let graph = build_graph(pending);
         let mut completed = 0usize;
         let mut dead_lettered = 0usize;
         let mut commit_error: Option<io::Error> = None;
@@ -219,10 +187,10 @@ impl SweepEngine {
         graph.run_checkpointed(self.opts.jobs, |_, node| {
             // Design and clean-system jobs commit nothing, and the limit
             // counts cells only.
-            let Node::Cell(cell, outcome) = node else {
+            let Node::Cell(cell, encoded) = node else {
                 return true;
             };
-            match self.commit_cell(cell, outcome) {
+            match self.commit_cell(cell, encoded.as_deref()) {
                 Ok(CellState::Ok { .. }) => completed += 1,
                 Ok(CellState::DeadLetter { .. }) => dead_lettered += 1,
                 Err(e) => {
@@ -243,18 +211,18 @@ impl SweepEngine {
         })
     }
 
-    fn commit_cell(&self, cell: &SweepCell, outcome: &CellOutcome) -> io::Result<CellState> {
-        let state = match outcome {
-            CellOutcome::Done { encoded } => {
+    /// Commits `cell`: its encoded record, or a dead letter when its
+    /// design flow rejected the configuration.
+    fn commit_cell(&self, cell: &SweepCell, encoded: Option<&str>) -> io::Result<CellState> {
+        let state = match encoded {
+            Some(encoded) => {
                 let (content_key, len) = self.store.put_blob(encoded)?;
                 telemetry::count("sweep.cells_completed", 1);
                 CellState::Ok { content_key, len }
             }
-            CellOutcome::Failed { attempts } => {
+            None => {
                 telemetry::count("sweep.cells_dead_lettered", 1);
-                CellState::DeadLetter {
-                    attempts: *attempts,
-                }
+                CellState::DeadLetter { attempts: 1 }
             }
         };
         self.store.append_manifest_entry(&ManifestEntry {
@@ -278,8 +246,9 @@ enum Node {
     /// A clean-system job's finished records, one per pending cell it
     /// serves, in cell order; `None` when its design failed.
     Records(Option<Vec<CellRecord>>),
-    /// A decided cell, ready to commit.
-    Cell(SweepCell, CellOutcome),
+    /// A decided cell, ready to commit: its encoded [`CellRecord`], or
+    /// `None` when the design flow rejected its configuration.
+    Cell(SweepCell, Option<String>),
 }
 
 /// The job graph of `pending` (ascending cell index): one design job per
@@ -292,7 +261,7 @@ enum Node {
 /// just before its first cell instead interleaves them; perfbench
 /// `sweep_faulted` (2 workers) then read a higher peak RSS (median
 /// 10.66 against 9.89 MiB over 15 runs each) for the same wall time.
-fn build_graph(pending: Vec<SweepCell>, opts: &EngineOptions) -> JobGraph<Node> {
+fn build_graph(pending: Vec<SweepCell>) -> JobGraph<Node> {
     let mut graph: JobGraph<Node> = JobGraph::new();
     let mut designs: BTreeMap<(CacheKey, &'static str), JobId> = BTreeMap::new();
     let design_of: Vec<JobId> = pending
@@ -346,56 +315,18 @@ fn build_graph(pending: Vec<SweepCell>, opts: &EngineOptions) -> JobGraph<Node> 
     }
 
     for (i, cell) in pending.into_iter().enumerate() {
-        let opts = opts.clone();
         // A faulted cell reads its design job (and no record position).
         let (dep, pos) = record_of[i].unwrap_or((design_of[i], 0));
         graph.add(cell.label(), vec![dep], move |deps| {
-            let outcome = match deps[0] {
-                Node::Records(records) => {
-                    execute_cell(&cell, &opts, || records.as_ref().map(|r| r[pos].clone()))
-                }
-                Node::Design(designed) => execute_cell(&cell, &opts, || {
-                    designed.as_ref().map(|d| faulted_record(&cell, d))
-                }),
+            let record = match deps[0] {
+                Node::Records(records) => records.as_ref().map(|r| r[pos].clone()),
+                Node::Design(designed) => designed.as_ref().map(|d| faulted_record(&cell, d)),
                 Node::Cell(..) => unreachable!("cells depend on design or clean-system jobs"),
             };
-            Node::Cell(cell, outcome)
+            Node::Cell(cell, record.map(|r| r.encode()))
         });
     }
     graph
-}
-
-/// Runs one cell with the engine's retry/backoff policy; `attempt` yields
-/// the cell's record, `None` when the attempt failed organically.
-fn execute_cell(
-    cell: &SweepCell,
-    opts: &EngineOptions,
-    mut attempt: impl FnMut() -> Option<CellRecord>,
-) -> CellOutcome {
-    let max_attempts = opts.max_attempts.max(1);
-    for n in 0..max_attempts {
-        if n > 0 && opts.backoff_base_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(
-                opts.backoff_base_ms * n as u64,
-            ));
-        }
-        let injected_failure = opts.exec_faults.attempt_fails(cell.index as u64, n);
-        let outcome = if injected_failure { None } else { attempt() };
-        match outcome {
-            Some(record) => {
-                return CellOutcome::Done {
-                    encoded: record.encode(),
-                }
-            }
-            None if n + 1 < max_attempts => {
-                telemetry::count("sweep.cells_retried", 1);
-            }
-            None => {}
-        }
-    }
-    CellOutcome::Failed {
-        attempts: max_attempts,
-    }
 }
 
 fn coords(cell: &SweepCell) -> CellCoords {
@@ -472,11 +403,6 @@ fn faulted_record(cell: &SweepCell, (flow, designed): &Designed) -> CellRecord {
     }
 }
 
-/// Maps a [`RunVariant`] name back to the variant (CLI convenience).
-pub fn variant_named(name: &str) -> Option<RunVariant> {
-    crate::spec::parse_variant(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,7 +418,6 @@ mod tests {
     fn fast_opts() -> EngineOptions {
         EngineOptions {
             jobs: 2,
-            backoff_base_ms: 0,
             ..EngineOptions::default()
         }
     }

@@ -1,8 +1,7 @@
 //! # mapwave-sweep
 //!
-//! A persistent, resumable, fault-tolerant design-space sweep engine for
-//! the mapwave evaluation, with a content-addressed artifact store and a
-//! query CLI.
+//! A persistent, resumable design-space sweep engine for the mapwave
+//! evaluation, with a content-addressed artifact store and a query CLI.
 //!
 //! The crate promotes the harness's ephemeral job graph + stage caches
 //! into a durable service:
@@ -10,8 +9,9 @@
 //! * [`spec`] — declarative [`spec::SweepSpec`]s enumerate into stably
 //!   ordered, stably keyed [`spec::SweepCell`]s;
 //! * [`engine`] — [`engine::SweepEngine`] executes pending cells through
-//!   the deterministic worker pool with per-cell retry/backoff and a
-//!   dead-letter queue, checkpointing each decided cell in index order;
+//!   the deterministic worker pool, each in one attempt, dead-lettering
+//!   the cells whose configuration the design flow rejects, and
+//!   checkpoints each decided cell in index order;
 //! * [`store`] — [`store::ArtifactStore`] keeps content-addressed record
 //!   blobs behind an append-only manifest, so a killed sweep resumes
 //!   byte-identically;

@@ -41,9 +41,10 @@ pub enum CellState {
         /// Length of the encoded record in bytes.
         len: u64,
     },
-    /// Dead-lettered after exhausting every attempt.
+    /// Dead-lettered: the design flow rejected the cell's configuration.
     DeadLetter {
-        /// How many attempts were made before giving up.
+        /// Attempts made (the engine writes 1; stores written while it
+        /// still retried cells may hold more).
         attempts: u32,
     },
 }

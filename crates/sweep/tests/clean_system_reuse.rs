@@ -99,7 +99,6 @@ fn capped_sweep_simulates_each_clean_system_once() {
         let _ = fs::remove_dir_all(&root);
         let opts = EngineOptions {
             jobs,
-            backoff_base_ms: 0,
             ..EngineOptions::default()
         };
         let engine = SweepEngine::create(&root, spec, opts).unwrap();

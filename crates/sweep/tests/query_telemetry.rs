@@ -24,7 +24,6 @@ fn query_answers_from_artifacts_alone() {
         SweepSpec::smoke(),
         EngineOptions {
             jobs: 2,
-            backoff_base_ms: 0,
             ..EngineOptions::default()
         },
     )

@@ -1,13 +1,12 @@
 //! The store's durability contract: a sweep killed after N cells and
 //! resumed produces a byte-identical store to one that never died, and a
-//! cell that can never succeed lands in the dead-letter queue instead of
-//! wedging the sweep.
+//! cell whose configuration the design flow rejects lands in the
+//! dead-letter queue instead of wedging the sweep.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use mapwave_faults::CellFailureModel;
 use mapwave_sweep::prelude::*;
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -19,7 +18,6 @@ fn temp_root(tag: &str) -> PathBuf {
 fn fast_opts(jobs: usize) -> EngineOptions {
     EngineOptions {
         jobs,
-        backoff_base_ms: 0,
         ..EngineOptions::default()
     }
 }
@@ -39,12 +37,14 @@ fn artifact_bytes(root: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// Runs `spec` once uninterrupted and once killed (commit limit) after
-/// `limit` cells on `jobs` workers, then resumed without re-telling it the
-/// spec — and with a different worker count, which must not matter — and
-/// asserts the two stores are byte-identical.
+/// Runs `spec` once uninterrupted (deciding `dead_letters` of its cells
+/// as dead letters) and once killed (commit limit) after `limit` cells on
+/// `jobs` workers, then resumed without re-telling it the spec — and with
+/// a different worker count, which must not matter — and asserts the two
+/// stores are byte-identical.
 fn assert_kill_and_resume_is_byte_identical(
     spec: &SweepSpec,
+    dead_letters: usize,
     limit: usize,
     jobs: usize,
     tag: &str,
@@ -55,8 +55,15 @@ fn assert_kill_and_resume_is_byte_identical(
     let full_root = temp_root(&format!("{tag}-full"));
     let full = SweepEngine::create(&full_root, spec.clone(), fast_opts(2)).unwrap();
     let summary = full.run().unwrap();
-    assert_eq!(summary.completed, cells);
-    assert_eq!(summary.pending, 0);
+    assert_eq!(
+        summary,
+        RunSummary {
+            completed: cells - dead_letters,
+            dead_lettered: dead_letters,
+            pending: 0,
+        },
+        "{tag}"
+    );
 
     // Victim: the limit counts committed cells only.
     let killed_root = temp_root(&format!("{tag}-killed"));
@@ -70,7 +77,7 @@ fn assert_kill_and_resume_is_byte_identical(
     )
     .unwrap();
     let first = killed.run().unwrap();
-    assert_eq!(first.completed, limit, "{tag}");
+    assert_eq!(first.completed + first.dead_lettered, limit, "{tag}");
     assert_eq!(first.pending, cells - limit, "{tag}: kill left work behind");
     let manifest = killed.store().load_manifest().unwrap().unwrap();
     assert_eq!(
@@ -81,7 +88,11 @@ fn assert_kill_and_resume_is_byte_identical(
 
     let resumed = SweepEngine::resume(&killed_root, fast_opts(4)).unwrap();
     let second = resumed.run().unwrap();
-    assert_eq!(second.completed, cells - limit, "{tag}");
+    assert_eq!(
+        second.completed + second.dead_lettered,
+        cells - limit,
+        "{tag}: the resumed run decides exactly the cells the kill left"
+    );
     assert_eq!(second.pending, 0, "{tag}");
 
     // Byte identity: manifest, spec, and every artifact blob.
@@ -117,7 +128,7 @@ fn assert_kill_and_resume_is_byte_identical(
 
 #[test]
 fn killed_and_resumed_sweep_is_byte_identical() {
-    assert_kill_and_resume_is_byte_identical(&SweepSpec::smoke(), 2, 2, "smoke");
+    assert_kill_and_resume_is_byte_identical(&SweepSpec::smoke(), 0, 2, 2, "smoke");
 }
 
 /// With caps, one clean-system job serves an uncapped cell and its capped
@@ -134,77 +145,65 @@ fn killed_between_a_clean_system_and_its_capped_cell_resumes_byte_identically() 
     };
     for (limit, jobs) in [(1, 1), (1, 2), (5, 2)] {
         let tag = format!("capped-{limit}-jobs{jobs}");
-        assert_kill_and_resume_is_byte_identical(&spec, limit, jobs, &tag);
+        assert_kill_and_resume_is_byte_identical(&spec, 0, limit, jobs, &tag);
     }
 }
 
+/// The design flow rejects scale 0 (`DesignFlow::new` returns `Err`), so
+/// the first four cells of this spec can never run: each is decided in
+/// one attempt as a dead letter, and the scale-0.002 cells still complete.
 #[test]
 fn always_failing_cells_dead_letter_instead_of_wedging() {
+    let spec = SweepSpec {
+        scales: vec![0.0, 0.002],
+        ..SweepSpec::smoke()
+    };
     let root = temp_root("dlq");
-    let engine = SweepEngine::create(
-        &root,
-        SweepSpec::smoke(),
-        EngineOptions {
-            exec_faults: CellFailureModel::new(1.0, 7),
-            max_attempts: 2,
-            ..fast_opts(2)
-        },
-    )
-    .unwrap();
+    let engine = SweepEngine::create(&root, spec.clone(), fast_opts(2)).unwrap();
     let summary = engine.run().unwrap();
-    assert_eq!(summary.completed, 0);
-    assert_eq!(summary.dead_lettered, 4, "every cell exhausts its attempts");
-    assert_eq!(summary.pending, 0, "the sweep still finishes");
+    assert_eq!(
+        summary,
+        RunSummary {
+            completed: 4,
+            dead_lettered: 4,
+            pending: 0,
+        },
+        "the sweep finishes around its dead letters"
+    );
 
     let manifest = engine.store().load_manifest().unwrap().unwrap();
-    assert_eq!(manifest.dead_lettered(), 4);
-    for entry in manifest.entries.values() {
-        assert_eq!(
-            entry.state,
-            CellState::DeadLetter { attempts: 2 },
-            "cell {} records its attempt count",
-            entry.index
-        );
+    assert_eq!(manifest.entries.len(), spec.cell_count());
+    let mut stored = Vec::new();
+    for (cell, entry) in spec.cells().iter().zip(manifest.entries.values()) {
+        assert_eq!(entry.index, cell.index);
+        match entry.state {
+            CellState::DeadLetter { attempts } => {
+                assert_eq!(cell.scale, 0.0, "cell {} dead-lettered", cell.index);
+                assert_eq!(attempts, 1, "cell {} is decided in one attempt", cell.index);
+            }
+            CellState::Ok { content_key, .. } => {
+                assert_eq!(cell.scale, 0.002, "cell {} completed", cell.index);
+                stored.push(format!("{}.art", content_key.to_hex()));
+            }
+        }
     }
-    assert!(
-        artifact_bytes(&root).is_empty(),
-        "dead-lettered cells leave no artifacts"
+    stored.sort();
+    assert_eq!(
+        artifact_bytes(&root).into_keys().collect::<Vec<_>>(),
+        stored,
+        "only completed cells leave artifacts"
     );
 
     // Resume does not resurrect the dead letters.
     let resumed = SweepEngine::resume(&root, fast_opts(1)).unwrap();
     let again = resumed.run().unwrap();
     assert_eq!(again.completed + again.dead_lettered + again.pending, 0);
-
     let _ = fs::remove_dir_all(&root);
-}
 
-#[test]
-fn transient_failures_retry_to_success() {
-    // Find a seed whose cell-0 stream fails the first attempt but passes
-    // the second — the retry machinery's happy path.
-    let seed = (0..200u64)
-        .find(|&s| {
-            let m = CellFailureModel::new(0.5, s);
-            m.attempt_fails(0, 0)
-                && !m.attempt_fails(0, 1)
-                && (1..4).all(|c| !m.attempt_fails(c, 0))
-        })
-        .expect("some seed yields fail-then-succeed for cell 0 only");
-
-    let root = temp_root("retry");
-    let engine = SweepEngine::create(
-        &root,
-        SweepSpec::smoke(),
-        EngineOptions {
-            exec_faults: CellFailureModel::new(0.5, seed),
-            ..fast_opts(1)
-        },
-    )
-    .unwrap();
-    let summary = engine.run().unwrap();
-    assert_eq!(summary.completed, 4, "retries rescue the transient failure");
-    assert_eq!(summary.dead_lettered, 0);
-
-    let _ = fs::remove_dir_all(&root);
+    // A kill among the dead letters, and one after the first completed
+    // cell, both resume to the uninterrupted store.
+    for (limit, jobs) in [(2, 2), (5, 1)] {
+        let tag = format!("dlq-{limit}-jobs{jobs}");
+        assert_kill_and_resume_is_byte_identical(&spec, 4, limit, jobs, &tag);
+    }
 }
