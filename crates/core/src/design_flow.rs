@@ -34,6 +34,7 @@ use mapwave_vfi::assignment::{
 };
 use mapwave_vfi::clustering::{Clustering, ClusteringProblem};
 use mapwave_vfi::power::CorePowerModel;
+use std::sync::OnceLock;
 
 /// Which V/F stage of the flow a spec should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +103,10 @@ impl Design {
 pub struct DesignFlow {
     cfg: PlatformConfig,
     power: CorePowerModel,
+    /// The die's XY table, built by the first mesh spec and shared by every
+    /// later one (a [`RoutingTable`] clone shares its arrays). Not built in
+    /// [`DesignFlow::new`], which validates only.
+    xy: OnceLock<RoutingTable>,
 }
 
 impl DesignFlow {
@@ -115,6 +120,7 @@ impl DesignFlow {
         Ok(DesignFlow {
             cfg,
             power: CorePowerModel::default_x86(),
+            xy: OnceLock::new(),
         })
     }
 
@@ -128,6 +134,13 @@ impl DesignFlow {
         &self.power
     }
 
+    /// A handle to the die's XY routing table, built on first use.
+    fn xy_routing(&self) -> RoutingTable {
+        self.xy
+            .get_or_init(|| RoutingTable::xy(self.cfg.cols, self.cfg.rows))
+            .clone()
+    }
+
     /// The baseline: non-VFI mesh, identity mapping, default stealing.
     pub fn nvfi_spec(&self) -> SystemSpec {
         let cfg = &self.cfg;
@@ -135,7 +148,7 @@ impl DesignFlow {
             label: "NVFI Mesh".into(),
             topology: mesh(cfg.cols, cfg.rows, cfg.tile_mm),
             overlay: WirelessOverlay::none(),
-            routing: RoutingTable::xy(cfg.cols, cfg.rows),
+            routing: self.xy_routing(),
             mapping: ThreadMapping::identity(cfg.cores()),
             clustering: Clustering::grid_quadrants(cfg.cols, cfg.rows),
             vf: VfAssignment::uniform(cfg.clusters, cfg.vf_table.max()),
@@ -251,7 +264,7 @@ impl DesignFlow {
             label: stage.mesh_label().into(),
             topology: mesh(cfg.cols, cfg.rows, cfg.tile_mm),
             overlay: WirelessOverlay::none(),
-            routing: RoutingTable::xy(cfg.cols, cfg.rows),
+            routing: self.xy_routing(),
             mapping,
             clustering: design.clustering.clone(),
             vf: design.vf(stage).clone(),

@@ -5,13 +5,18 @@
 //!
 //! 1. the MapReduce runtime model executes the workload at the platform's
 //!    per-cluster frequencies, producing phase times, per-core utilization
-//!    and the inter-core traffic matrix;
-//! 2. the traffic (transported to physical tile space by the thread
-//!    mapping) drives the cycle-accurate NoC simulation, yielding the
+//!    and the inter-core traffic matrices (whole-run and per stage);
+//! 2. each stage's traffic (transported to physical tile space by the
+//!    thread mapping) drives a cycle-accurate NoC window, yielding the
 //!    average network latency and per-flit energy;
 //! 3. the measured latency feeds back into the runtime model's cache-stall
 //!    term (remote L2 round trips), and the final execution is costed with
 //!    the core power model and the network energy accounting.
+//!
+//! The per-stage matrices live only inside [`run_system`]: each round's
+//! [`Executor::run_staged`] hands them over, the round's windows and (for
+//! the last round) the stage energy read them, and they are dropped when
+//! the run returns. The [`RunReport`] keeps the whole-run matrix only.
 
 use crate::config::PlatformConfig;
 use crate::placement::quadrant_of;
@@ -181,14 +186,16 @@ pub(crate) fn run_system_inner(
             let plan = faults.expect("runtime_faulted implies a plan");
             let master = executor.config().master_core;
             let mut phx = PhoenixFaults::new(plan, n, master);
-            let report = executor.run_with_faults(workload, &mut phx);
+            let staged = executor.run_staged(workload, Some(&mut phx));
             *last_phx = Some(phx);
-            report
+            staged
         } else {
-            executor.run(workload)
+            executor.run_staged(workload, None)
         }
     };
-    let mut exec = run_exec(&executor, &mut last_phx);
+    // `stages` is the current execution's per-stage traffic: replaced with
+    // each round's execution and dropped on return.
+    let (mut exec, mut stages) = run_exec(&executor, &mut last_phx);
 
     // The NoC is VFI-partitioned too: each quadrant's switches run at the
     // quadrant cluster's frequency.
@@ -306,12 +313,12 @@ pub(crate) fn run_system_inner(
         // Each window's statistics overwrite a persistent slot in place
         // (`clone_from` reuses the histogram/link-load allocations) rather
         // than cloning a fresh copy per round.
-        let stages = [
-            (&exec.phase_traffic.map, &mut map_net),
-            (&exec.phase_traffic.reduce, &mut reduce_net),
-            (&exec.phase_traffic.merge, &mut merge_net),
+        let windows = [
+            (&stages.map, &mut map_net),
+            (&stages.reduce, &mut reduce_net),
+            (&stages.merge, &mut merge_net),
         ];
-        for (traffic, slot) in stages {
+        for (traffic, slot) in windows {
             // Only stages that carry traffic get a window.
             if traffic.total_rate() > 1e-9 {
                 let tiles = spec.mapping.traffic_to_tiles(traffic);
@@ -361,7 +368,7 @@ pub(crate) fn run_system_inner(
             let mem = dram_latency(&exec, &executor.config().core_speeds).unwrap_or(default_mem);
             executor.set_mem_latency_cycles(mem);
         }
-        exec = run_exec(&executor, &mut last_phx);
+        (exec, stages) = run_exec(&executor, &mut last_phx);
         prev = latencies;
     }
 
@@ -396,9 +403,9 @@ pub(crate) fn run_system_inner(
          stage_cycles: f64,
          stats: &Option<NetworkStats>|
          -> f64 { traffic.total_rate() * packet_flits * stage_cycles * pj(stats) * 1e-12 };
-    let net_energy_j = stage_energy(&exec.phase_traffic.map, exec.phases.map, &map_net)
-        + stage_energy(&exec.phase_traffic.reduce, exec.phases.reduce, &reduce_net)
-        + stage_energy(&exec.phase_traffic.merge, exec.phases.merge, &merge_net);
+    let net_energy_j = stage_energy(&stages.map, exec.phases.map, &map_net)
+        + stage_energy(&stages.reduce, exec.phases.reduce, &reduce_net)
+        + stage_energy(&stages.merge, exec.phases.merge, &merge_net);
 
     let edp = (core_energy_j + net_energy_j) * exec_seconds;
 

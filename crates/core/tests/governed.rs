@@ -251,6 +251,10 @@ fn explicit_ideal_dram_is_bit_identical_to_the_default() {
     let cfg_ideal = cfg.clone().with_dram(DramConfig::ideal());
     let ideal = run_system(&spec, &design.workload, &cfg_ideal, flow.power());
     assert_eq!(base.exec, ideal.exec);
+    // The per-stage traffic matrices stay inside `run_system`; what they
+    // drive is compared instead: every stage window and the stage energy.
+    assert_eq!(base.net_by_phase, ideal.net_by_phase);
+    assert_eq!(base.net_energy_j.to_bits(), ideal.net_energy_j.to_bits());
     assert_eq!(base.edp.to_bits(), ideal.edp.to_bits());
     assert_eq!(
         base.exec_seconds.to_bits(),
@@ -278,6 +282,8 @@ fn zero_miss_workloads_bypass_the_banked_controller() {
         ideal.exec, banked.exec,
         "zero-miss run must never consult DRAM"
     );
+    assert_eq!(ideal.net_by_phase, banked.net_by_phase);
+    assert_eq!(ideal.net_energy_j.to_bits(), banked.net_energy_j.to_bits());
     assert_eq!(ideal.edp.to_bits(), banked.edp.to_bits());
 }
 

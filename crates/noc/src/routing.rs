@@ -23,7 +23,10 @@
 //! # Storage
 //!
 //! A table over `n` switches holds `2·n²` entries and `n²` distances, so it
-//! is stored compactly: 12·n² bytes, 0.75 MiB at 256 switches.
+//! is stored compactly: 12·n² bytes, 0.75 MiB at 256 switches. Both arrays
+//! sit behind an [`Arc`] and no method mutates them, so a clone shares
+//! them: the design flow builds its die's XY table once and every mesh
+//! spec holds a handle to it.
 //!
 //! * Each entry is one `u32`: bit 31 = present (0 for an unreachable
 //!   state), bit 30 = next phase is `Down`, bits 28–29 = hop kind (0
@@ -43,6 +46,7 @@ use crate::node::NodeId;
 use crate::topology::wireless::{ChannelId, WirelessOverlay};
 use crate::topology::Topology;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Routing phase of a packet under up\*/down\*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -193,9 +197,9 @@ impl std::error::Error for RoutingError {}
 pub struct RoutingTable {
     n: usize,
     /// `entries[(v * 2 + phase) * n + dest]`, packed (see the module doc).
-    entries: Vec<u32>,
+    entries: Arc<[u32]>,
     /// `dist[v * n + dest]` from phase Up, in hop-metric units.
-    dist: Vec<u32>,
+    dist: Arc<[u32]>,
 }
 
 impl RoutingTable {
@@ -316,7 +320,11 @@ impl RoutingTable {
                 dist[v * n + d] = (vc.abs_diff(dc) + vr.abs_diff(dr)) as u32;
             }
         }
-        RoutingTable { n, entries, dist }
+        RoutingTable {
+            n,
+            entries: entries.into(),
+            dist: dist.into(),
+        }
     }
 
     /// Builds an up\*/down\* table for an arbitrary connected topology with
@@ -462,8 +470,8 @@ impl RoutingTable {
         }
         Ok(RoutingTable {
             n,
-            entries,
-            dist: up,
+            entries: entries.into(),
+            dist: up.into(),
         })
     }
 }
@@ -980,7 +988,7 @@ mod tests {
         let up: Vec<u32> = (0..n)
             .flat_map(|v| got[v * 2 * n..(v * 2 + 1) * n].iter().copied())
             .collect();
-        assert_eq!(up, table.dist, "weight {weight}");
+        assert_eq!(up[..], table.dist[..], "weight {weight}");
         assert!(!up.contains(&u32::MAX));
         for v in 0..n {
             for d in 0..n {
@@ -1120,13 +1128,12 @@ mod tests {
         let t = RoutingTable::up_down_weighted(&topo, &paper_overlay(), 2).unwrap();
         let n = 64;
         // 4 B per entry and per distance, with no hub or Down rows kept
-        // allocated behind them.
-        assert_eq!(std::mem::size_of_val(&t.entries[0]), 4);
-        assert_eq!(
-            (t.entries.len(), t.entries.capacity()),
-            (2 * n * n, 2 * n * n)
-        );
-        assert_eq!((t.dist.len(), t.dist.capacity()), (n * n, n * n));
+        // allocated behind them (a shared slice holds exactly its length).
+        assert_eq!(std::mem::size_of_val(&*t.entries), 4 * 2 * n * n);
+        assert_eq!(std::mem::size_of_val(&*t.dist), 4 * n * n);
+        // A clone shares both arrays instead of copying them.
+        let c = t.clone();
+        assert!(Arc::ptr_eq(&t.entries, &c.entries) && Arc::ptr_eq(&t.dist, &c.dist));
     }
 
     #[test]

@@ -119,6 +119,7 @@ impl App {
             "scale must be positive and finite"
         );
         assert!(cores > 0, "need at least one core");
+        let _span = mapwave_harness::telemetry::span_labeled("phoenix.workload", self.name());
         match self {
             App::Histogram => histogram::run(scale, seed, cores).workload,
             App::Kmeans => kmeans::run(scale, seed, cores).workload,

@@ -2,7 +2,9 @@
 //! stealing over a frequency-heterogeneous platform.
 //!
 //! [`Executor::run`] replays an [`AppWorkload`] on a modelled platform and
-//! returns the [`ExecutionReport`] the rest of the study consumes. The
+//! returns the [`ExecutionReport`] the rest of the study consumes;
+//! [`Executor::run_staged`] also returns the per-stage traffic matrices,
+//! which only the NoC coupling reads. The
 //! model follows the paper's Fig. 1 flow per iteration:
 //!
 //! 1. **Library init** (+ Split): serial work on the master core;
@@ -412,16 +414,19 @@ impl Executor {
         PhoenixFaults::new(&FaultPlan::none(), self.cfg.cores, self.cfg.master_core)
     }
 
-    /// Replays `workload` and reports the observables.
+    /// Replays `workload` and reports the observables. The per-stage
+    /// traffic is built and dropped here; [`Executor::run_staged`] is the
+    /// entry point that returns it.
     pub fn run(&self, workload: &AppWorkload) -> ExecutionReport {
-        self.run_impl(workload, None, &mut self.no_faults())
+        self.run_staged(workload, None).0
     }
 
     /// Like [`Executor::run`], but also records the full schedule as a
-    /// [`Timeline`] (per-core busy spans for Gantt-style inspection).
+    /// [`Timeline`] (per-core busy spans for Gantt-style inspection). The
+    /// per-stage traffic is dropped here too.
     pub fn run_traced(&self, workload: &AppWorkload) -> (ExecutionReport, Timeline) {
         let mut timeline = Timeline::new(self.cfg.cores);
-        let report = self.run_impl(workload, Some(&mut timeline), &mut self.no_faults());
+        let (report, _) = self.run_impl(workload, Some(&mut timeline), &mut self.no_faults());
         (report, timeline)
     }
 
@@ -435,7 +440,8 @@ impl Executor {
     ///
     /// `faults` accumulates health and counters across calls; pass a fresh
     /// [`PhoenixFaults`] per execution unless degradation should carry
-    /// over.
+    /// over. The per-stage traffic is dropped here; the faulted
+    /// full-system run reads it through [`Executor::run_staged`].
     ///
     /// # Panics
     ///
@@ -445,12 +451,34 @@ impl Executor {
         workload: &AppWorkload,
         faults: &mut PhoenixFaults,
     ) -> ExecutionReport {
-        assert_eq!(
-            faults.health.len(),
-            self.cfg.cores,
-            "fault state platform size mismatch"
-        );
-        self.run_impl(workload, None, faults)
+        self.run_staged(workload, Some(faults)).0
+    }
+
+    /// Like [`Executor::run`] (no `faults`) or [`Executor::run_with_faults`]
+    /// (with them), and also hands back the per-stage traffic matrices
+    /// that the phase-resolved NoC windows need. The caller owns them: the
+    /// full-system run keeps them for one relaxation round and drops them
+    /// when it returns, and every other entry point drops them at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` was built for a different core count.
+    pub fn run_staged(
+        &self,
+        workload: &AppWorkload,
+        faults: Option<&mut PhoenixFaults>,
+    ) -> (ExecutionReport, PhaseTraffic) {
+        match faults {
+            Some(faults) => {
+                assert_eq!(
+                    faults.health.len(),
+                    self.cfg.cores,
+                    "fault state platform size mismatch"
+                );
+                self.run_impl(workload, None, faults)
+            }
+            None => self.run_impl(workload, None, &mut self.no_faults()),
+        }
     }
 
     /// The one engine behind every entry point.
@@ -459,7 +487,7 @@ impl Executor {
         workload: &AppWorkload,
         mut timeline: Option<&mut Timeline>,
         faults: &mut PhoenixFaults,
-    ) -> ExecutionReport {
+    ) -> (ExecutionReport, PhaseTraffic) {
         let _span = telemetry::span_labeled("phoenix.exec", workload.name);
         let n = self.cfg.cores;
         let lat = self.cfg.remote_l2_latency;
@@ -661,16 +689,16 @@ impl Executor {
             tasks_per_core.iter().map(|&t| u64::from(t)).sum(),
         );
         telemetry::count("phoenix.tasks_stolen", steals);
-        ExecutionReport {
+        let report = ExecutionReport {
             name: workload.name,
             phases,
             busy_cycles: busy,
             utilization,
             traffic,
-            phase_traffic,
             steals,
             tasks_per_core,
-        }
+        };
+        (report, phase_traffic)
     }
 
     /// Event-driven scheduling of one task-parallel phase whose tasks stall

@@ -121,7 +121,14 @@ impl Default for PhaseLatencies {
 }
 
 /// Per-stage traffic matrices of one execution (packets per reference
-/// cycle *of that stage's duration*).
+/// cycle *of that stage's duration*): the input to phase-resolved NoC
+/// simulation.
+///
+/// Only [`Executor::run_staged`](crate::runtime::Executor::run_staged)
+/// returns them, beside the [`ExecutionReport`]. The full-system run keeps
+/// them for one relaxation round's stage windows (the last round's also
+/// for the stage energy) and drops them when it returns, so no report
+/// that outlives its run holds three more dense `n × n` matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTraffic {
     /// Map-stage traffic (memory/coherence).
@@ -130,17 +137,6 @@ pub struct PhaseTraffic {
     pub reduce: TrafficMatrix,
     /// Merge-stage traffic (partition movement).
     pub merge: TrafficMatrix,
-}
-
-impl PhaseTraffic {
-    /// Empty traffic over `n` cores.
-    pub fn zeros(n: usize) -> Self {
-        PhaseTraffic {
-            map: TrafficMatrix::zeros(n),
-            reduce: TrafficMatrix::zeros(n),
-            merge: TrafficMatrix::zeros(n),
-        }
-    }
 }
 
 /// Time spent in each execution stage, in reference-clock cycles.
@@ -182,6 +178,11 @@ impl PhaseBreakdown {
 }
 
 /// The observables of one execution on one platform configuration.
+///
+/// It holds one dense `n × n` matrix, the whole-run [`Self::traffic`]. The
+/// per-stage matrices are not part of it: they go only to callers of
+/// [`Executor::run_staged`](crate::runtime::Executor::run_staged), as a
+/// [`PhaseTraffic`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Application name.
@@ -196,9 +197,6 @@ pub struct ExecutionReport {
     /// Inter-core traffic in packets per reference cycle (logical space),
     /// aggregated over the whole execution.
     pub traffic: TrafficMatrix,
-    /// Per-stage traffic matrices (rates relative to each stage's own
-    /// duration) — the input to phase-resolved NoC simulation.
-    pub phase_traffic: PhaseTraffic,
     /// Number of successful steals.
     pub steals: u64,
     /// Tasks executed per core (map + reduce).
@@ -282,7 +280,6 @@ mod tests {
             busy_cycles: vec![],
             utilization: vec![0.2, 0.8],
             traffic: TrafficMatrix::zeros(2),
-            phase_traffic: PhaseTraffic::zeros(2),
             steals: 0,
             tasks_per_core: vec![],
         };

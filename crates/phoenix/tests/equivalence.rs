@@ -22,7 +22,9 @@ fn hetero_speeds(n: usize) -> Vec<f64> {
 #[test]
 fn determinism_across_policies_and_speeds() {
     // `run()`, `run_traced().0` and a run under an inert fault plan must
-    // agree for both steal policies across heterogeneous speed vectors.
+    // agree for both steal policies across heterogeneous speed vectors,
+    // and so must the per-stage traffic that `run_staged` hands back with
+    // and without the inert plan.
     let w = App::Kmeans.workload(0.002, 11, 16);
     for policy in [StealPolicy::Default, StealPolicy::VfiCapped] {
         for speeds in [
@@ -48,6 +50,17 @@ fn determinism_across_policies_and_speeds() {
                 "inert fault plan changed the run at policy={policy:?} speeds={speeds:?}"
             );
             assert_eq!(*faults.stats(), Default::default(), "inert plan fired");
+            let (staged, stages) = exec.run_staged(&w, None);
+            assert_eq!(
+                plain, staged,
+                "run/run_staged diverged at policy={policy:?} speeds={speeds:?}"
+            );
+            let mut faults = PhoenixFaults::new(&FaultPlan::none(), 16, 0);
+            assert_eq!(
+                (staged, stages),
+                exec.run_staged(&w, Some(&mut faults)),
+                "inert fault plan changed the staged run at policy={policy:?} speeds={speeds:?}"
+            );
         }
     }
 }

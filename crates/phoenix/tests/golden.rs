@@ -6,7 +6,8 @@
 //!
 //! * every `ExecutionReport` field (phase durations, per-core busy cycles
 //!   and utilization, steals, per-core task counts) and every rate of the
-//!   aggregate and per-stage traffic matrices;
+//!   aggregate traffic matrix, then every rate of the per-stage matrices
+//!   that `Executor::run_staged` hands back beside the report;
 //! * every `Timeline` span of the traced run;
 //! * for live fault plans at rates 0.1, 0.35 and 0.6, the faulted report,
 //!   its `FaultStats` and the final `CoreHealth` of every core.
@@ -24,7 +25,7 @@ use mapwave_noc::{NodeId, TrafficMatrix};
 use mapwave_phoenix::apps::App;
 use mapwave_phoenix::runtime::{Executor, PhoenixFaults, RuntimeConfig};
 use mapwave_phoenix::stealing::StealPolicy;
-use mapwave_phoenix::workload::{ExecutionReport, PhaseLatencies};
+use mapwave_phoenix::workload::{ExecutionReport, PhaseLatencies, PhaseTraffic};
 use mapwave_phoenix::Timeline;
 
 const CORES: [usize; 7] = [1, 2, 3, 5, 16, 64, 256];
@@ -91,7 +92,7 @@ fn hash_matrix(h: &mut StableHasher, m: &TrafficMatrix) {
     }
 }
 
-fn hash_report(h: &mut StableHasher, r: &ExecutionReport) {
+fn hash_report(h: &mut StableHasher, r: &ExecutionReport, stages: &PhaseTraffic) {
     h.write(r.name.as_bytes());
     for x in [
         r.phases.lib_init,
@@ -111,9 +112,9 @@ fn hash_report(h: &mut StableHasher, r: &ExecutionReport) {
         h.write_u64(u64::from(t));
     }
     hash_matrix(h, &r.traffic);
-    hash_matrix(h, &r.phase_traffic.map);
-    hash_matrix(h, &r.phase_traffic.reduce);
-    hash_matrix(h, &r.phase_traffic.merge);
+    hash_matrix(h, &stages.map);
+    hash_matrix(h, &stages.reduce);
+    hash_matrix(h, &stages.merge);
 }
 
 fn hash_timeline(h: &mut StableHasher, t: &Timeline) {
@@ -176,13 +177,15 @@ fn digest(app: App, cores: usize) -> String {
                 report,
                 "{app:?}/{cores}: run and run_traced disagree"
             );
-            hash_report(&mut h, &report);
+            let (staged, stages) = exec.run_staged(&w, None);
+            assert_eq!(staged, report, "{app:?}/{cores}: run_staged disagrees");
+            hash_report(&mut h, &report, &stages);
             hash_timeline(&mut h, &timeline);
             for rate in FAULT_RATES {
                 let plan = FaultPlan::build(&FaultConfig::at_rate(rate, 7));
                 let mut faults = PhoenixFaults::new(&plan, cores, 0);
-                let faulted = exec.run_with_faults(&w, &mut faults);
-                hash_report(&mut h, &faulted);
+                let (faulted, stages) = exec.run_staged(&w, Some(&mut faults));
+                hash_report(&mut h, &faulted, &stages);
                 hash_faults(&mut h, &faults);
                 injected += faults.stats().injected();
             }

@@ -240,9 +240,9 @@ type Designed = (DesignFlow, Arc<(Design, RunReport)>);
 
 /// What one job of the sweep's graph yields.
 enum Node {
-    /// A design job's product; `None` when the design flow rejects the
-    /// configuration.
-    Design(Option<Designed>),
+    /// A design job's product (boxed: a flow is far larger than the other
+    /// variants); `None` when the design flow rejects the configuration.
+    Design(Option<Box<Designed>>),
     /// A clean-system job's finished records, one per pending cell it
     /// serves, in cell order; `None` when its design failed.
     Records(Option<Vec<CellRecord>>),
@@ -277,7 +277,7 @@ fn build_graph(pending: Vec<SweepCell>) -> JobGraph<Node> {
                         move |_| {
                             Node::Design(DesignFlow::new(cfg).ok().map(|flow| {
                                 let designed = design_and_nvfi_cached(&flow, app);
-                                (flow, designed)
+                                Box::new((flow, designed))
                             }))
                         },
                     )

@@ -554,6 +554,7 @@ impl ClusteringProblem {
     /// optimum, which converges in a handful of passes instead of the flat
     /// path's full random-restart refinement.
     pub fn solve_multilevel(&self) -> Clustering {
+        let _span = mapwave_harness::telemetry::span("vfi.cluster");
         self.solve_multilevel_with_starts(8, 0xC0FF_EE00)
     }
 

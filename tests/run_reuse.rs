@@ -67,9 +67,6 @@ fn exec_fields(out: &mut Vec<(String, u64)>, e: &ExecutionReport) {
         out.push((format!("exec.tasks_per_core[{c}]"), u64::from(t)));
     }
     matrix_fields(out, "exec.traffic", &e.traffic);
-    matrix_fields(out, "exec.phase_traffic.map", &e.phase_traffic.map);
-    matrix_fields(out, "exec.phase_traffic.reduce", &e.phase_traffic.reduce);
-    matrix_fields(out, "exec.phase_traffic.merge", &e.phase_traffic.merge);
 }
 
 fn net_fields(out: &mut Vec<(String, u64)>, name: &str, s: &NetworkStats) {
