@@ -14,17 +14,20 @@
 //! [`SystemSpec`]s ready for [`crate::system::run_system`].
 
 use crate::config::{PlacementStrategy, PlatformConfig};
+use crate::orchestrator::config_key;
 use crate::placement::{
     anneal_wi_placement, center_wis, initial_mapping, refine_mapping_max_wireless,
     refine_mapping_min_hop,
 };
 use crate::system::{RunReport, SystemSpec};
+use mapwave_harness::hash::CacheKey;
 use mapwave_manycore::mapping::ThreadMapping;
 use mapwave_noc::node::grid_positions;
 use mapwave_noc::routing::RoutingTable;
 use mapwave_noc::topology::mesh::mesh;
 use mapwave_noc::topology::small_world::SmallWorldBuilder;
 use mapwave_noc::topology::wireless::WirelessOverlay;
+use mapwave_noc::topology::Topology;
 use mapwave_noc::NodeId;
 use mapwave_phoenix::apps::App;
 use mapwave_phoenix::stealing::StealPolicy;
@@ -78,6 +81,27 @@ pub struct Design {
     pub steal_vfi1: StealPolicy,
     /// Steal policy chosen for the VFI 2 system.
     pub steal_vfi2: StealPolicy,
+    /// The mesh specs' min-hop thread mapping, shared by both stages.
+    min_hop_mapping: SpecProduct<ThreadMapping>,
+    /// The WiNoC specs' small-world wireline graph, shared by both
+    /// placement strategies.
+    small_world: SpecProduct<Topology>,
+}
+
+/// A spec product built from a design on first use, with the key of the
+/// flow configuration it was built under.
+type SpecProduct<T> = OnceLock<(CacheKey, T)>;
+
+/// `product`'s value for the flow configuration `key`: built once and
+/// shared if the design's first such build used `key`, built afresh for
+/// any other configuration (say, a flow varying the small-world degrees).
+fn shared<T: Clone>(product: &SpecProduct<T>, key: CacheKey, build: impl Fn() -> T) -> T {
+    let (built_for, value) = product.get_or_init(|| (key, build()));
+    if *built_for == key {
+        value.clone()
+    } else {
+        build()
+    }
 }
 
 impl Design {
@@ -220,6 +244,8 @@ impl DesignFlow {
             analysis,
             steal_vfi1,
             steal_vfi2,
+            min_hop_mapping: OnceLock::new(),
+            small_world: OnceLock::new(),
         };
         (design, baseline)
     }
@@ -259,7 +285,9 @@ impl DesignFlow {
     /// stage-appropriate steal policy.
     pub fn vfi_mesh_spec(&self, design: &Design, stage: VfStage) -> SystemSpec {
         let cfg = &self.cfg;
-        let mapping = self.min_hop_mapping(design);
+        let mapping = shared(&design.min_hop_mapping, config_key(cfg), || {
+            self.min_hop_mapping(design)
+        });
         SystemSpec {
             label: stage.mesh_label().into(),
             topology: mesh(cfg.cols, cfg.rows, cfg.tile_mm),
@@ -277,24 +305,9 @@ impl DesignFlow {
     /// and the VFI 2 operating points.
     pub fn winoc_spec(&self, design: &Design, strategy: PlacementStrategy) -> SystemSpec {
         let cfg = &self.cfg;
-        let quadrant_labels: Vec<usize> = Clustering::grid_quadrants(cfg.cols, cfg.rows)
-            .as_slice()
-            .to_vec();
-        let cluster_traffic = design
-            .profile
-            .traffic
-            .cluster_rates(design.clustering.as_slice(), cfg.clusters);
-        let topology = SmallWorldBuilder::new(
-            grid_positions(cfg.cols, cfg.rows, cfg.tile_mm),
-            quadrant_labels,
-        )
-        .k_intra(cfg.k_intra)
-        .k_inter(cfg.k_inter)
-        .alpha(cfg.alpha)
-        .inter_traffic(cluster_traffic)
-        .seed(cfg.seed)
-        .build()
-        .expect("validated configuration builds a connected WiNoC");
+        let topology = shared(&design.small_world, config_key(cfg), || {
+            self.small_world(design)
+        });
 
         // Scales with the die edge (3 on 8×8, 6 on 16×16, 12 on 32×32);
         // identical to the paper's min(3, wis_per_cluster) on ≤ 8×8 dies.
@@ -378,6 +391,30 @@ impl DesignFlow {
             vf: design.vfi2.clone(),
             steal: design.steal(VfStage::Vfi2),
         }
+    }
+
+    /// The WiNoC's small-world wireline network, built around the islands'
+    /// traffic.
+    fn small_world(&self, design: &Design) -> Topology {
+        let cfg = &self.cfg;
+        let quadrant_labels: Vec<usize> = Clustering::grid_quadrants(cfg.cols, cfg.rows)
+            .as_slice()
+            .to_vec();
+        let cluster_traffic = design
+            .profile
+            .traffic
+            .cluster_rates(design.clustering.as_slice(), cfg.clusters);
+        SmallWorldBuilder::new(
+            grid_positions(cfg.cols, cfg.rows, cfg.tile_mm),
+            quadrant_labels,
+        )
+        .k_intra(cfg.k_intra)
+        .k_inter(cfg.k_inter)
+        .alpha(cfg.alpha)
+        .inter_traffic(cluster_traffic)
+        .seed(cfg.seed)
+        .build()
+        .expect("validated configuration builds a connected WiNoC")
     }
 
     /// The methodology-1 thread mapping: minimise traffic-weighted mesh
@@ -465,6 +502,31 @@ mod tests {
             assert_eq!(spec.overlay.len(), 4 * f.config().wis_per_cluster);
             assert_eq!(spec.routing.len(), 16);
         }
+    }
+
+    #[test]
+    fn shared_spec_products_follow_the_flow_configuration() {
+        // A design's small-world graph, first built under other degrees,
+        // is not reused by its own flow: each flow's graph equals the one
+        // it builds from a fresh design. Both mesh stages share a mapping.
+        let f = flow();
+        let cfg = f.config().clone().with_degrees(2.0, 2.0);
+        let variant = DesignFlow::new(cfg).unwrap();
+        let strategy = PlacementStrategy::MinHopCount;
+        let d = f.design(App::Pca);
+        let (fresh, fresh_variant) = (f.design(App::Pca), f.design(App::Pca));
+        let by_variant = variant.winoc_spec(&d, strategy);
+        let by_flow = f.winoc_spec(&d, strategy);
+        assert_ne!(by_variant.topology, by_flow.topology);
+        assert_eq!(by_flow.topology, f.winoc_spec(&fresh, strategy).topology);
+        assert_eq!(
+            by_variant.topology,
+            variant.winoc_spec(&fresh_variant, strategy).topology
+        );
+        assert_eq!(
+            f.vfi_mesh_spec(&d, VfStage::Vfi1).mapping,
+            f.vfi_mesh_spec(&fresh, VfStage::Vfi2).mapping
+        );
     }
 
     #[test]

@@ -258,6 +258,14 @@ impl SmallWorldBuilder {
         }
     }
 
+    /// [`Self::wire_weight`] of every `(from[i], to[j])` pair, row-major,
+    /// so each pair's `powf` runs once per build.
+    fn wire_weights(&self, from: &[NodeId], to: &[NodeId]) -> Vec<f64> {
+        from.iter()
+            .flat_map(|&a| to.iter().map(move |&b| self.wire_weight(a, b)))
+            .collect()
+    }
+
     /// Randomised-Prim spanning tree plus weighted extra links inside one
     /// cluster.
     fn build_intra(&self, topo: &mut Topology, mem: &[NodeId], rng: &mut StdRng) {
@@ -265,19 +273,22 @@ impl SmallWorldBuilder {
         if size <= 1 {
             return;
         }
+        let weight = self.wire_weights(mem, mem);
+        let weight = |i: usize, j: usize| weight[i * size + j];
         // Spanning tree: grow from mem[0], attaching each outside node via a
         // power-law-weighted choice of (in-tree, out-of-tree) pair, skipping
-        // saturated in-tree nodes where possible.
-        let mut in_tree = vec![mem[0]];
-        let mut out: Vec<NodeId> = mem[1..].to_vec();
+        // saturated in-tree nodes where possible. Both lists hold indices
+        // into `mem`.
+        let mut in_tree = vec![0];
+        let mut out: Vec<usize> = (1..size).collect();
         while !out.is_empty() {
             let mut cands: Vec<(NodeId, NodeId, f64)> = Vec::new();
             for &a in &in_tree {
-                if topo.degree(a) >= self.k_max {
+                if topo.degree(mem[a]) >= self.k_max {
                     continue;
                 }
                 for &b in &out {
-                    cands.push((a, b, self.wire_weight(a, b)));
+                    cands.push((mem[a], mem[b], weight(a, b)));
                 }
             }
             if cands.is_empty() {
@@ -286,15 +297,14 @@ impl SmallWorldBuilder {
                 // constraint in pathological configurations).
                 for &a in &in_tree {
                     for &b in &out {
-                        cands.push((a, b, self.wire_weight(a, b)));
+                        cands.push((mem[a], mem[b], weight(a, b)));
                     }
                 }
             }
             let (a, b) = weighted_pick(&cands, rng);
             topo.add_link(a, b).expect("tree link must be fresh");
-            let pos = out.iter().position(|&x| x == b).expect("b is in out");
-            out.swap_remove(pos);
-            in_tree.push(b);
+            let pos = out.iter().position(|&x| mem[x] == b).expect("b is in out");
+            in_tree.push(out.swap_remove(pos));
         }
 
         // Extra links up to the intra-degree budget.
@@ -306,11 +316,11 @@ impl SmallWorldBuilder {
                 if topo.degree(a) >= self.k_max {
                     continue;
                 }
-                for &b in &mem[i + 1..] {
+                for (j, &b) in mem.iter().enumerate().skip(i + 1) {
                     if topo.degree(b) >= self.k_max || topo.has_link(a, b) {
                         continue;
                     }
-                    cands.push((a, b, self.wire_weight(a, b)));
+                    cands.push((a, b, weight(i, j)));
                 }
             }
             if cands.is_empty() {
@@ -366,18 +376,23 @@ impl SmallWorldBuilder {
             quota[idx] += 1;
         }
 
-        for (q, &(a, b, _)) in quota.iter().zip(weights.iter()) {
-            for _ in 0..*q {
+        for (&q, &(a, b, _)) in quota.iter().zip(weights.iter()) {
+            let (from, to) = (&members[a], &members[b]);
+            if q == 0 || to.is_empty() {
+                continue;
+            }
+            let weight = self.wire_weights(from, to);
+            for _ in 0..q {
                 let mut cands: Vec<(NodeId, NodeId, f64)> = Vec::new();
-                for &u in &members[a] {
+                for (&u, row) in from.iter().zip(weight.chunks_exact(to.len())) {
                     if topo.degree(u) >= self.k_max {
                         continue;
                     }
-                    for &v in &members[b] {
+                    for (&v, &w) in to.iter().zip(row) {
                         if topo.degree(v) >= self.k_max || topo.has_link(u, v) {
                             continue;
                         }
-                        cands.push((u, v, self.wire_weight(u, v)));
+                        cands.push((u, v, w));
                     }
                 }
                 if cands.is_empty() {

@@ -27,6 +27,11 @@ const CYCLES_PER_MAC: f64 = 1.0;
 /// Instructions per multiply-accumulate (load/load/fma/loop).
 const INSTR_PER_MAC: f64 = 1.6;
 
+/// Rows of A (and C) multiplied per pass over B.
+pub const ROW_BLOCK: usize = 32;
+/// Rows of B added into an output row per step of the multiply.
+pub const K_UNROLL: usize = 4;
+
 /// Outcome of a real Matrix Multiplication run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixMultRun {
@@ -43,6 +48,28 @@ pub fn scaled_dim(scale: f64) -> usize {
     ((DIM as f64) * scale.cbrt()).round().max(24.0) as usize
 }
 
+/// Adds `a[r] · b_rows[r]` into `c` for each r in ascending order, one
+/// mul-then-add per product. Given a full step of [`K_UNROLL`] = 4 rows,
+/// each element of `c` stays in a register across all four; the sum is
+/// the same either way.
+fn add_rows(c: &mut [f64], a: &[f64], b_rows: &[f64]) {
+    let dim = c.len();
+    if let &[a0, a1, a2, a3] = a {
+        let (b0, rest) = b_rows.split_at(dim);
+        let (b1, rest) = rest.split_at(dim);
+        let (b2, b3) = rest.split_at(dim);
+        for ((((c, &x0), &x1), &x2), &x3) in c.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+            *c = *c + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+        }
+    } else {
+        for (&a, b_row) in a.iter().zip(b_rows.chunks_exact(dim)) {
+            for (c, &x) in c.iter_mut().zip(b_row) {
+                *c += a * x;
+            }
+        }
+    }
+}
+
 /// Runs Matrix Multiplication at `scale` of the Table-1 input.
 ///
 /// # Panics
@@ -55,57 +82,65 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> MatrixMultRun {
     let dim = scaled_dim(scale);
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // A is read once, row by row, in draw order, so it is not stored: keep
-    // the generator as it stands before A, skip past A to draw B (which the
-    // multiply reads in full for every row of A), and re-draw each row of A
-    // where the multiply reads it.
+    // A then B are drawn row by row, and neither is stored. A is read once,
+    // in draw order, so each block of its rows is drawn where the multiply
+    // reads it. B is read in full for every block, so it is re-drawn, row
+    // by row, from a clone of the generator taken at its start.
     let mut a_rng = rng.clone();
     for _ in 0..dim * dim {
         rng.random::<f64>();
     }
-    let b: Vec<f64> = (0..dim * dim).map(|_| rng.random::<f64>() - 0.5).collect();
+    let b_rng = rng;
 
-    let tasks = MAP_TASKS.min(dim);
-    let mut map_tasks = Vec::with_capacity(tasks);
+    // One block's scratch: its rows of A and C, and the rows of B one
+    // unrolled step adds in.
+    let block = ROW_BLOCK.min(dim);
+    let mut scratch = vec![0.0f64; (2 * block + K_UNROLL) * dim];
+    let (a_block, rest) = scratch.split_at_mut(block * dim);
+    let (c_block, b_rows) = rest.split_at_mut(block * dim);
     let mut frob = 0.0f64;
     let mut row_digests = Vec::with_capacity(dim);
-    let mut a_row = vec![0.0f64; dim];
-    let mut c_row = vec![0.0f64; dim];
 
-    for t in 0..tasks {
-        // Balanced row ranges: every block gets ⌊dim/tasks⌋ or ⌈dim/tasks⌉.
-        let row_start = t * dim / tasks;
-        let row_end = (t + 1) * dim / tasks;
-        let rows = row_end - row_start;
-        // The real multiply for this block, in i-k-j order: the whole
-        // output row accumulates while rows of B stream past, instead of
-        // one dot product walking a column of B per element. Every
-        // element still sums the same k products from 0.0 in ascending k
-        // (mul then add, never fused), so C is bit-identical to the
-        // i-j-k dot-product loop, and so are the witnesses folded in j
-        // order below.
-        for _ in row_start..row_end {
-            a_row.fill_with(|| a_rng.random::<f64>() - 0.5);
-            c_row.fill(0.0);
-            for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(dim)) {
-                for (c, &bkj) in c_row.iter_mut().zip(b_row) {
-                    *c += aik * bkj;
-                }
+    for row_start in (0..dim).step_by(block) {
+        let rows = block.min(dim - row_start);
+        let a_block = &mut a_block[..rows * dim];
+        let c_block = &mut c_block[..rows * dim];
+        a_block.fill_with(|| a_rng.random::<f64>() - 0.5);
+        c_block.fill(0.0);
+        // The real multiply for this block, in i-k-j order: each output row
+        // accumulates while rows of B stream past. Every element still sums
+        // the same k products from 0.0 in ascending k (mul then add, never
+        // fused), so C is bit-identical to the i-j-k dot-product loop, and
+        // so are the witnesses folded in j order below.
+        let mut b_rng = b_rng.clone();
+        for k in (0..dim).step_by(K_UNROLL) {
+            let depth = K_UNROLL.min(dim - k);
+            let b_rows = &mut b_rows[..depth * dim];
+            b_rows.fill_with(|| b_rng.random::<f64>() - 0.5);
+            for (a_row, c_row) in a_block.chunks_exact(dim).zip(c_block.chunks_exact_mut(dim)) {
+                add_rows(c_row, &a_row[k..k + depth], b_rows);
             }
+        }
+        for c_row in c_block.chunks_exact(dim) {
             let mut row_sum = 0.0;
-            for &acc in &c_row {
+            for &acc in c_row {
                 frob += acc * acc;
                 row_sum += acc;
             }
             row_digests.push(row_sum);
         }
-        let macs = (rows * dim * dim) as f64;
-        map_tasks.push(TaskWork::new(
-            macs * CYCLES_PER_MAC,
-            macs * INSTR_PER_MAC,
-            rows,
-        ));
     }
+
+    // Balanced row ranges: every Map task gets ⌊dim/tasks⌋ or ⌈dim/tasks⌉
+    // rows, dim MACs per element.
+    let tasks = MAP_TASKS.min(dim);
+    let map_tasks: Vec<TaskWork> = (0..tasks)
+        .map(|t| {
+            let rows = (t + 1) * dim / tasks - t * dim / tasks;
+            let macs = (rows * dim * dim) as f64;
+            TaskWork::new(macs * CYCLES_PER_MAC, macs * INSTR_PER_MAC, rows)
+        })
+        .collect();
 
     let frobenius = frob.sqrt();
     let digest = digest_f64s(row_digests.into_iter().chain([frobenius]));

@@ -8,6 +8,12 @@
 //! produces the strongest bottleneck-core effect (Fig. 5: the highest
 //! bottleneck-to-average utilization ratio), and therefore the biggest
 //! benefit from the VFI 2 reassignment (Fig. 4).
+//!
+//! The kernel computes what its witness reads: each row's mean and
+//! variance (the covariance diagonal, whose sum is the trace). It draws the
+//! matrix one row at a time and never holds it. The covariance iteration's
+//! task work (n MACs per upper-triangle entry) comes from counts, not from
+//! computing the off-diagonal entries.
 
 use crate::apps::digest_f64s;
 use crate::task::TaskWork;
@@ -58,84 +64,55 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> PcaRun {
     let n = scaled_dim(scale);
     let mut rng = StdRng::seed_from_u64(seed);
     // Rows are observations, columns variables; inject correlation so the
-    // covariance has structure.
+    // covariance has structure. Each row is drawn, reduced to its mean and
+    // variance, and dropped: the kernel never holds the n×n matrix.
     let base: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
-    let matrix: Vec<f64> = (0..n * n)
-        .map(|idx| {
-            let (i, j) = (idx / n, idx % n);
-            base[j] * ((i % 7) as f64 + 1.0) * 0.1 + rng.random::<f64>()
-        })
-        .collect();
+    let mut row = vec![0.0f64; n];
+    let mut means = Vec::with_capacity(n);
+    let mut trace = 0.0f64;
+    let mut diag_digest = Vec::with_capacity(n);
+    for i in 0..n {
+        let weight = (i % 7) as f64 + 1.0;
+        for (x, &b) in row.iter_mut().zip(&base) {
+            *x = b * weight * 0.1 + rng.random::<f64>();
+        }
+        let mean = row.iter().sum::<f64>() / n as f64;
+        // The diagonal covariance entry: centred squares summed from 0.0
+        // in ascending column order.
+        let mut acc = 0.0f64;
+        for &x in &row {
+            let centred = x - mean;
+            acc += centred * centred;
+        }
+        let variance = acc / (n as f64 - 1.0);
+        trace += variance;
+        diag_digest.push(variance);
+        means.push(mean);
+    }
 
     // --- Iteration 1: per-row means ---
     let mean_tasks_n = MEAN_TASKS.min(n);
-    let mut means = vec![0.0f64; n];
-    let mut iter1_tasks = Vec::with_capacity(mean_tasks_n);
-    for t in 0..mean_tasks_n {
-        let start = t * n / mean_tasks_n;
-        let end = (t + 1) * n / mean_tasks_n;
-        for i in start..end {
-            means[i] = matrix[i * n..(i + 1) * n].iter().sum::<f64>() / n as f64;
-        }
-        let ops = ((end - start) * n) as f64;
-        iter1_tasks.push(TaskWork::new(
-            ops * CYCLES_PER_MAC,
-            ops * INSTR_PER_MAC,
-            end - start,
-        ));
-    }
+    let iter1_tasks: Vec<TaskWork> = (0..mean_tasks_n)
+        .map(|t| {
+            let rows = (t + 1) * n / mean_tasks_n - t * n / mean_tasks_n;
+            let ops = (rows * n) as f64;
+            TaskWork::new(ops * CYCLES_PER_MAC, ops * INSTR_PER_MAC, rows)
+        })
+        .collect();
 
     // --- Iteration 2: covariance (upper triangle) ---
-    // Centre every row, then transpose in place (no second n×n buffer):
-    // afterwards `centred[k * n + j]` is row j's centred value at k.
-    let mut centred = matrix;
-    for (row, &mean) in centred.chunks_exact_mut(n).zip(&means) {
-        row.iter_mut().for_each(|x| *x -= mean);
-    }
-    for r in 0..n {
-        for c in r + 1..n {
-            centred.swap(r * n + c, c * n + r);
-        }
-    }
+    // Row i's task work covers entries (i, i..n), n MACs each; the counts
+    // are exact integers, so they need no kernel behind them.
     let cov_tasks_n = COV_TASKS.min(n);
-    let mut iter2_tasks = Vec::with_capacity(cov_tasks_n);
-    let mut trace = 0.0f64;
-    let mut diag_digest = Vec::with_capacity(n);
-    let mut acc_row = vec![0.0f64; n];
-    for t in 0..cov_tasks_n {
-        let start = t * n / cov_tasks_n;
-        let end = (t + 1) * n / cov_tasks_n;
-        let mut macs = 0.0f64;
-        let mut entries = 0usize;
-        for i in start..end {
-            // Row i of the upper triangle in i-k-j order: entries (i, i..n)
-            // accumulate together while rows of the transposed matrix
-            // stream past, instead of one latency-bound dot product per
-            // entry. Each entry still sums the same k products
-            // (x_ik · x_jk, centred exactly as before) from 0.0 in
-            // ascending k, so every covariance is bit-identical.
-            let acc = &mut acc_row[i..];
-            acc.fill(0.0);
-            for xt_row in centred.chunks_exact(n) {
-                let x_ik = xt_row[i];
-                for (a, &x_jk) in acc.iter_mut().zip(&xt_row[i..]) {
-                    *a += x_ik * x_jk;
-                }
-            }
-            let variance = acc[0] / (n as f64 - 1.0);
-            trace += variance;
-            diag_digest.push(variance);
-            for _ in i..n {
-                entries += 1;
-                macs += n as f64;
-            }
-        }
-        iter2_tasks.push(TaskWork::new(
-            macs * CYCLES_PER_MAC,
-            macs * INSTR_PER_MAC,
-            entries,
-        ));
-    }
+    let iter2_tasks: Vec<TaskWork> = (0..cov_tasks_n)
+        .map(|t| {
+            let entries: usize = (t * n / cov_tasks_n..(t + 1) * n / cov_tasks_n)
+                .map(|i| n - i)
+                .sum();
+            let macs = (entries * n) as f64;
+            TaskWork::new(macs * CYCLES_PER_MAC, macs * INSTR_PER_MAC, entries)
+        })
+        .collect();
 
     let digest = digest_f64s(means.iter().copied().chain(diag_digest).chain([trace]));
 
@@ -219,6 +196,32 @@ mod tests {
             .collect();
         let m0: f64 = matrix[..48].iter().sum::<f64>() / 48.0;
         assert!((r.means[0] - m0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn trace_matches_the_full_covariance() {
+        // The kernel keeps only the diagonal; its sum must match the trace
+        // of the covariance matrix computed in full from the stored matrix.
+        let r = run(1e-6, 7, 64);
+        let n = r.dim;
+        let mut rng = StdRng::seed_from_u64(7);
+        let base: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
+        let matrix: Vec<f64> = (0..n * n)
+            .map(|idx| base[idx % n] * ((idx / n % 7) as f64 + 1.0) * 0.1 + rng.random::<f64>())
+            .collect();
+        let row = |i: usize| &matrix[i * n..(i + 1) * n];
+        let mean = |i: usize| row(i).iter().sum::<f64>() / n as f64;
+        let cov = |i: usize, j: usize| {
+            let (mi, mj) = (mean(i), mean(j));
+            row(i)
+                .iter()
+                .zip(row(j))
+                .map(|(x, y)| (x - mi) * (y - mj))
+                .sum::<f64>()
+                / (n as f64 - 1.0)
+        };
+        let trace: f64 = (0..n).map(|i| cov(i, i)).sum();
+        assert!((r.covariance_trace - trace).abs() < 1e-9 * trace);
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //!   flits per key and the neighbour bias;
 //! * for MM its `frobenius`, for PCA its `means` and `covariance_trace`.
 //!
-//! The kernels that generate these workloads (MM's multiply, PCA's
-//! covariance, HIST's and WC's counting, KMEANS's distances) may be
-//! reordered for speed only if every one of these bits stays put. Likewise,
-//! a generator may re-draw an input from a cloned generator where its
-//! kernel reads it, instead of storing it, only if every one of these bits
-//! stays put. Run with `MAPWAVE_GOLDEN_PRINT=1` to print the current
+//! The kernels that generate these workloads (MM's multiply, PCA's row
+//! means and variances, HIST's and WC's counting, KMEANS's distances) may
+//! be reordered for speed only if every one of these bits stays put.
+//! Likewise, a generator may re-draw an input from a cloned generator where
+//! its kernel reads it, instead of storing it, only if every one of these
+//! bits stays put. MM's rows cover both of its blocking remainders: its
+//! dimensions 126, 271, 464 and 999 leave a partial last block of 32 rows
+//! in each, and 126, 271 and 999 a partial last step of its 4-deep
+//! unroll. Run with `MAPWAVE_GOLDEN_PRINT=1` to print the current
 //! digests (used once to capture the table below; afterwards the table is
 //! frozen).
 
