@@ -2,7 +2,8 @@
 //!
 //! A xoshiro256++ generator seeded through SplitMix64, with the few helpers
 //! the simulators need: uniform `f64` in `[0, 1)`, unbiased integer ranges,
-//! and Fisher–Yates shuffling. Everything is deterministic for a given seed
+//! Fisher–Yates shuffling, and jumping ahead any number of draws in
+//! microseconds ([`StdRng::advance`], [`Jump`]). Everything is deterministic for a given seed
 //! and identical on every platform, which is what makes stage caching and
 //! parallel execution safe — a job's output depends only on its inputs.
 //!
@@ -128,6 +129,129 @@ impl StdRng {
     pub fn stream(root: u64, name: &str) -> Self {
         StdRng::seed_from_u64(stream_seed(root, name))
     }
+
+    /// The generator with raw xoshiro256++ state words `s`, for kernels
+    /// that step several generators side by side (see [`StdRng::state`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if every word is zero: that state is a fixed point.
+    pub fn from_state(s: [u64; 4]) -> Self {
+        assert!(s != [0; 4], "the all-zero state never leaves zero");
+        StdRng { s }
+    }
+
+    /// The raw xoshiro256++ state words.
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
+    /// Skips `draws` outputs: afterwards the generator is where `draws`
+    /// calls of [`RngCore::next_u64`] would have left it.
+    ///
+    /// Costs one [`Jump::new`] and one [`StdRng::jump`]: tens of
+    /// microseconds, growing with the bit length of `draws`, not with
+    /// `draws`.
+    ///
+    /// ```
+    /// use mapwave_harness::rng::{RngCore, SeedableRng, StdRng};
+    ///
+    /// let mut stepped = StdRng::seed_from_u64(5);
+    /// for _ in 0..1000 {
+    ///     stepped.next_u64();
+    /// }
+    /// let mut jumped = StdRng::seed_from_u64(5);
+    /// jumped.advance(1000);
+    /// assert_eq!(jumped, stepped);
+    /// ```
+    pub fn advance(&mut self, draws: u64) {
+        self.jump(&Jump::new(draws));
+    }
+
+    /// Applies a precomputed jump: the state becomes `Σ jᵢ·Tⁱ(state)`,
+    /// where `T` is one generator step and `jᵢ` the coefficients of the
+    /// jump polynomial, accumulated over 256 steps of a copy.
+    pub fn jump(&mut self, jump: &Jump) {
+        let mut acc = [0u64; 4];
+        let mut walker = self.clone();
+        for word in jump.0 {
+            for bit in 0..64 {
+                if word >> bit & 1 == 1 {
+                    for (a, s) in acc.iter_mut().zip(walker.s) {
+                        *a ^= s;
+                    }
+                }
+                walker.next_u64();
+            }
+        }
+        self.s = acc;
+    }
+}
+
+/// The characteristic polynomial of the xoshiro256++ state transition
+/// over GF(2), without its leading `x^256` term: bit `i` of word `i / 64`
+/// is the coefficient of `x^i`. The tests re-derive it by
+/// Berlekamp–Massey.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// A jump of a fixed number of draws, computed once and applied to any
+/// number of generators with [`StdRng::jump`].
+///
+/// The state transition `T` is linear over GF(2) and, by Cayley–Hamilton,
+/// satisfies its characteristic polynomial `p`, so `T^d = (x^d mod p)(T)`:
+/// a jump is the degree-below-256 polynomial `x^d mod p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Jump([u64; 4]);
+
+impl Jump {
+    /// The jump of `draws` outputs: `x^draws mod p` by square-and-multiply
+    /// over the bits of `draws`.
+    pub fn new(draws: u64) -> Self {
+        let mut r = [1, 0, 0, 0];
+        for bit in (0..u64::BITS - draws.leading_zeros()).rev() {
+            r = poly_mul_mod(&r, &r);
+            if draws >> bit & 1 == 1 {
+                r = poly_times_x(r);
+            }
+        }
+        Jump(r)
+    }
+}
+
+/// `a · x mod p`.
+fn poly_times_x(a: [u64; 4]) -> [u64; 4] {
+    let carry = a[3] >> 63;
+    let mut r = [
+        a[0] << 1,
+        a[1] << 1 | a[0] >> 63,
+        a[2] << 1 | a[1] >> 63,
+        a[3] << 1 | a[2] >> 63,
+    ];
+    if carry == 1 {
+        for (w, p) in r.iter_mut().zip(CHAR_POLY) {
+            *w ^= p;
+        }
+    }
+    r
+}
+
+/// `a · b mod p` by Horner's rule over the bits of `b`, highest first.
+fn poly_mul_mod(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mut acc = [0u64; 4];
+    for bit in (0..256).rev() {
+        acc = poly_times_x(acc);
+        if b[bit / 64] >> (bit % 64) & 1 == 1 {
+            for (w, x) in acc.iter_mut().zip(a) {
+                *w ^= x;
+            }
+        }
+    }
+    acc
 }
 
 impl RngCore for StdRng {
@@ -337,6 +461,90 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         assert_ne!(rng.next_u64(), 0);
         assert_ne!(rng.s, [0; 4]);
+    }
+
+    #[test]
+    fn advance_matches_sequential_draws() {
+        for d in [0u64, 1, 2, 255, 256, 257, 3_000_000] {
+            let mut stepped = StdRng::seed_from_u64(17);
+            for _ in 0..d {
+                stepped.next_u64();
+            }
+            let mut jumped = StdRng::seed_from_u64(17);
+            jumped.advance(d);
+            assert_eq!(jumped, stepped, "advance({d})");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        for (a, b) in [(0u64, 5u64), (1, 1), (300, 9_999), (1 << 40, 12_345)] {
+            let mut twice = StdRng::seed_from_u64(23);
+            twice.advance(a);
+            twice.advance(b);
+            let mut once = StdRng::seed_from_u64(23);
+            once.advance(a + b);
+            assert_eq!(twice, once, "advance({a}) + advance({b})");
+        }
+    }
+
+    /// The shortest linear recurrence over GF(2) generating `s`, as its
+    /// connection polynomial `1 + c₁x + … + c_L x^L` (index = power).
+    fn berlekamp_massey(s: &[u8]) -> Vec<u8> {
+        let n = s.len();
+        let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+        c[0] = 1;
+        b[0] = 1;
+        let (mut l, mut m) = (0usize, 1usize);
+        for i in 0..n {
+            let d = (1..=l).fold(s[i], |d, j| d ^ (c[j] & s[i - j]));
+            if d == 0 {
+                m += 1;
+                continue;
+            }
+            let before = c.clone();
+            for j in 0..=n - m {
+                c[j + m] ^= b[j];
+            }
+            if 2 * l <= i {
+                l = i + 1 - l;
+                b = before;
+                m = 1;
+            } else {
+                m += 1;
+            }
+        }
+        c.truncate(l + 1);
+        c
+    }
+
+    #[test]
+    fn char_poly_is_rederived_by_berlekamp_massey() {
+        // Any one state bit obeys the characteristic recurrence; 1024 terms
+        // exceed the 2·256 that pin a degree-256 recurrence.
+        let mut rng = StdRng::seed_from_u64(99);
+        let bits: Vec<u8> = (0..1024)
+            .map(|_| {
+                let bit = (rng.s[0] & 1) as u8;
+                rng.next_u64();
+                bit
+            })
+            .collect();
+        let c = berlekamp_massey(&bits);
+        assert_eq!(c.len(), 257, "a degree-256 recurrence");
+        // The characteristic polynomial is the reciprocal x^256·C(1/x).
+        for k in 0..256 {
+            let expected = (CHAR_POLY[k / 64] >> (k % 64) & 1) as u8;
+            assert_eq!(c[256 - k], expected, "coefficient of x^{k}");
+        }
+    }
+
+    #[test]
+    fn state_round_trips() {
+        let mut rng = StdRng::seed_from_u64(31);
+        rng.next_u64();
+        let mut copy = StdRng::from_state(rng.state());
+        assert_eq!(copy.next_u64(), rng.next_u64());
     }
 
     #[test]

@@ -821,6 +821,11 @@ impl<'a> NetworkSim<'a> {
         }
         self.stats.link_loads = loads;
         telemetry::count("noc.packets_injected", self.stats.packets_injected);
+        // Liveness: a window that ends with measured packets still buffered.
+        telemetry::count(
+            "noc.windows_undrained",
+            u64::from(self.stats.in_flight_at_end > 0),
+        );
         telemetry::count("noc.packets_delivered", self.stats.packets_delivered);
         telemetry::count("noc.flits_delivered", self.stats.flits_delivered);
         telemetry::count("noc.cycles_simulated", self.stepped_cycles);
@@ -1259,13 +1264,14 @@ impl<'a> NetworkSim<'a> {
         // the switch parks until a neighbour pops the full slot it pushes
         // into (`try_advance` rearms `wake`), a flit arrives (the push
         // sites lower `wake`), or an in-flight front exits its pipeline
-        // (`fut_min`). Two carve-outs keep the skip a proven no-op:
+        // (`fut_min`). One carve-out keeps the skip a proven no-op:
         // wireless switches never park (token rotation is not a wake
-        // source, and the holder check must burn its slot every cycle),
-        // and under a fault plan a blocked wireless retry still mutates
-        // hazard counters, so every ready front retries per-cycle. Empty
-        // slots report `front_ready == MAX` and influence neither bound, so
-        // only the occupied slots are probed.
+        // source, the holder check must burn its slot every cycle, and
+        // under a fault plan a blocked wireless attempt still mutates the
+        // hazard counters). Wired switches park under a fault plan too:
+        // they neither touch the hazard counters nor route by fault state.
+        // Empty slots report `front_ready == MAX` and influence neither
+        // bound, so only the occupied slots are probed.
         let mut ready_now = false;
         let mut fut_min = u64::MAX;
         let mut m = self.fabric.occ_mask(NodeId(v));
@@ -1279,7 +1285,7 @@ impl<'a> NetworkSim<'a> {
                 fut_min = r;
             }
         }
-        let parkable = self.faults.is_none() && !any_moved && self.wi_channel[v] == u32::MAX;
+        let parkable = !any_moved && self.wi_channel[v] == u32::MAX;
         self.parked[v] = ready_now && parkable;
         let wake = if ready_now && !parkable {
             self.now + 1
@@ -1439,11 +1445,7 @@ impl<'a> NetworkSim<'a> {
         let mut f = f;
         let was_full = self.fabric.space(slot) == 0;
         self.fabric.pop_front(slot);
-        if self.faults.is_none()
-            && was_full
-            && p != PORT_LOCAL
-            && Some(p) != self.ports.wireless_port(NodeId(v))
-        {
+        if was_full && p != PORT_LOCAL && Some(p) != self.ports.wireless_port(NodeId(v)) {
             // Popping a full wired slot is the only event that can unblock
             // the wire peer behind it (the peer is also the only switch
             // whose adaptive route choice reads this slot's space). A peer

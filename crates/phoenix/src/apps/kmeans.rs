@@ -119,12 +119,13 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> KmeansRun {
         .collect();
     // Both iterations read the points once, front to back, in draw order,
     // so none is stored: keep the generator as it stands before the points,
-    // skip past them, and re-draw each point where an iteration reads it.
+    // jump past them, and re-draw each point where an iteration reads it.
+    // A point takes `DIM + 1` draws: `K` is a power of two, so its blob
+    // pick never rejects a draw.
+    const _: () = assert!(K.is_power_of_two(), "a blob pick takes one draw");
     let points_rng = rng.clone();
+    rng.advance((n * (DIM + 1)) as u64);
     let mut point = vec![0.0f64; DIM];
-    for _ in 0..n {
-        draw_point(&mut rng, &truth, &mut point);
-    }
     let mut centroids: Vec<Vec<f64>> = truth
         .iter()
         .map(|t| {

@@ -87,9 +87,7 @@ pub fn run(scale: f64, seed: u64, cores: usize) -> MatrixMultRun {
     // reads it. B is read in full for every block, so it is re-drawn, row
     // by row, from a clone of the generator taken at its start.
     let mut a_rng = rng.clone();
-    for _ in 0..dim * dim {
-        rng.random::<f64>();
-    }
+    rng.advance((dim * dim) as u64);
     let b_rng = rng;
 
     // One block's scratch: its rows of A and C, and the rows of B one
